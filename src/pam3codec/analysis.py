@@ -189,6 +189,14 @@ def _rebuild_reports(
     }
 
 
+def _csv_row(lines: list[str], index: int, label: str) -> list[str]:
+    """The four fields of the row named label, expected at lines[index]."""
+    row = lines[index].split(",") if index < len(lines) else []
+    if len(row) != 4 or row[0] != label:
+        raise ValueError(f"CSV report lacks its {label} row")
+    return row
+
+
 def _read_csv(text: str) -> TraceStats:
     lines = text.splitlines()
     header = "algorithm,term_power,term_ratio_percent,switch_power,switch_ratio_percent"
@@ -205,9 +213,9 @@ def _read_csv(text: str) -> TraceStats:
             float(switch_ratio) if switch_ratio else None,
         )
         i += 1
-    totals_row = lines[i + 2].split(",")
-    dist_row = lines[i + 3].split(",")
-    meta_row = lines[i + 6].split(",")
+    totals_row = _csv_row(lines, i + 2, "totals")
+    dist_row = _csv_row(lines, i + 3, "distribution_percent")
+    meta_row = _csv_row(lines, i + 6, "meta")
     totals = SymbolCounts(int(totals_row[1]), int(totals_row[2]), int(totals_row[3]))
     distribution = (float(dist_row[1]), float(dist_row[2]), float(dist_row[3]))
     return TraceStats(

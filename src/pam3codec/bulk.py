@@ -49,7 +49,7 @@ def demodulate_block(levels: np.ndarray) -> np.ndarray:
     if (sym < 0).any():
         frame_idx, col = np.argwhere(sym < 0)[0]
         raise InvalidPair(
-            f"frame {frame_idx}, column {col} holds the unused (0, 0) pair"
+            f"frame {frame_idx}, column {col} holds the unused (0, 0) pair", int(frame_idx)
         )
     weights = (np.int32(1) << _BIT_SHIFTS).astype(np.int32)
     words = np.empty((len(sym), 3), dtype=np.uint8)

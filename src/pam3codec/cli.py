@@ -9,20 +9,18 @@ parse error.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-from typing import Optional
-
-import numpy as np
 
 from . import bulk
 from .analysis import OP_FILTERS, analyze_trace, signal_distribution, write_report
 from .encoders import Algorithm
-from .errors import Pam3Error, ParseError
+from .errors import Pam3Error
 from .power import DEFAULT_MODEL
 from .traceio import (
     READ,
     WRITE,
+    decode_encoded,
+    format_encoded,
     frame_records,
     generate_random_trace,
     parse_raw_trace,
@@ -31,11 +29,6 @@ from .traceio import (
 
 _ALG_CHOICES = {"none": Algorithm.NONE, "dbi": Algorithm.DBI,
                 "mf": Algorithm.MF, "sort": Algorithm.SORT}
-
-_LEVEL_CHAR = {-1: "-", 0: "0", 1: "+"}
-_CHAR_LEVEL = {"-": -1, "0": 0, "+": 1}
-
-_FRAME_LINE_RE = re.compile(r"A:([-0+]{8}) B:([-0+]{8}) F:(\d+)\Z")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +117,13 @@ def _write_text(path: str, text: str):
             f.write(text)
 
 
+def _read_binary(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _write_binary(path: str, data: bytes):
     if path == "-":
         sys.stdout.buffer.write(data)
@@ -133,71 +133,16 @@ def _write_binary(path: str, data: bytes):
             f.write(data)
 
 
-def _format_encoded(
-    alg: Algorithm, enc_levels: np.ndarray, flags: np.ndarray, pad_bytes: int
-) -> str:
-    out = [f"# alg {alg.value}", f"# pad {pad_bytes}"]
-    for row, flag in zip(enc_levels, flags):
-        a = "".join(_LEVEL_CHAR[int(v)] for v in row[0])
-        b = "".join(_LEVEL_CHAR[int(v)] for v in row[1])
-        out.append(f"A:{a} B:{b} F:{int(flag)}")
-    return "\n".join(out) + "\n"
-
-
 def _cmd_encode(args) -> int:
     alg = _ALG_CHOICES[args.alg]
     stream = frame_records(_read_records(args))
     enc_levels, flags = bulk.encode_block(stream.levels, alg)
-    _write_text(args.output, _format_encoded(alg, enc_levels, flags, stream.pad_bytes))
+    _write_binary(args.output, format_encoded(alg, enc_levels, flags, stream.pad_bytes))
     return 0
 
 
-def _parse_encoded(source) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
-    alg: Optional[Algorithm] = None
-    pad: Optional[int] = None
-    rows = []
-    flags = []
-    for line_number, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            fields = stripped[1:].split()
-            if len(fields) == 2 and fields[0] == "alg":
-                try:
-                    alg = Algorithm(fields[1])
-                except ValueError:
-                    raise ParseError(f"unknown algorithm {fields[1]!r}", line_number)
-            elif len(fields) == 2 and fields[0] == "pad":
-                try:
-                    pad = int(fields[1])
-                except ValueError:
-                    raise ParseError(f"bad pad count {fields[1]!r}", line_number)
-                if pad not in (0, 1, 2):
-                    raise ParseError(f"pad count must be 0..2, got {pad}", line_number)
-            continue
-        m = _FRAME_LINE_RE.match(stripped)
-        if not m:
-            raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
-                             line_number)
-        rows.append([[_CHAR_LEVEL[c] for c in m.group(1)],
-                     [_CHAR_LEVEL[c] for c in m.group(2)]])
-        flags.append(int(m.group(3)))
-    if alg is None or pad is None:
-        raise ParseError("missing '# alg' or '# pad' header", 1)
-    levels = np.array(rows, dtype=np.int8).reshape(len(rows), 2, 8)
-    return alg, pad, levels, np.array(flags, dtype=np.uint8)
-
-
 def _cmd_decode(args) -> int:
-    if args.input == "-":
-        alg, pad, levels, flags = _parse_encoded(sys.stdin)
-    else:
-        with open(args.input, "r", encoding="ascii") as f:
-            alg, pad, levels, flags = _parse_encoded(f)
-    decoded = bulk.decode_block(levels, flags, alg)
-    data = bulk.demodulate_block(decoded).reshape(-1).tobytes()
-    _write_binary(args.output, data[: len(data) - pad] if pad else data)
+    _write_binary(args.output, decode_encoded(_read_binary(args.input)))
     return 0
 
 

@@ -38,6 +38,14 @@ FLAG_WIDTH = {
     Algorithm.SORT: 3,
 }
 
+# Largest flag value each algorithm emits; its decoder rejects anything above.
+MAX_FLAG = {
+    Algorithm.NONE: 0,
+    Algorithm.DBI: 1,
+    Algorithm.MF: 2,
+    Algorithm.SORT: 5,
+}
+
 # The six bijections of {-1, 0, +1} as image triples (image of -1, image
 # of 0, image of +1), indexed in lexicographic order of the triple. The
 # flag of a SORT frame is an index into this table.

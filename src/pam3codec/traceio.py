@@ -1,4 +1,4 @@
-"""Trace ingestion, framing, and synthetic trace generation.
+"""Trace ingestion, framing, encoded frame text, and synthetic traces.
 
 Text trace format, one record per line:
 
@@ -7,6 +7,10 @@ Text trace format, one record per line:
 where op is R or W, address is 0x-prefixed hex, and payload is even-length
 hex (any case). Blank lines and lines starting with # are skipped. Raw
 format is a flat binary file whose entire content is one WRITE payload.
+
+Encoded frame text is two header lines, `# alg <NAME>` and `# pad <0..2>`,
+then one line per frame, `A:<8 symbols> B:<8 symbols> F:<flag>`, with the
+symbols written as -, 0, +.
 """
 
 from __future__ import annotations
@@ -20,13 +24,29 @@ import numpy as np
 
 from . import bulk
 from .core import Pam3Frame
-from .errors import EmptyInput, ParseError
+from .encoders import MAX_FLAG, Algorithm
+from .errors import EmptyInput, InvalidPair, ParseError
 
 READ = "R"
 WRITE = "W"
 
 _ADDRESS_RE = re.compile(r"(?:0x)?[0-9a-fA-F]+\Z")
 _RAW_CHUNK = 1 << 20
+
+# Encoded frame text. format_encoded writes every frame as one 26-byte
+# row of _FRAME_ROW (flags are at most 5, so always one digit), which
+# lets parse_encoded read a canonical file as an (n, 26) byte array.
+_HEADER_RE = re.compile(rb"# alg (NONE|DBI|MF|SORT)\n# pad ([012])\n")
+_FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
+_SYMBOL_COLUMNS = np.r_[2:10, 13:21]  # line A, then line B
+_FIXED_COLUMNS = np.array([0, 1, 10, 11, 12, 21, 22, 23, 25])
+_FLAG_COLUMN = 24
+_LEVEL_BYTE = np.frombuffer(b"-0+", dtype=np.uint8)  # indexed by level + 1
+_NOT_A_LEVEL = 2
+_BYTE_LEVEL = np.full(256, _NOT_A_LEVEL, dtype=np.int8)
+_BYTE_LEVEL[_LEVEL_BYTE] = (-1, 0, 1)
+_FRAME_LINE_RE = re.compile(r"A:([-0+]{8}) B:([-0+]{8}) F:0*(\d+)\Z")
+_CHAR_LEVEL = {"-": -1, "0": 0, "+": 1}
 
 
 @dataclass(frozen=True)
@@ -130,6 +150,120 @@ def format_text_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(
         f"{r.op} 0x{r.address:x} {r.payload.hex()}\n" for r in records
     )
+
+
+def format_encoded(
+    alg: Algorithm, levels: np.ndarray, flags: np.ndarray, pad_bytes: int
+) -> bytes:
+    """Encoded frame text of (n, 2, 8) encoded levels and their (n,) flags."""
+    flags = np.asarray(flags, dtype=np.uint8)
+    if flags.size and flags.max() > MAX_FLAG[alg]:
+        raise ValueError(f"{alg.value} flags must be 0..{MAX_FLAG[alg]}")
+    rows = np.tile(_FRAME_ROW, (len(flags), 1))
+    rows[:, _SYMBOL_COLUMNS] = _LEVEL_BYTE[np.asarray(levels).reshape(-1, 16) + 1]
+    rows[:, _FLAG_COLUMN] = flags + ord("0")
+    return f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii") + rows.tobytes()
+
+
+def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
+    """Read encoded frame text: (algorithm, pad bytes, levels, flags).
+
+    levels is (n, 2, 8) int8 and flags is (n,) uint8, each flag within the
+    algorithm's range. Text in the exact layout format_encoded writes is
+    read as one byte array; anything else (blank lines, comments, CRLF,
+    whitespace around a line, leading zeros in a flag, or an error) goes
+    through the line parser, which raises the line-numbered ParseError.
+    """
+    parsed = _parse_encoded_rows(data)
+    return parsed if parsed is not None else _parse_encoded_lines(data)[:4]
+
+
+def decode_encoded(data: bytes) -> bytes:
+    """The payload bytes that encoded frame text carries, padding stripped."""
+    alg, pad, levels, flags = parse_encoded(data)
+    try:
+        words = bulk.demodulate_block(bulk.decode_block(levels, flags, alg))
+    except InvalidPair as exc:
+        frame_lines = _parse_encoded_lines(data)[4]
+        raise ParseError(str(exc), frame_lines[exc.frame_index]) from exc
+    payload = words.reshape(-1).tobytes()
+    return payload[: len(payload) - pad] if pad else payload
+
+
+def _parse_encoded_rows(data: bytes):
+    """parse_encoded on the exact layout of format_encoded, else None."""
+    header = _HEADER_RE.match(data)
+    if header is None or (len(data) - header.end()) % len(_FRAME_ROW):
+        return None
+    alg, pad = Algorithm(header[1].decode("ascii")), int(header[2])
+    rows = np.frombuffer(data, dtype=np.uint8, offset=header.end()).reshape(-1, len(_FRAME_ROW))
+    if pad and not len(rows):
+        return None
+    if not (rows[:, _FIXED_COLUMNS] == _FRAME_ROW[_FIXED_COLUMNS]).all():
+        return None
+    levels = _BYTE_LEVEL[rows[:, _SYMBOL_COLUMNS]]
+    flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
+    if len(rows) and (levels.max() == _NOT_A_LEVEL or flags.max() > MAX_FLAG[alg]):
+        return None
+    return alg, pad, levels.reshape(-1, 2, 8), flags
+
+
+def _parse_encoded_lines(data: bytes):
+    """Line-by-line reader of encoded frame text, the reference for
+    parse_encoded; also returns the input line number of every frame."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError("non-ASCII byte", head.count(b"\n") + 1)
+    alg = pad = None
+    pad_line = 0
+    rows, flags, frame_lines = [], [], []
+    for line_number, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            fields = stripped[1:].split()
+            if len(fields) != 2 or fields[0] not in ("alg", "pad"):
+                continue  # a comment
+            name, value = fields
+            if (alg if name == "alg" else pad) is not None:
+                raise ParseError(f"repeated '# {name}' header", line_number)
+            if frame_lines:
+                raise ParseError(f"'# {name}' header after the first frame line", line_number)
+            if name == "alg":
+                try:
+                    alg = Algorithm(value)
+                except ValueError:
+                    raise ParseError(f"unknown algorithm {value!r}", line_number)
+            else:
+                try:
+                    pad = int(value)
+                except ValueError:
+                    raise ParseError(f"bad pad count {value!r}", line_number)
+                if pad not in (0, 1, 2):
+                    raise ParseError(f"pad count must be 0..2, got {pad}", line_number)
+                pad_line = line_number
+            continue
+        m = _FRAME_LINE_RE.match(stripped)
+        if not m:
+            raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
+                             line_number)
+        rows.append([[_CHAR_LEVEL[c] for c in m[1]], [_CHAR_LEVEL[c] for c in m[2]]])
+        # saturate: a flag above 255 is out of range for every algorithm
+        flags.append(min(int(m[3][:3]), 255))
+        frame_lines.append(line_number)
+    if alg is None or pad is None:
+        raise ParseError("missing '# alg' or '# pad' header", 1)
+    if pad and not rows:
+        raise ParseError(f"pad count {pad} without frames", pad_line)
+    flags = np.array(flags, dtype=np.uint8)
+    bad = np.flatnonzero(flags > MAX_FLAG[alg])
+    if bad.size:
+        raise ParseError(f"{alg.value} flag must be 0..{MAX_FLAG[alg]}", frame_lines[bad[0]])
+    levels = np.array(rows, dtype=np.int8).reshape(len(rows), 2, 8)
+    return alg, pad, levels, flags, frame_lines
 
 
 def parse_raw_trace(source: BinaryIO | bytes) -> list[TraceRecord]:

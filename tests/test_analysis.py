@@ -188,6 +188,15 @@ def test_report_roundtrip_bit_exact(fmt):
         assert reparsed.totals == stats.totals
 
 
+@pytest.mark.parametrize("keep, section", [
+    (5, "totals"), (8, "distribution_percent"), (10, "meta"), (11, "meta"),
+])
+def test_truncated_csv_report_raises_value_error(keep, section):
+    lines = write_report(analyze_trace(RANDOM), "csv").splitlines(keepends=True)
+    with pytest.raises(ValueError, match=section):
+        read_report("".join(lines[:keep]), "csv")
+
+
 def test_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         write_report(analyze_trace(ALL_ZERO), "xml")

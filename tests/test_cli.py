@@ -9,9 +9,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from pam3codec import bulk
-from pam3codec.cli import _format_encoded, _parse_encoded, main
+from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
-from pam3codec.traceio import TraceRecord, frame_records
+from pam3codec.traceio import TraceRecord, format_encoded, frame_records, parse_encoded
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -175,6 +175,76 @@ def test_decode_requires_headers(tmp_path, capsys):
     assert _run("decode", "-i", str(enc)) == 2
 
 
+def _decode_error(tmp_path, capsys, text: str) -> str:
+    enc = tmp_path / "bad.enc"
+    enc.write_text(text)
+    assert _run("decode", "-i", str(enc), "-o", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("text, line", [
+    # a flag that does not fit uint8 once raised OverflowError
+    ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:0\nA:++++++++ B:++++++++ F:256\n", 4),
+    # NONE carries no flag bits
+    ("# alg NONE\n# pad 0\nA:++++++++ B:++++++++ F:3\n", 3),
+    ("# alg DBI\n# pad 0\n\nA:++++++++ B:++++++++ F:2\n", 4),
+    ("# alg MF\n# pad 0\nA:++++++++ B:++++++++ F:3\n", 3),
+    ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:6\n", 3),
+])
+def test_decode_rejects_out_of_range_flag(tmp_path, capsys, text, line):
+    assert f"line {line}:" in _decode_error(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("text, line", [
+    # canonical layout, read as one byte array
+    ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:0\nA:-0+-0+-0 B:-0+-00+0 F:0\n", 4),
+    # comments shift the lines, read line by line
+    ("# alg SORT\n# comment\n# pad 0\n\nA:++++++++ B:++++++++ F:0\n"
+     "A:-0+-0+-0 B:-0+-00+0 F:0\n", 6),
+    # SORT flag 2 maps level 0 to level -1, so (-, -) decodes to (0, 0)
+    ("# alg SORT\n# pad 0\nA:+------- B:++------ F:2\n", 3),
+])
+def test_decode_unused_pair_names_line(tmp_path, capsys, text, line):
+    err = _decode_error(tmp_path, capsys, text)
+    assert f"line {line}:" in err
+    assert "(0, 0)" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# alg SORT\n# pad 0\n# alg NONE\nA:++++++++ B:++++++++ F:1\n", 3),
+    ("# alg SORT\n# pad 0\n# pad 0\nA:++++++++ B:++++++++ F:1\n", 3),
+    # a trailing header once overrode the algorithm of every frame
+    ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:1\n# alg NONE\n", 4),
+    ("# alg SORT\nA:++++++++ B:++++++++ F:1\n# pad 0\n", 3),
+    # a pad count needs a frame to strip it from
+    ("# alg SORT\n# pad 1\n", 2),
+    ("# alg DBI\n# pad 2\n# comment\n", 2),
+])
+def test_decode_header_rules(tmp_path, capsys, text, line):
+    assert f"line {line}:" in _decode_error(tmp_path, capsys, text)
+
+
+def test_decode_no_frames_without_pad(tmp_path):
+    enc = tmp_path / "empty.enc"
+    enc.write_text("# alg SORT\n# pad 0\n")
+    dec = tmp_path / "empty.dec"
+    assert _run("decode", "-i", str(enc), "-o", str(dec)) == 0
+    assert dec.read_bytes() == b""
+
+
+def test_encode_stdout_decode_stdin(tmp_path, capsysbinary, monkeypatch):
+    trace = tmp_path / "t.txt"
+    trace.write_text("W 0x0 00ff00aa\n")
+    assert _run("encode", "--alg", "mf", "-i", str(trace)) == 0
+    encoded = capsysbinary.readouterr().out
+    assert encoded.startswith(b"# alg MF\n# pad 2\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(encoded)))
+    assert _run("decode") == 0
+    assert capsysbinary.readouterr().out == bytes.fromhex("00ff00aa")
+
+
 @given(
     st.binary(min_size=1, max_size=300),
     st.sampled_from(list(Algorithm)),
@@ -183,8 +253,8 @@ def test_encode_text_pipeline_lossless(payload, algorithm):
     "The encode text form carries everything decode needs, for any input."
     stream = frame_records([TraceRecord("W", 0, payload)])
     enc_levels, flags = bulk.encode_block(stream.levels, algorithm)
-    text = _format_encoded(algorithm, enc_levels, flags, stream.pad_bytes)
-    alg, pad, parsed_levels, parsed_flags = _parse_encoded(io.StringIO(text))
+    text = format_encoded(algorithm, enc_levels, flags, stream.pad_bytes)
+    alg, pad, parsed_levels, parsed_flags = parse_encoded(text)
     assert alg is algorithm
     assert pad == stream.pad_bytes
     decoded = bulk.decode_block(parsed_levels, parsed_flags, alg)

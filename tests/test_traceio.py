@@ -1,20 +1,27 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from pam3codec import bulk
 from pam3codec.core import Word24, modulate
+from pam3codec.encoders import MAX_FLAG, Algorithm
 from pam3codec.errors import EmptyInput, ParseError
 from pam3codec.traceio import (
     FrameStream,
     TraceRecord,
+    _parse_encoded_lines,
+    _parse_encoded_rows,
+    decode_encoded,
+    format_encoded,
     format_text_trace,
     frame_records,
     generate_random_trace,
+    parse_encoded,
     parse_raw_trace,
     parse_text_trace,
 )
@@ -186,6 +193,92 @@ def test_frame_stream_from_frames_matches_bulk():
     stream = FrameStream.from_frames(frames, pad_bytes=1)
     assert list(stream) == frames
     assert stream.pad_bytes == 1
+
+
+# ------------------------------------------------------ encoded text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# golden/<alg>.enc is `pam3codec encode --format raw` of this payload as
+# written by the line-by-line writer that format_encoded replaced
+GOLDEN_PAYLOAD = generate_random_trace(240, seed=2024)[0].payload + bytes(61)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_format_encoded_golden(algorithm):
+    stream = frame_records([TraceRecord("W", 0, GOLDEN_PAYLOAD)])
+    levels, flags = bulk.encode_block(stream.levels, algorithm)
+    golden = (GOLDEN / f"{algorithm.value.lower()}.enc").read_bytes()
+    assert format_encoded(algorithm, levels, flags, stream.pad_bytes) == golden
+    assert decode_encoded(golden) == GOLDEN_PAYLOAD
+
+
+def test_format_encoded_rejects_out_of_range_flag():
+    with pytest.raises(ValueError):
+        format_encoded(Algorithm.MF, np.ones((1, 2, 8), np.int8), np.array([3]), 0)
+
+
+@st.composite
+def encoded_texts(draw):
+    """Canonical encoded text, then up to three edits of its lines."""
+    alg = draw(st.sampled_from(list(Algorithm)))
+    n = draw(st.integers(0, 5))
+    levels = np.array(draw(st.lists(st.integers(-1, 1), min_size=16 * n, max_size=16 * n)),
+                      dtype=np.int8).reshape(n, 2, 8)
+    flags = np.array(draw(st.lists(st.integers(0, MAX_FLAG[alg]), min_size=n, max_size=n)),
+                     dtype=np.uint8)
+    pad = draw(st.integers(0, 2 if n else 0))
+    lines = format_encoded(alg, levels, flags, pad).split(b"\n")[:-1]
+    edits = draw(st.integers(0, 3))
+    for _ in range(edits):
+        kind = draw(st.sampled_from(("flip", "insert", "crlf", "flag")))
+        row = draw(st.integers(0, len(lines) - (kind != "insert")))
+        if kind == "insert":
+            lines.insert(row, draw(st.sampled_from((
+                b"", b"   ", b"# comment", b"# alg NONE", b"# pad 1", b"# alg SORT x",
+                b"A:++++++++ B:++++++++ F:0"))))
+        elif kind == "crlf":
+            lines[row] += b"\r"
+        elif kind == "flag" and b"F:" in lines[row]:
+            flag = draw(st.sampled_from((b"05", b"256", b"6", b"7", b"00001", b"")))
+            lines[row] = lines[row][: lines[row].index(b"F:") + 2] + flag
+        elif kind == "flip" and lines[row]:
+            col = draw(st.integers(0, len(lines[row]) - 1))
+            byte = draw(st.sampled_from((b"", b" ", b"#", b"A", b":", b"+", b"-", b"0",
+                                         b"2", b"\x80", b"\t")))
+            lines[row] = lines[row][:col] + byte + lines[row][col + 1:]
+    newline = draw(st.sampled_from((b"\n", b"")))
+    return b"\n".join(lines) + newline, edits == 0 and newline == b"\n"
+
+
+def _read(reader, data):
+    try:
+        return reader(data)
+    except ParseError as exc:
+        return exc.line_number
+
+
+def _same(a, b):
+    if isinstance(a, int) or isinstance(b, int):
+        return a == b
+    alg, pad, levels, flags = a
+    return (alg, pad) == b[:2] and levels.dtype == b[2].dtype and flags.dtype == b[3].dtype \
+        and np.array_equal(levels, b[2]) and np.array_equal(flags, b[3])
+
+
+@given(encoded_texts())
+@example((b"# alg NONE\n# pad 0\nA:++x+++++ B:++++++++ F:0\n", False))
+@example((b"# alg SORT\n# pad 0\nA:++++++++ B:-+++++++ F:0\n", True))
+@example((b"# alg MF\n# pad 0\nA:++++++++ B:++++++++ F:3\n", False))
+@example((b"# alg DBI\n# pad 1\n", False))
+def test_parse_encoded_matches_line_parser(case):
+    data, canonical = case
+    reference = _read(lambda d: _parse_encoded_lines(d)[:4], data)
+    fast = _parse_encoded_rows(data)
+    if canonical:
+        assert fast is not None
+    if fast is not None:
+        assert _same(fast, reference)
+    assert _same(_read(parse_encoded, data), reference)
 
 
 # ------------------------------------------------------- random traces
