@@ -1,0 +1,39 @@
+"""Byte-for-byte pins of `analyze` and `distribution` reports.
+
+golden/<case>.<report> was written by `pam3codec` running the per-algorithm
+encode-and-count analysis path on golden/uniform.raw (3001 uniform random
+bytes, so the last group is zero padded) and golden/zero.trace (a
+zero-biased text trace of reads and writes with payloads of 1 to 64 bytes).
+Any later analysis path must reproduce every report exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pam3codec.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+RAW = ("--format", "raw", "-i", str(GOLDEN / "uniform.raw"))
+TEXT = ("-i", str(GOLDEN / "zero.trace"))
+
+CASES = {
+    "uniform_all": ("analyze", *RAW),
+    "uniform_sort": ("analyze", "--alg", "sort", *RAW),
+    "uniform_flags": ("analyze", "--include-flag-power", *RAW),
+    "uniform_dist": ("distribution", *RAW),
+    "zero_all": ("analyze", *TEXT),
+    "zero_sort_read": ("analyze", "--alg", "sort", "--op-filter", "read", *TEXT),
+    "zero_flags_write": ("analyze", "--include-flag-power", "--op-filter", "write", *TEXT),
+    "zero_mf_flags": ("analyze", "--alg", "mf", "--include-flag-power", *TEXT),
+    "zero_dist_read": ("distribution", "--op-filter", "read", *TEXT),
+}
+
+
+@pytest.mark.parametrize("report", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(tmp_path, case, report):
+    out = tmp_path / f"{case}.{report}"
+    assert main([*CASES[case], "--report", report, "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{case}.{report}").read_bytes()
