@@ -37,13 +37,16 @@ class TraceStats:
     flags_in_power: bool = False
 
 
+def _percentages(counts, frame_count: int) -> tuple[float, float, float]:
+    denom = 16 * frame_count
+    return tuple(100.0 * int(t) / denom for t in counts)
+
+
 def signal_distribution(stream: FrameStream) -> tuple[float, float, float]:
     """Percentage of -1, 0, +1 symbols over the whole stream."""
     if len(stream) == 0:
         raise EmptyStream("distribution needs at least one frame")
-    totals = bulk.count_block(stream.levels).sum(axis=0)
-    denom = 16 * len(stream)
-    return tuple(100.0 * int(t) / denom for t in totals)
+    return _percentages(bulk.StreamStats(stream.levels).counts(), len(stream))
 
 
 def analyze_trace(
@@ -54,7 +57,7 @@ def analyze_trace(
     include_flag_power: bool = False,
     op_filter: str = "all",
 ) -> TraceStats:
-    """Encode the stream under each algorithm and compare against baseline.
+    """Power totals of the stream under each algorithm against the baseline.
 
     The NONE baseline row is always present. Raises ZeroBaseline when the
     unencoded trace has zero termination power; a zero switching baseline
@@ -67,27 +70,26 @@ def analyze_trace(
     requested = set(algorithms) if algorithms is not None else set(CANONICAL_ORDER)
     requested.add(Algorithm.NONE)
 
-    levels = stream.levels
-    base_term = bulk.termination_total(levels, model)
-    base_switch = bulk.switching_total(levels, model)
-
-    per_algorithm: dict[Algorithm, PowerReport] = {}
+    stats = bulk.StreamStats(stream.levels)
+    powers = {}
     for alg in CANONICAL_ORDER:
         if alg not in requested:
             continue
-        enc_levels, flags = bulk.encode_block(levels, alg)
-        term = bulk.termination_total(enc_levels, model)
+        term = stats.termination_total(alg, model)
         if include_flag_power:
-            term += bulk.flag_termination_total(flags, alg, model)
-        switch = bulk.switching_total(enc_levels, model)
-        per_algorithm[alg] = compare_powers(base_term, term, base_switch, switch)
+            term += stats.flag_termination_total(alg, model)
+        powers[alg] = (term, stats.switching_total(alg, model))
+    base_term, base_switch = powers[Algorithm.NONE]
+    per_algorithm = {
+        alg: compare_powers(base_term, term, base_switch, switch)
+        for alg, (term, switch) in powers.items()
+    }
 
-    totals = bulk.count_block(levels).sum(axis=0)
-    denom = 16 * len(stream)
+    totals = stats.counts()
     return TraceStats(
         frame_count=len(stream),
         totals=SymbolCounts(int(totals[0]), int(totals[1]), int(totals[2])),
-        distribution_percent=tuple(100.0 * int(t) / denom for t in totals),
+        distribution_percent=_percentages(totals, len(stream)),
         per_algorithm=per_algorithm,
         op_filter=op_filter,
         flags_in_power=include_flag_power,
@@ -228,26 +230,44 @@ def _read_csv(text: str) -> TraceStats:
     )
 
 
+_NUMBER = (int, float)
+_RATIO = (int, float, type(None))  # None where the ratio is undefined
+_ROW_FIELDS = (
+    ("term_power", _NUMBER),
+    ("term_ratio_percent", _RATIO),
+    ("switch_power", _NUMBER),
+    ("switch_ratio_percent", _RATIO),
+)
+
+
+def _json_field(obj, name: str, kind, where: str = "report"):
+    """obj[name] checked to be of type kind; ValueError names the field."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"JSON {where} lacks its {name} field")
+    if not isinstance(obj[name], kind):
+        raise ValueError(f"JSON {where} field {name} is malformed")
+    return obj[name]
+
+
 def _read_json(text: str) -> TraceStats:
     obj = json.loads(text)
-    totals = SymbolCounts(
-        obj["totals"]["cnt_neg"], obj["totals"]["cnt_zero"], obj["totals"]["cnt_pos"]
-    )
-    distribution = tuple(obj["distribution_percent"][key] for key in _SIGNAL_KEYS)
+    totals = _json_field(obj, "totals", dict)
+    distribution = _json_field(obj, "distribution_percent", dict)
     rows = {
-        Algorithm(name): (
-            entry["term_power"],
-            entry["term_ratio_percent"],
-            entry["switch_power"],
-            entry["switch_ratio_percent"],
+        Algorithm(name): tuple(
+            _json_field(entry, field, kind, name) for field, kind in _ROW_FIELDS
         )
-        for name, entry in obj["per_algorithm"].items()
+        for name, entry in _json_field(obj, "per_algorithm", dict).items()
     }
     return TraceStats(
-        frame_count=obj["frame_count"],
-        totals=totals,
-        distribution_percent=distribution,
+        frame_count=_json_field(obj, "frame_count", int),
+        totals=SymbolCounts(*(
+            _json_field(totals, key, int, "totals") for key in ("cnt_neg", "cnt_zero", "cnt_pos")
+        )),
+        distribution_percent=tuple(
+            _json_field(distribution, key, _NUMBER, "distribution_percent") for key in _SIGNAL_KEYS
+        ),
         per_algorithm=_rebuild_reports(rows),
-        op_filter=obj["op_filter"],
-        flags_in_power=obj["flags_in_power"],
+        op_filter=_json_field(obj, "op_filter", str),
+        flags_in_power=_json_field(obj, "flags_in_power", bool),
     )

@@ -5,6 +5,12 @@ arrays of shape (n, 2, 8) holding int8 levels in {-1, 0, +1}. Every
 function here mirrors a scalar operation from core/encoders/power and the
 test suite pins the two paths to each other; the scalar forms stay the
 readable reference.
+
+Inside, a line is an 8-bit mask per level, position 0 in the most
+significant bit, and a frame is the two line masks side by side in one
+uint16 (line A in the first byte in memory). Every encoding is one rule
+from a frame's level counts to a flag, and one table from flag to one of
+the six level bijections of encoders.PERMUTATION_IMAGES.
 """
 
 from __future__ import annotations
@@ -12,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import core, encoders
+from .encoders import Algorithm
 from .errors import EmptyStream, InvalidFlag, InvalidPair
 from .power import DEFAULT_MODEL, PowerModel
-
-_PAIR_TABLE = np.array(core.PAIR_OF_SYMBOL, dtype=np.int8)  # (8, 2)
 
 # (level_a + 1, level_b + 1) -> 3-bit symbol, -1 marks the unused pair
 _SYMBOL_TABLE = np.full((3, 3), -1, dtype=np.int8)
@@ -24,22 +29,134 @@ for _sym, (_a, _b) in enumerate(core.PAIR_OF_SYMBOL):
 
 _BIT_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)  # column 0 = MSB
 
-# Image tables in level-index form (0, 1, 2 for -1, 0, +1).
-_PERM_IDX = np.array(encoders.PERMUTATION_IMAGES, dtype=np.int8) + 1
-_PERM_INV_IDX = np.array(
-    [np.argsort(row) for row in _PERM_IDX], dtype=np.int8
-)
-_MF_IDX = np.array(encoders._MF_IMAGES, dtype=np.int8) + 1
+# Set bits of every byte, and of every uint16 as the sum over its bytes.
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint16)
+_POP16 = (_POP8[:, None] + _POP8[None, :]).reshape(-1)
+_NOT_LSB = np.uint16(0xFEFE)  # clears what a left shift carries between the two bytes
 
-_POPCOUNT3 = np.array([bin(v).count("1") for v in range(8)], dtype=np.int64)
+_IMAGES = np.array(encoders.PERMUTATION_IMAGES, dtype=np.int8)  # (6, 3)
+_IMAGE_OF_INDEX = _IMAGES.reshape(-1)  # [perm * 3 + level + 1]
+_INVERSE = np.array(
+    [encoders.PermutationCode(i).inverse().index for i in range(6)], dtype=np.uint8
+)
+# _SELECT[perm, level + 1, d] is all ones when perm maps level to -1 (d = 0)
+# or to +1 (d = 1), so output masks are ORs of selected input masks.
+_SELECT = np.where(_IMAGES[:, :, None] == np.array([-1, 1]), 0xFFFF, 0).astype(np.uint16)
+
+# The permutation index each flag value stands for; the flag is the index
+# into the tuple. DBI's flag 1 inverts, MF's flag names the level it swaps
+# with +1 and a SORT flag is the permutation index itself.
+_PERM_OF_FLAG = {
+    Algorithm.NONE: np.array([0], dtype=np.uint8),
+    Algorithm.DBI: np.array([0, 5], dtype=np.uint8),
+    Algorithm.MF: np.array([5, 1, 0], dtype=np.uint8),
+    Algorithm.SORT: np.arange(6, dtype=np.uint8),
+}
+
+
+def _dbi_flags(cnt: np.ndarray) -> np.ndarray:
+    return cnt[:, 0] > cnt[:, 2]
+
+
+def _mf_flags(cnt: np.ndarray) -> np.ndarray:
+    # argmax over the reversed counts finds the first maximum from the +1
+    # side, matching the tie-break "+1, then 0, then -1"
+    return 2 - cnt[:, ::-1].argmax(axis=1)
+
+
+def _sort_flags(cnt: np.ndarray) -> np.ndarray:
+    order = np.argsort(cnt, axis=1, kind="stable")  # least to most frequent
+    ranks = np.empty_like(order)
+    ranks[np.arange(len(order))[:, None], order] = np.arange(3)
+    # lexicographic index of the image triple
+    return 2 * ranks[:, 0] + (ranks[:, 1] > ranks[:, 2])
+
+
+# A frame's counts (cnt-1, cnt0, cnt+1) sum to 16, so cnt-1 * 17 + cnt0 is
+# a key that fixes every flag rule. 153 of the 289 keys are reachable; the
+# others would need a negative cnt+1 and get zero counts here.
+_KEYS = 17 * 17
+_cnt_neg, _cnt_zero = np.divmod(np.arange(_KEYS), 17)
+_KEY_COUNTS = np.stack([_cnt_neg, _cnt_zero, 16 - _cnt_neg - _cnt_zero], axis=1)
+_REACHABLE = _KEY_COUNTS[:, 2] >= 0
+_KEY_COUNTS[~_REACHABLE] = 0
+
+
+def _flag_of_key(rule) -> np.ndarray:
+    flags = np.zeros(_KEYS, dtype=np.uint8)
+    flags[_REACHABLE] = rule(_KEY_COUNTS[_REACHABLE])
+    return flags
+
+
+_FLAG_OF_KEY = {
+    Algorithm.NONE: np.zeros(_KEYS, dtype=np.uint8),
+    Algorithm.DBI: _flag_of_key(_dbi_flags),
+    Algorithm.MF: _flag_of_key(_mf_flags),
+    Algorithm.SORT: _flag_of_key(_sort_flags),
+}
+_PERM_OF_KEY = {alg: _PERM_OF_FLAG[alg][flags] for alg, flags in _FLAG_OF_KEY.items()}
+
+# The adjacent-pair types a bijection can make cost differently, as level
+# indices: {-1, 0}, {0, +1} and {-1, +1}.
+_PAIR_FROM = np.array([0, 1, 0])
+_PAIR_TO = np.array([1, 2, 2])
+
+
+def _level_masks(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) uint16 frame masks of the -1 and of the +1 positions."""
+    flat = np.asarray(levels).reshape(-1)
+    return np.packbits(flat == -1).view(np.uint16), np.packbits(flat == 1).view(np.uint16)
+
+
+def _levels_of_masks(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """(n, 2, 8) int8 levels of frame masks, uint16 (n,) or uint8 (n, 2)."""
+    levels = np.unpackbits(pos.view(np.uint8)).view(np.int8)
+    levels -= np.unpackbits(neg.view(np.uint8)).view(np.int8)
+    return levels.reshape(-1, 2, 8)
+
+
+def _count_keys(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """(n,) uint16 count key cnt-1 * 17 + cnt0 of every frame."""
+    cnt_neg = np.take(_POP16, neg)
+    return cnt_neg * 17 + (16 - cnt_neg - np.take(_POP16, pos))
+
+
+def _adjacent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per frame, the adjacent positions of a line holding p and q in
+    either order, summed over both lines."""
+    return np.take(_POP16, (p << 1) & _NOT_LSB & q) + np.take(_POP16, (q << 1) & _NOT_LSB & p)
+
+
+def _permute(neg: np.ndarray, pos: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Levels of every frame mapped through its permutation index."""
+    select = _SELECT[perm]  # (n, 3, 2)
+    zero = ~(neg | pos)
+    out_neg, out_pos = (
+        (neg & select[:, 0, d]) | (zero & select[:, 1, d]) | (pos & select[:, 2, d])
+        for d in (0, 1)
+    )
+    return _levels_of_masks(out_neg, out_pos)
 
 
 def modulate_block(words: np.ndarray) -> np.ndarray:
-    """Modulate (n, 3) uint8 word groups into (n, 2, 8) int8 level frames."""
+    """Modulate (n, 3) uint8 word groups into (n, 2, 8) int8 level frames.
+
+    Bit column i of X, Y, Z is the symbol xyz of position i on both lines
+    (core.PAIR_OF_SYMBOL): line A is -1 for 000, 001, 010 and +1 for 101,
+    110, 111; line B is 0 for 001 and 110, else +1 for odd parity and -1
+    for even parity.
+    """
     words = np.asarray(words, dtype=np.uint8)
-    bits = (words[:, :, None] >> _BIT_SHIFTS) & 1  # (n, 3, 8)
-    sym = (bits[:, 0] << 2) | (bits[:, 1] << 1) | bits[:, 2]  # (n, 8)
-    return _PAIR_TABLE[sym].transpose(0, 2, 1)  # (n, 2, 8)
+    x, y, z = words[:, 0], words[:, 1], words[:, 2]
+    neg = np.empty((len(words), 2), dtype=np.uint8)
+    pos = np.empty_like(neg)
+    b_zero = (~x & ~y & z) | (x & y & ~z)
+    odd = x ^ y ^ z
+    neg[:, 0] = ~(x | (y & z))
+    pos[:, 0] = x & (y | z)
+    neg[:, 1] = ~(odd | b_zero)
+    pos[:, 1] = odd & ~b_zero
+    return _levels_of_masks(neg, pos)
 
 
 def demodulate_block(levels: np.ndarray) -> np.ndarray:
@@ -64,96 +181,108 @@ def count_block(levels: np.ndarray) -> np.ndarray:
     return np.stack([(flat == lv).sum(axis=1) for lv in (-1, 0, 1)], axis=1)
 
 
-def _apply_images(levels: np.ndarray, images_idx: np.ndarray) -> np.ndarray:
-    """Remap levels per frame; images_idx is (n, 3) in level-index form."""
-    rows = np.arange(len(levels))[:, None, None]
-    return (images_idx[rows, levels + 1] - 1).astype(np.int8)
-
-
-def dbi_encode_block(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cnt = count_block(levels)
-    invert = cnt[:, 0] > cnt[:, 2]
-    out = np.where(invert[:, None, None], -levels, levels).astype(np.int8)
-    return out, invert.astype(np.uint8)
-
-
-def dbi_decode_block(levels: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    if (flags > 1).any():
-        raise InvalidFlag("DBI flag must be 0 or 1")
-    invert = flags.astype(bool)
-    return np.where(invert[:, None, None], -levels, levels).astype(np.int8)
-
-
-def mf_encode_block(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cnt = count_block(levels)
-    # argmax over the reversed counts finds the first maximum from the +1
-    # side, matching the tie-break "+1, then 0, then -1"
-    mf_index = 2 - cnt[:, ::-1].argmax(axis=1)
-    return _apply_images(levels, _MF_IDX[mf_index]), mf_index.astype(np.uint8)
-
-
-def mf_decode_block(levels: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    if (flags > 2).any():
-        raise InvalidFlag("MF flag must be 0..2")
-    return _apply_images(levels, _MF_IDX[flags])
-
-
-def sort_encode_block(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cnt = count_block(levels)
-    order = np.argsort(cnt, axis=1, kind="stable")  # least to most frequent
-    images_idx = np.empty_like(order)
-    rows = np.arange(len(order))[:, None]
-    images_idx[rows, order] = np.arange(3)[None, :]
-    # lexicographic index of the image triple
-    flags = 2 * images_idx[:, 0] + (images_idx[:, 1] > images_idx[:, 2])
-    return _apply_images(levels, images_idx), flags.astype(np.uint8)
-
-
-def sort_decode_block(levels: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    if (flags > 5).any():
-        raise InvalidFlag("SORT flag must be 0..5")
-    return _apply_images(levels, _PERM_INV_IDX[flags])
-
-
 def encode_block(
-    levels: np.ndarray, algorithm: encoders.Algorithm
+    levels: np.ndarray, algorithm: Algorithm
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode every frame independently; returns (levels, flags)."""
-    if algorithm is encoders.Algorithm.NONE:
-        return levels, np.zeros(len(levels), dtype=np.uint8)
-    if algorithm is encoders.Algorithm.DBI:
-        return dbi_encode_block(levels)
-    if algorithm is encoders.Algorithm.MF:
-        return mf_encode_block(levels)
-    if algorithm is encoders.Algorithm.SORT:
-        return sort_encode_block(levels)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    neg, pos = _level_masks(levels)
+    flags = _FLAG_OF_KEY[algorithm][_count_keys(neg, pos)]
+    return _permute(neg, pos, _PERM_OF_FLAG[algorithm][flags]), flags
 
 
 def decode_block(
-    levels: np.ndarray, flags: np.ndarray, algorithm: encoders.Algorithm
+    levels: np.ndarray, flags: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
-    if algorithm is encoders.Algorithm.NONE:
-        return levels
-    if algorithm is encoders.Algorithm.DBI:
-        return dbi_decode_block(levels, flags)
-    if algorithm is encoders.Algorithm.MF:
-        return mf_decode_block(levels, flags)
-    if algorithm is encoders.Algorithm.SORT:
-        return sort_decode_block(levels, flags)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """Undo encode_block; raises InvalidFlag for a flag the algorithm never emits."""
+    flags = np.asarray(flags)
+    limit = encoders.MAX_FLAG[algorithm]
+    if flags.size and flags.max() > limit:
+        raise InvalidFlag(f"{algorithm.value} flag must be 0..{limit}")
+    neg, pos = _level_masks(levels)
+    return _permute(neg, pos, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
+
+
+class StreamStats:
+    """Per-frame sufficient statistics of a level stream, for the power
+    totals of every encoding without building an encoded copy.
+
+    An encoding maps all 16 levels of a frame through one bijection picked
+    by the frame's count key, so the encoded termination counts follow
+    from the number of frames per key, the switching within frames from
+    the adjacent-pair counts per key, and the switching across frame
+    boundaries from each line's first and last level. Every total is an
+    exact integer before the model weights apply, with the same float
+    expressions as termination_total, switching_total and
+    flag_termination_total. Levels must be in {-1, 0, +1}.
+    """
+
+    def __init__(self, levels: np.ndarray):
+        levels = np.asarray(levels, dtype=np.int8)
+        neg, pos = _level_masks(levels)
+        zero = ~(neg | pos)
+        self.key = _count_keys(neg, pos)
+        self.frames_per_key = np.bincount(self.key, minlength=_KEYS)
+        # (3, _KEYS); the float64 sums bincount makes of the weights are exact
+        self.pairs_per_key = np.stack([
+            np.bincount(self.key, _adjacent(p, q), _KEYS)
+            for p, q in ((neg, zero), (zero, pos), (neg, pos))
+        ]).astype(np.int64)
+        # level index (level + 1) of position 0 and 7 of each line, (2, n)
+        self.first = (levels[:, :, 0].T + 1).astype(np.uint8, order="C")
+        self.last = (levels[:, :, 7].T + 1).astype(np.uint8, order="C")
+
+    def counts(self, algorithm: Algorithm = Algorithm.NONE) -> np.ndarray:
+        """Totals of (-1, 0, +1) over the stream after encoding, (3,) int64."""
+        encoded = np.zeros_like(_KEY_COUNTS)
+        rows = np.arange(_KEYS)[:, None]
+        encoded[rows, _IMAGES[_PERM_OF_KEY[algorithm]] + 1] = _KEY_COUNTS
+        return self.frames_per_key @ encoded
+
+    def termination_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
+        return float(_termination_power(self.counts(algorithm), model))
+
+    def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
+        perm = _PERM_OF_KEY[algorithm]
+        images = _IMAGES[perm].astype(np.int64)
+        cost = (images[:, _PAIR_FROM] - images[:, _PAIR_TO]) ** 2  # (_KEYS, 3)
+        steps = int((self.pairs_per_key * cost.T).sum())
+        # across frame boundaries: last level of frame i to first of i + 1
+        base = np.take(perm * 3, self.key)
+        first = np.take(_IMAGE_OF_INDEX, base + self.first)
+        last = np.take(_IMAGE_OF_INDEX, base + self.last)
+        d = first[:, 1:] - last[:, :-1]
+        steps += int((d * d).sum(dtype=np.int64))
+        return model.switch_unit_energy * steps
+
+    def flag_termination_total(
+        self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
+    ) -> float:
+        width = encoders.FLAG_WIDTH[algorithm]
+        if width == 0:
+            return 0.0
+        ones = self.frames_per_key @ _POP8[_FLAG_OF_KEY[algorithm]]
+        return _flag_power(ones, width * len(self.key), model)
+
+
+def _termination_power(cnt, model: PowerModel):
+    """Termination power of (..., 3) counts of (-1, 0, +1)."""
+    return (
+        cnt[..., 0] * model.term_weight_neg
+        + cnt[..., 1] * model.term_weight_zero
+        + cnt[..., 2] * model.term_weight_pos
+    )
+
+
+def _flag_power(ones, total_bits: int, model: PowerModel) -> float:
+    zeros = total_bits - ones
+    return float(zeros * model.term_weight_neg + ones * model.term_weight_pos)
 
 
 def termination_block(
     levels: np.ndarray, model: PowerModel = DEFAULT_MODEL
 ) -> np.ndarray:
     """Per-frame termination power, (n,) float64."""
-    cnt = count_block(levels)
-    return (
-        cnt[:, 0] * model.term_weight_neg
-        + cnt[:, 1] * model.term_weight_zero
-        + cnt[:, 2] * model.term_weight_pos
-    )
+    return _termination_power(count_block(levels), model)
 
 
 def termination_total(
@@ -164,12 +293,7 @@ def termination_total(
     Summing integer counts first keeps the total independent of frame
     order and of float accumulation order.
     """
-    cnt = count_block(levels).sum(axis=0)
-    return float(
-        cnt[0] * model.term_weight_neg
-        + cnt[1] * model.term_weight_zero
-        + cnt[2] * model.term_weight_pos
-    )
+    return float(_termination_power(count_block(levels).sum(axis=0), model))
 
 
 def switching_total(levels: np.ndarray, model: PowerModel = DEFAULT_MODEL) -> float:
@@ -185,7 +309,7 @@ def switching_total(levels: np.ndarray, model: PowerModel = DEFAULT_MODEL) -> fl
 
 
 def flag_termination_total(
-    flags: np.ndarray, algorithm: encoders.Algorithm, model: PowerModel = DEFAULT_MODEL
+    flags: np.ndarray, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
 ) -> float:
     """Termination power of the flag wires, driven as binary lines.
 
@@ -195,9 +319,4 @@ def flag_termination_total(
     width = encoders.FLAG_WIDTH[algorithm]
     if width == 0 or len(flags) == 0:
         return 0.0
-    ones = _POPCOUNT3[flags].sum()
-    total_bits = width * len(flags)
-    zeros = total_bits - ones
-    return float(
-        zeros * model.term_weight_neg + ones * model.term_weight_pos
-    )
+    return _flag_power(_POP8[flags].sum(dtype=np.int64), width * len(flags), model)

@@ -90,18 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_records(args):
-    if args.format == "raw":
-        if args.input == "-":
-            records = parse_raw_trace(sys.stdin.buffer)
-        else:
-            with open(args.input, "rb") as f:
-                records = parse_raw_trace(f)
-    else:
-        if args.input == "-":
-            records = parse_text_trace(sys.stdin)
-        else:
-            with open(args.input, "r", encoding="ascii") as f:
-                records = parse_text_trace(f)
+    data = _read_binary(args.input)
+    records = parse_raw_trace(data) if args.format == "raw" else parse_text_trace(data)
     if args.op_filter == "read":
         records = [r for r in records if r.op == READ]
     elif args.op_filter == "write":
@@ -193,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (Pam3Error, OSError, UnicodeDecodeError) as exc:
+    except (Pam3Error, OSError) as exc:
         print(f"pam3codec: error: {exc}", file=sys.stderr)
         return 2
 

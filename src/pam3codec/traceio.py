@@ -80,7 +80,7 @@ class FrameStream:
         levels = np.asarray(self.levels, dtype=np.int8)
         if levels.ndim != 3 or levels.shape[1:] != (2, 8):
             raise ValueError(f"levels must have shape (n, 2, 8), got {levels.shape}")
-        if levels.size and not np.isin(levels, (-1, 0, 1)).all():
+        if levels.size and (levels.min() < -1 or levels.max() > 1):
             raise ValueError("levels must be -1, 0, or +1")
         if self.pad_bytes not in (0, 1, 2):
             raise ValueError(f"pad_bytes must be 0..2, got {self.pad_bytes}")
@@ -112,9 +112,26 @@ class FrameStream:
         return cls(levels, pad_bytes)
 
 
+def _ascii_lines(data: bytes) -> Iterable[str]:
+    """The lines of ASCII data, each ended by LF, CRLF or CR.
+
+    A non-ASCII byte is a ParseError on its line.
+    """
+    if not data.isascii():
+        start = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
+        head = data[:start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError("non-ASCII byte", head.count(b"\n") + 1)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
+
+
 def parse_text_trace(source) -> list[TraceRecord]:
-    """Parse a text trace from a string or an iterable of lines."""
-    if isinstance(source, str):
+    """Parse a text trace from bytes, a string or an iterable of lines.
+
+    Bytes must be ASCII and may end lines with LF, CRLF or CR.
+    """
+    if isinstance(source, (bytes, bytearray)):
+        source = _ascii_lines(source)
+    elif isinstance(source, str):
         source = io.StringIO(source)
     records = []
     for line_number, line in enumerate(source, start=1):
@@ -211,15 +228,10 @@ def _parse_encoded_rows(data: bytes):
 def _parse_encoded_lines(data: bytes):
     """Line-by-line reader of encoded frame text, the reference for
     parse_encoded; also returns the input line number of every frame."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise ParseError("non-ASCII byte", head.count(b"\n") + 1)
     alg = pad = None
     pad_line = 0
     rows, flags, frame_lines = [], [], []
-    for line_number, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for line_number, line in enumerate(_ascii_lines(data), start=1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -197,6 +197,46 @@ def test_truncated_csv_report_raises_value_error(keep, section):
         read_report("".join(lines[:keep]), "csv")
 
 
+@pytest.mark.parametrize("text, field", [
+    ("{}", "totals"),
+    ("[]", "totals"),
+    ('{"totals": 1}', "totals"),
+    ("null", "totals"),
+])
+def test_malformed_json_report_raises_value_error(text, field):
+    with pytest.raises(ValueError, match=field):
+        read_report(text, "json")
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("frame_count",), DELETE, "frame_count"),
+    (("frame_count",), None, "frame_count"),
+    (("op_filter",), DELETE, "op_filter"),
+    (("flags_in_power",), "yes", "flags_in_power"),
+    (("totals", "cnt_zero"), DELETE, "cnt_zero"),
+    (("totals", "cnt_zero"), None, "cnt_zero"),
+    (("distribution_percent", "+1"), DELETE, r"\+1"),
+    (("per_algorithm", "SORT", "switch_power"), DELETE, "switch_power"),
+    (("per_algorithm", "SORT", "switch_power"), None, "switch_power"),
+    (("per_algorithm", "SORT"), [], "term_power"),
+    (("per_algorithm",), None, "per_algorithm"),
+])
+def test_json_report_field_errors_name_the_field(path, value, field):
+    obj = json.loads(write_report(analyze_trace(RANDOM), "json"))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(ValueError, match=field):
+        read_report(json.dumps(obj), "json")
+
+
 def test_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         write_report(analyze_trace(ALL_ZERO), "xml")

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pam3codec import bulk
-from pam3codec.core import Pam3Frame, Word24, count_symbols, modulate
+from pam3codec.core import PAIR_OF_SYMBOL, Pam3Frame, Word24, count_symbols, modulate
 from pam3codec.encoders import (
     FLAG_WIDTH,
     Algorithm,
@@ -32,6 +35,15 @@ def test_modulate_block_matches_scalar():
     lv = bulk.modulate_block(WORDS)
     for i in range(0, len(WORDS), 97):
         assert _frame(lv[i]) == modulate(Word24(*map(int, WORDS[i])))
+
+
+def test_modulate_block_every_symbol_at_every_position():
+    # word groups whose 8 bit columns all hold one symbol, one group per symbol
+    words = [[0xFF * (sym >> 2 & 1), 0xFF * (sym >> 1 & 1), 0xFF * (sym & 1)] for sym in range(8)]
+    lv = bulk.modulate_block(np.array(words, dtype=np.uint8))
+    for sym, row in enumerate(lv):
+        a, b = PAIR_OF_SYMBOL[sym]
+        assert _frame(row) == Pam3Frame((a,) * 8, (b,) * 8)
 
 
 def test_demodulate_block_inverts():
@@ -108,3 +120,51 @@ def test_flag_termination_total():
     assert bulk.flag_termination_total(flags[:0], Algorithm.SORT) == 0.0
     none_flags = np.zeros(5, dtype=np.uint8)
     assert bulk.flag_termination_total(none_flags, Algorithm.NONE) == 0.0
+
+
+# ------------------------------------------- per-frame sufficient statistics
+
+def _frame_of_counts(neg: int, zero: int) -> Pam3Frame:
+    levels = [-1] * neg + [0] * zero + [1] * (16 - neg - zero)
+    return Pam3Frame(levels[:8], levels[8:])
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_flag_tables_match_scalar_on_every_count_triple(algorithm):
+    triples = [(neg, zero) for neg in range(17) for zero in range(17 - neg)]
+    assert len(triples) == 153
+    for neg, zero in triples:
+        scalar = encode(_frame_of_counts(neg, zero), algorithm)
+        assert bulk._FLAG_OF_KEY[algorithm][neg * 17 + zero] == scalar.flag, (neg, zero)
+
+
+level_blocks = arrays(
+    np.int8,
+    st.tuples(st.integers(1, 40), st.just(2), st.just(8)),
+    elements=st.sampled_from((-1, 0, 1)),
+)
+MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
+
+
+@given(level_blocks, st.sampled_from(list(Algorithm)), st.sampled_from(MODELS))
+@example(np.zeros((1, 2, 8), dtype=np.int8), Algorithm.MF, DEFAULT_MODEL)  # (0, 0) pairs only
+@example(np.array([[[1] * 8, [-1] * 8], [[-1] * 8, [1] * 8]], dtype=np.int8),
+         Algorithm.SORT, MODELS[1])
+def test_stream_stats_match_encoded_copy(levels, algorithm, model):
+    stats = bulk.StreamStats(levels)
+    enc_levels, flags = bulk.encode_block(levels, algorithm)
+    assert (stats.counts(algorithm) == bulk.count_block(enc_levels).sum(axis=0)).all()
+    assert stats.termination_total(algorithm, model) == bulk.termination_total(enc_levels, model)
+    assert stats.switching_total(algorithm, model) == bulk.switching_total(enc_levels, model)
+    assert stats.flag_termination_total(algorithm, model) == bulk.flag_termination_total(
+        flags, algorithm, model
+    )
+    # the scalar encoders and power functions, frame by frame
+    encoded = [encode(_frame(row), algorithm) for row in levels]
+    assert stats.termination_total(algorithm, model) == pytest.approx(
+        sum(termination_power(e.frame, model) for e in encoded), rel=1e-12
+    )
+    assert stats.switching_total(algorithm, model) == switching_power(
+        [e.frame for e in encoded], model
+    )
+    assert [e.flag for e in encoded] == flags.tolist()

@@ -137,6 +137,22 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+NON_ASCII_TRACE = b"W 0x0 00\nW 0x0 00\xff\n"
+
+
+def test_non_ascii_trace_file_exits_2_with_line(tmp_path, capsys):
+    trace = tmp_path / "bad.txt"
+    trace.write_bytes(NON_ASCII_TRACE)
+    assert _run("analyze", "-i", str(trace)) == 2
+    assert capsys.readouterr().err == "pam3codec: error: line 2: non-ASCII byte\n"
+
+
+def test_non_ascii_trace_stdin_exits_2_with_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NON_ASCII_TRACE)))
+    assert _run("analyze") == 2
+    assert capsys.readouterr().err == "pam3codec: error: line 2: non-ASCII byte\n"
+
+
 def test_missing_file_exits_2(capsys):
     assert _run("analyze", "-i", "/no/such/file.txt") == 2
 

@@ -90,6 +90,18 @@ def test_parse_text_trace_accepts_file_object():
     assert len(recs) == 1
 
 
+def test_parse_text_trace_bytes():
+    recs = parse_text_trace(b"W 0x1 00\r\nR 0x2 ff\rW 0x3 aa\n")
+    assert [(r.op, r.address, r.payload) for r in recs] == [
+        ("W", 1, b"\x00"), ("R", 2, b"\xff"), ("W", 3, b"\xaa")
+    ]
+    with pytest.raises(ParseError) as err:
+        parse_text_trace(b"# caf\xc3\xa9\nW 0x0 00\n")
+    assert err.value.line_number == 1
+    with pytest.raises(ParseError, match="line 3: non-ASCII byte"):
+        parse_text_trace(b"W 0x0 00\r\nW 0x1 00\rW 0x2 00\xff\n")
+
+
 @given(st.lists(records_strategy, min_size=0, max_size=12))
 def test_text_trace_roundtrip(records):
     assert parse_text_trace(format_text_trace(records)) == records
@@ -176,8 +188,11 @@ def test_frame_stream_iterates_frames():
 def test_frame_stream_validation():
     with pytest.raises(ValueError):
         FrameStream(np.zeros((2, 2, 7), dtype=np.int8), 0)
-    with pytest.raises(ValueError):
-        FrameStream(np.full((1, 2, 8), 3, dtype=np.int8), 0)
+    for bad in (3, -128, -2, 2, 127):
+        levels = np.zeros((2, 2, 8), dtype=np.int8)
+        levels[1, 1, 7] = bad
+        with pytest.raises(ValueError):
+            FrameStream(levels, 0)
     with pytest.raises(ValueError):
         FrameStream(np.zeros((1, 2, 8), dtype=np.int8), 3)
 
