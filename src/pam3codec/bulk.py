@@ -257,11 +257,8 @@ class StreamStats:
     def flag_termination_total(
         self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
     ) -> float:
-        width = encoders.FLAG_WIDTH[algorithm]
-        if width == 0:
-            return 0.0
         ones = self.frames_per_key @ _POP8[_FLAG_OF_KEY[algorithm]]
-        return _flag_power(ones, width * len(self.key), model)
+        return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * len(self.key), model)
 
 
 def _termination_power(cnt, model: PowerModel):
