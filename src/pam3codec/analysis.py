@@ -18,9 +18,7 @@ from .core import SymbolCounts
 from .encoders import CANONICAL_ORDER, Algorithm
 from .errors import EmptyStream
 from .power import DEFAULT_MODEL, PowerModel, PowerReport, compare_powers
-from .traceio import FrameStream
-
-OP_FILTERS = ("all", "read", "write")
+from .traceio import OP_FILTERS, FrameStream
 
 _SIGNAL_KEYS = ("-1", "0", "+1")
 

@@ -15,19 +15,14 @@ the six level bijections of encoders.PERMUTATION_IMAGES.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from . import core, encoders
+from . import encoders
 from .encoders import Algorithm
 from .errors import EmptyStream, InvalidFlag, InvalidPair
 from .power import DEFAULT_MODEL, PowerModel
-
-# (level_a + 1, level_b + 1) -> 3-bit symbol, -1 marks the unused pair
-_SYMBOL_TABLE = np.full((3, 3), -1, dtype=np.int8)
-for _sym, (_a, _b) in enumerate(core.PAIR_OF_SYMBOL):
-    _SYMBOL_TABLE[_a + 1, _b + 1] = _sym
-
-_BIT_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)  # column 0 = MSB
 
 # Set bits of every byte, and of every uint16 as the sum over its bytes.
 _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint16)
@@ -160,18 +155,27 @@ def modulate_block(words: np.ndarray) -> np.ndarray:
 
 
 def demodulate_block(levels: np.ndarray) -> np.ndarray:
-    """Invert modulate_block back to (n, 3) uint8 word groups."""
-    levels = np.asarray(levels, dtype=np.int8)
-    sym = _SYMBOL_TABLE[levels[:, 0] + 1, levels[:, 1] + 1]  # (n, 8)
-    if (sym < 0).any():
-        frame_idx, col = np.argwhere(sym < 0)[0]
+    """Invert modulate_block back to (n, 3) uint8 word groups.
+
+    Mask bits are in word bit order, so each word byte is a bit expression
+    of the line masks: X is 1 for A = +1 or (A, B) = (0, +1), Y for the
+    pairs (-1, +1), (0, -1), (+1, 0), (+1, +1), and Z for (-1, 0), (0, -1),
+    (+1, -1), (+1, +1).
+    """
+    neg, pos = (m.view(np.uint8).reshape(-1, 2) for m in _level_masks(levels))
+    zero = ~(neg | pos)
+    (neg_a, neg_b), (pos_a, pos_b), (zero_a, zero_b) = neg.T, pos.T, zero.T
+    unused = zero_a & zero_b
+    if unused.any():
+        frame_idx = int(np.flatnonzero(unused)[0])
+        col = int(np.unpackbits(unused[frame_idx:frame_idx + 1]).argmax())
         raise InvalidPair(
-            f"frame {frame_idx}, column {col} holds the unused (0, 0) pair", int(frame_idx)
+            f"frame {frame_idx}, column {col} holds the unused (0, 0) pair", frame_idx
         )
-    weights = (np.int32(1) << _BIT_SHIFTS).astype(np.int32)
-    words = np.empty((len(sym), 3), dtype=np.uint8)
-    for w, shift in enumerate((2, 1, 0)):
-        words[:, w] = (((sym >> shift) & 1) * weights).sum(axis=1).astype(np.uint8)
+    words = np.empty((len(neg), 3), dtype=np.uint8)
+    words[:, 0] = pos_a | (zero_a & pos_b)
+    words[:, 1] = (neg_a & pos_b) | (zero_a & neg_b) | (pos_a & ~neg_b)
+    words[:, 2] = (neg_a & zero_b) | (zero_a & neg_b) | (pos_a & ~zero_b)
     return words
 
 
@@ -213,23 +217,38 @@ class StreamStats:
     boundaries from each line's first and last level. Every total is an
     exact integer before the model weights apply, with the same float
     expressions as termination_total, switching_total and
-    flag_termination_total. Levels must be in {-1, 0, +1}.
+    flag_termination_total. Only switching_total needs the pair counts and
+    the first and last levels, so they are built on first use. Levels must
+    be in {-1, 0, +1} and must not change while the statistics are in use.
     """
 
     def __init__(self, levels: np.ndarray):
-        levels = np.asarray(levels, dtype=np.int8)
-        neg, pos = _level_masks(levels)
-        zero = ~(neg | pos)
-        self.key = _count_keys(neg, pos)
+        self._levels = np.asarray(levels, dtype=np.int8)
+        self._masks = _level_masks(self._levels)
+        self.key = _count_keys(*self._masks)
         self.frames_per_key = np.bincount(self.key, minlength=_KEYS)
-        # (3, _KEYS); the float64 sums bincount makes of the weights are exact
-        self.pairs_per_key = np.stack([
+
+    @cached_property
+    def pairs_per_key(self) -> np.ndarray:
+        """(3, _KEYS) int64 adjacent-pair counts of the _PAIR_FROM/_PAIR_TO types."""
+        neg, pos = self._masks
+        self._masks = None  # needed only here; the totals that follow reuse the memory
+        zero = ~(neg | pos)
+        # the float64 sums bincount makes of the weights are exact
+        return np.stack([
             np.bincount(self.key, _adjacent(p, q), _KEYS)
             for p, q in ((neg, zero), (zero, pos), (neg, pos))
         ]).astype(np.int64)
-        # level index (level + 1) of position 0 and 7 of each line, (2, n)
-        self.first = (levels[:, :, 0].T + 1).astype(np.uint8, order="C")
-        self.last = (levels[:, :, 7].T + 1).astype(np.uint8, order="C")
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """(2, n) level index (level + 1) of position 0 of each line."""
+        return (self._levels[:, :, 0].T + 1).astype(np.uint8, order="C")
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        """(2, n) level index of position 7 of each line."""
+        return (self._levels[:, :, 7].T + 1).astype(np.uint8, order="C")
 
     def counts(self, algorithm: Algorithm = Algorithm.NONE) -> np.ndarray:
         """Totals of (-1, 0, +1) over the stream after encoding, (3,) int64."""

@@ -12,18 +12,19 @@ import argparse
 import sys
 
 from . import bulk
-from .analysis import OP_FILTERS, analyze_trace, signal_distribution, write_report
+from .analysis import analyze_trace, signal_distribution, write_report
 from .encoders import Algorithm
 from .errors import Pam3Error
 from .power import DEFAULT_MODEL
 from .traceio import (
-    READ,
-    WRITE,
+    OP_FILTERS,
+    TraceColumns,
     decode_encoded,
     format_encoded,
     frame_records,
     generate_random_trace,
     parse_raw_trace,
+    parse_text_columns,
     parse_text_trace,
 )
 
@@ -89,14 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_records(args):
+def _read_records(args) -> TraceColumns:
     data = _read_binary(args.input)
-    records = parse_raw_trace(data) if args.format == "raw" else parse_text_trace(data)
-    if args.op_filter == "read":
-        records = [r for r in records if r.op == READ]
-    elif args.op_filter == "write":
-        records = [r for r in records if r.op == WRITE]
-    return records
+    if args.format == "raw":
+        records = TraceColumns.from_records(parse_raw_trace(data))
+    else:
+        records = parse_text_columns(data)
+        if records is None:  # not the canonical layout, or an error
+            records = TraceColumns.from_records(parse_text_trace(data))
+    return records.select(args.op_filter)
 
 
 def _write_text(path: str, text: str):

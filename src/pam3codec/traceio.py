@@ -7,6 +7,8 @@ Text trace format, one record per line:
 where op is R or W, address is 0x-prefixed hex, and payload is even-length
 hex (any case). Blank lines and lines starting with # are skipped. Raw
 format is a flat binary file whose entire content is one WRITE payload.
+parse_text_columns reads a trace in the canonical layout as columns
+(TraceColumns), without a TraceRecord per record.
 
 Encoded frame text is two header lines, `# alg <NAME>` and `# pad <0..2>`,
 then one line per frame, `A:<8 symbols> B:<8 symbols> F:<flag>`, with the
@@ -15,9 +17,10 @@ symbols written as -, 0, +.
 
 from __future__ import annotations
 
+import binascii
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -29,9 +32,18 @@ from .errors import EmptyInput, InvalidPair, ParseError
 
 READ = "R"
 WRITE = "W"
+OP_FILTERS = ("all", "read", "write")
 
 _ADDRESS_RE = re.compile(r"(?:0x)?[0-9a-fA-F]+\Z")
 _RAW_CHUNK = 1 << 20
+
+# Canonical text trace lines, `R|W 0x<1..16 hex digits> <even-length hex>\n`,
+# as format_text_trace writes them: every byte at or below the space is a
+# separator, each line holds exactly the separators of _LINE_SEPARATORS,
+# and deleting _TOKEN_BYTES leaves only the op and the x of each line.
+_LINE_SEPARATORS = np.frombuffer(b"  \n", dtype=np.uint8)
+_TOKEN_BYTES = b"0123456789abcdefABCDEF \n"
+_ADDRESS_TOKEN = (3, 18)  # 0x plus 1..16 digits, below 2**64
 
 # Encoded frame text. format_encoded writes every frame as one 26-byte
 # row of _FRAME_ROW (flags are at most 5, so always one digit), which
@@ -67,16 +79,58 @@ class TraceRecord:
 
 
 @dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """The records of a trace as columns, in record order.
+
+    is_read is (n,) bool, lengths is (n,) int64 payload byte counts and
+    payload is every record's payload joined, one uint8 array.
+    """
+
+    is_read: np.ndarray
+    payload: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "TraceColumns":
+        records = list(records)
+        return cls(
+            np.array([r.op == READ for r in records], dtype=bool),
+            np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8),
+            np.array([len(r.payload) for r in records], dtype=np.int64),
+        )
+
+    def select(self, op_filter: str) -> "TraceColumns":
+        """The records an op filter keeps: all, read or write."""
+        if op_filter not in OP_FILTERS:
+            raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
+        if op_filter == "all":
+            return self
+        keep = self.is_read if op_filter == "read" else ~self.is_read
+        if keep.all():
+            return self
+        return TraceColumns(
+            self.is_read[keep], self.payload[np.repeat(keep, self.lengths)], self.lengths[keep]
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class FrameStream:
     """Modulated frames of one trace plus the zero padding of the last group.
 
     levels is an (n, 2, 8) int8 array; iteration yields Pam3Frame views.
+    The stream keeps a read-only copy of levels; with copy=False it makes
+    levels itself read-only and keeps it, for a caller that hands over an
+    array nothing else writes to.
     """
 
     levels: np.ndarray
     pad_bytes: int
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         levels = np.asarray(self.levels, dtype=np.int8)
         if levels.ndim != 3 or levels.shape[1:] != (2, 8):
             raise ValueError(f"levels must have shape (n, 2, 8), got {levels.shape}")
@@ -84,7 +138,8 @@ class FrameStream:
             raise ValueError("levels must be -1, 0, or +1")
         if self.pad_bytes not in (0, 1, 2):
             raise ValueError(f"pad_bytes must be 0..2, got {self.pad_bytes}")
-        levels = levels.copy()
+        if copy:
+            levels = levels.copy()
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
 
@@ -109,7 +164,7 @@ class FrameStream:
     def from_frames(cls, frames: Iterable[Pam3Frame], pad_bytes: int = 0) -> "FrameStream":
         rows = [(f.line_a, f.line_b) for f in frames]
         levels = np.array(rows, dtype=np.int8).reshape(len(rows), 2, 8)
-        return cls(levels, pad_bytes)
+        return cls(levels, pad_bytes, copy=False)
 
 
 def _ascii_lines(data: bytes) -> Iterable[str]:
@@ -167,6 +222,48 @@ def format_text_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(
         f"{r.op} 0x{r.address:x} {r.payload.hex()}\n" for r in records
     )
+
+
+def parse_text_columns(data: bytes) -> TraceColumns | None:
+    """Read a text trace in the canonical layout as columns, else None.
+
+    The canonical layout is `R|W 0x<1..16 hex digits> <even-length hex>\n`
+    on every line, as format_text_trace writes it; it is checked and read
+    with whole-buffer byte operations. Anything else (comments, blank
+    lines, CR or CRLF, no final newline, another address form or spacing,
+    or an error) gives None: parse_text_trace reads every other form with
+    the same rules and raises the line-numbered ParseError.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero(buf <= 32)
+    if not len(seps) or len(seps) % 3 or seps[-1] != len(buf) - 1:
+        return None
+    if not (buf[seps].reshape(-1, 3) == _LINE_SEPARATORS).all():
+        return None
+    op_end, address_end, line_end = seps[0::3], seps[1::3], seps[2::3]
+    starts = np.concatenate(([0], line_end[:-1] + 1))
+    address_len = address_end - op_end - 1
+    lengths = line_end - address_end - 1
+    ops = buf[starts]
+    is_read = ops == ord(READ)
+    if not (
+        (op_end == starts + 1).all()
+        and (is_read | (ops == ord(WRITE))).all()
+        and (buf[op_end + 1] == ord("0")).all()
+        and (buf[op_end + 2] == ord("x")).all()
+        and (address_len >= _ADDRESS_TOKEN[0]).all()
+        and (address_len <= _ADDRESS_TOKEN[1]).all()
+        and (lengths >= 2).all()
+        and not (lengths & 1).any()
+        # the op and the x of each line are then the only other bytes
+        and len(data.translate(None, _TOKEN_BYTES)) == 2 * len(starts)
+    ):
+        return None
+    # each line is a run of op and address, a run of payload digits and a newline
+    runs = np.stack([address_end + 1 - starts, lengths, np.ones_like(lengths)], axis=1)
+    in_payload = np.repeat(np.tile([False, True, False], len(starts)), runs.reshape(-1))
+    payload = binascii.unhexlify(buf[in_payload])
+    return TraceColumns(is_read, np.frombuffer(payload, dtype=np.uint8), lengths // 2)
 
 
 def format_encoded(
@@ -299,19 +396,22 @@ def parse_raw_trace(source: BinaryIO | bytes) -> list[TraceRecord]:
     return [TraceRecord(WRITE, 0, data)]
 
 
-def frame_records(records: Iterable[TraceRecord]) -> FrameStream:
+def frame_records(records: Iterable[TraceRecord] | TraceColumns) -> FrameStream:
     """Concatenate payloads in record order and modulate 3-byte groups.
 
-    A final partial group is zero padded and the pad count recorded so the
-    payload can be reconstructed exactly.
+    records is TraceRecords or TraceColumns, whose payload is already
+    joined. A final partial group is zero padded and the pad count
+    recorded so the payload can be reconstructed exactly.
     """
-    payload = b"".join(r.payload for r in records)
-    pad_bytes = (-len(payload)) % 3
-    data = np.frombuffer(payload, dtype=np.uint8)
+    if isinstance(records, TraceColumns):
+        data = records.payload
+    else:
+        data = np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8)
+    pad_bytes = (-len(data)) % 3
     if pad_bytes:
         data = np.concatenate([data, np.zeros(pad_bytes, dtype=np.uint8)])
     words = data.reshape(-1, 3)
-    return FrameStream(bulk.modulate_block(words), pad_bytes)
+    return FrameStream(bulk.modulate_block(words), pad_bytes, copy=False)
 
 
 def generate_random_trace(byte_count: int, seed: int) -> list[TraceRecord]:

@@ -54,8 +54,11 @@ def test_demodulate_block_inverts():
 def test_demodulate_block_rejects_unused_pair():
     lv = bulk.modulate_block(WORDS[:4]).copy()
     lv[2, :, 3] = 0
-    with pytest.raises(InvalidPair):
+    lv[2, :, 6] = 0
+    lv[3, :, 0] = 0
+    with pytest.raises(InvalidPair, match="frame 2, column 3 ") as err:
         bulk.demodulate_block(lv)
+    assert err.value.frame_index == 2
 
 
 def test_count_block_matches_scalar():

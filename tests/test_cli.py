@@ -3,15 +3,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pam3codec import bulk
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
-from pam3codec.traceio import TraceRecord, format_encoded, frame_records, parse_encoded
+from pam3codec.traceio import (
+    TraceRecord,
+    format_encoded,
+    format_text_trace,
+    frame_records,
+    parse_encoded,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -298,3 +305,69 @@ def test_stdout_report(capsys, tmp_path):
     assert _run("analyze", "-i", str(trace)) == 0
     out = capsys.readouterr().out
     assert out.startswith("algorithm,term_power")
+
+
+def _main_captured(argv, stdin: bytes = b""):
+    """(exit code, stdout bytes, stderr text) of main(argv) reading stdin."""
+    out, err = io.BytesIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
+    sys.stdout, sys.stderr = io.TextIOWrapper(out, encoding="ascii", write_through=True), err
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    finally:
+        sys.stdout.detach()
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+FUZZ_COMMANDS = [
+    [*cmd, *fmt]
+    for cmd in (["encode", "--alg", "sort"], ["analyze"],
+                ["distribution", "--op-filter", "write"])
+    for fmt in ([], ["--format", "raw"])
+] + [["decode"]]
+
+
+@st.composite
+def cli_inputs(draw):
+    """Arbitrary bytes, or a text trace or encoded text with one byte replaced."""
+    kind = draw(st.sampled_from(("bytes", "trace", "encoded")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    if kind == "trace":
+        records = draw(st.lists(st.builds(
+            TraceRecord, st.sampled_from(("R", "W")), st.integers(0, 1 << 40),
+            st.binary(min_size=1, max_size=8)), max_size=4))
+        data = format_text_trace(records).encode("ascii")
+    else:
+        payload = draw(st.binary(min_size=1, max_size=9))
+        alg = draw(st.sampled_from(list(Algorithm)))
+        stream = frame_records([TraceRecord("W", 0, payload)])
+        data = format_encoded(alg, *bulk.encode_block(stream.levels, alg), stream.pad_bytes)
+    if data and draw(st.booleans()):
+        col = draw(st.integers(0, len(data) - 1))
+        data = data[:col] + draw(st.binary(max_size=2)) + data[col + 1:]
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), cli_inputs())
+def test_cli_fuzz_exit_codes(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, dest = os.path.join(tmp, "in"), os.path.join(tmp, "out")
+        with open(source, "wb") as f:
+            f.write(data)
+        code, _, err = _main_captured([*argv, "-i", source, "-o", dest])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("pam3codec: error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+            with open(dest, "rb") as f:
+                written = f.read()
+    # the same input through stdin and stdout gives the same verdict
+    piped = _main_captured(argv, data)
+    assert piped == (code, written if code == 0 else b"", err)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from pam3codec.cli import main
+from pam3codec.traceio import parse_text_columns
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -37,3 +38,17 @@ def test_report_matches_golden(tmp_path, case, report):
     out = tmp_path / f"{case}.{report}"
     assert main([*CASES[case], "--report", report, "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.{report}").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("zero_")))
+def test_canonical_trace_report_matches_golden(tmp_path, case):
+    # without its comment line zero.trace is read in bulk, not line by line
+    lines = (GOLDEN / "zero.trace").read_bytes().splitlines(keepends=True)
+    canonical = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert parse_text_columns(canonical) is not None
+    trace = tmp_path / "zero.trace"
+    trace.write_bytes(canonical)
+    argv = [str(trace) if arg == TEXT[1] else arg for arg in CASES[case]]
+    out = tmp_path / f"{case}.csv"
+    assert main([*argv, "--report", "csv", "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()

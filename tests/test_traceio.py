@@ -12,7 +12,9 @@ from pam3codec.core import Word24, modulate
 from pam3codec.encoders import MAX_FLAG, Algorithm
 from pam3codec.errors import EmptyInput, ParseError
 from pam3codec.traceio import (
+    OP_FILTERS,
     FrameStream,
+    TraceColumns,
     TraceRecord,
     _parse_encoded_lines,
     _parse_encoded_rows,
@@ -23,6 +25,7 @@ from pam3codec.traceio import (
     generate_random_trace,
     parse_encoded,
     parse_raw_trace,
+    parse_text_columns,
     parse_text_trace,
 )
 
@@ -105,6 +108,110 @@ def test_parse_text_trace_bytes():
 @given(st.lists(records_strategy, min_size=0, max_size=12))
 def test_text_trace_roundtrip(records):
     assert parse_text_trace(format_text_trace(records)) == records
+
+
+@st.composite
+def text_traces(draw):
+    """Canonical trace text, then up to two edits of its lines."""
+    records = draw(st.lists(records_strategy, min_size=0, max_size=6))
+    lines = format_text_trace(records).encode("ascii").split(b"\n")[:-1]
+    edits = draw(st.integers(0, 2))
+    for _ in range(edits):
+        kind = draw(st.sampled_from(
+            ("flip", "op", "address", "payload", "space", "insert", "crlf", "cr")))
+        if kind == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from((
+                b"", b"   ", b"# comment", b"#R 0x1 00", b"\t", b"R 0x1 00"))))
+            continue
+        row = draw(st.integers(0, len(lines) - 1))
+        fields = lines[row].split(b" ")
+        if kind == "flip" and lines[row]:
+            col = draw(st.integers(0, len(lines[row]) - 1))
+            byte = draw(st.sampled_from((b"", b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x00",
+                                         b"R", b"W", b"x", b"X", b"0", b"A", b"f", b"g", b"#",
+                                         b"\x80")))
+            lines[row] = lines[row][:col] + byte + lines[row][col + 1:]
+        elif kind == "op" and len(fields) == 3:
+            fields[0] = draw(st.sampled_from((b"X", b"r", b"w", b"RW", b"x", b"0", b"")))
+            lines[row] = b" ".join(fields)
+        elif kind == "address" and len(fields) == 3:
+            digits = fields[1][2:]
+            fields[1] = draw(st.sampled_from((
+                b"0X" + digits, digits, b"0x", b"x" + digits, b"00x" + digits,
+                b"0x" + b"0" * 16 + digits, b"0x1" + b"0" * 16, b"0x" + b"f" * 16)))
+            lines[row] = b" ".join(fields)
+        elif kind == "payload" and len(fields) == 3:
+            fields[2] = draw(st.sampled_from((
+                fields[2][:-1], fields[2] + b"R", b"W" + fields[2][1:], b"0x" + fields[2],
+                fields[2][:1] + b"x" + fields[2][2:], b"")))
+            lines[row] = b" ".join(fields)
+        elif kind == "space":
+            gap = draw(st.sampled_from((b"  ", b"\t", b" \x0b", b"\x0c", b"\x1c")))
+            at = draw(st.sampled_from(("start", "end", "sep")))
+            if at == "start":
+                lines[row] = gap + lines[row]
+            elif at == "end":
+                lines[row] += gap
+            else:
+                lines[row] = lines[row].replace(b" ", gap, 1)
+        elif kind == "crlf":
+            lines[row] += b"\r"
+        elif kind == "cr" and row + 1 < len(lines):
+            lines[row:row + 2] = [lines[row] + b"\r" + lines[row + 1]]
+    newline = b"" if draw(st.integers(0, 3)) == 0 else b"\n"
+    canonical = edits == 0 and newline == b"\n" and bool(records)
+    return b"\n".join(lines) + newline, canonical
+
+
+def _same_columns(columns, reference):
+    """Whether columns hold parse_text_trace's records for every op filter;
+    reference is a line number where parse_text_trace raised ParseError."""
+    if isinstance(reference, int):
+        return False
+    for op_filter in OP_FILTERS:
+        kept = columns.select(op_filter)
+        records = [r for r in reference
+                   if op_filter == "all" or (r.op == "R") == (op_filter == "read")]
+        if not (kept.payload.dtype == np.uint8 and kept.lengths.dtype == np.int64
+                and kept.is_read.dtype == bool
+                and kept.payload.tobytes() == b"".join(r.payload for r in records)
+                and kept.lengths.tolist() == [len(r.payload) for r in records]
+                and kept.is_read.tolist() == [r.op == "R" for r in records]):
+            return False
+    return True
+
+
+@given(text_traces())
+# each example is one the bulk reader must leave to the line parser; a
+# reader that skips the check named in the comment accepts it
+@example((b"R 0x1\n00 W 0x2 11\n", False))  # separator order
+@example((b"R0 0x1 00\n", False))  # op length
+@example((b"x 0x1 00\n", False))  # op byte
+@example((b"R 1x1 00\n", False))  # address 0
+@example((b"W 00x1 00\n", False))  # address x
+@example((b"R 0x 00\n", False))  # address digits
+@example((b"R 0x10000000000000000 00\n", False))  # address over 16 digits
+@example((b"R 0x1 \n", False))  # empty payload
+@example((b"R 0x1 abc\nW 0x2 abc\n", False))  # odd payload
+@example((b"R 0x1g 00\n", False))  # charset
+@example((b"R 0x1 00\n00", False))  # final newline
+@example((b"R 0x1 00\r\nW 0x2 11\n", False))
+@example((b"R 0x00000000000000001 00\n", False))
+@example((b"W 0xABCDEF 00Ff\nR 0x0 aa\n", True))
+def test_text_columns_match_line_parser(case):
+    data, canonical = case
+    reference = _read(parse_text_trace, data)
+    fast = parse_text_columns(data)
+    if canonical:
+        assert fast is not None
+    if fast is not None:
+        assert _same_columns(fast, reference)
+
+
+def test_trace_columns_select_rejects_unknown_filter():
+    columns = parse_text_columns(b"R 0x1 00\n")
+    with pytest.raises(ValueError):
+        columns.select("reads")
 
 
 def test_parse_raw_trace():
@@ -201,6 +308,28 @@ def test_frame_stream_levels_read_only():
     stream = frame_records([TraceRecord("W", 0, b"\x00\x00\x00")])
     with pytest.raises(ValueError):
         stream.levels[0, 0, 0] = 1
+
+
+def test_frame_stream_copies_caller_levels():
+    levels = np.zeros((2, 2, 8), dtype=np.int8)
+    stream = FrameStream(levels, 0)
+    levels[1, 1, 7] = 1
+    assert not stream.levels.any()
+    with pytest.raises(ValueError):
+        stream.levels[0, 0, 0] = 1
+    # handed over: kept as is and made read-only
+    stream = FrameStream(levels, 0, copy=False)
+    assert stream.levels is levels and not levels.flags.writeable
+
+
+def test_frame_records_of_columns():
+    records = [TraceRecord("W", 0, b"\x11\x22"), TraceRecord("R", 4, b"\x33\x44")]
+    columns = TraceColumns.from_records(records)
+    assert len(columns) == 2
+    for op_filter in OP_FILTERS:
+        kept = [r for r in records if op_filter == "all" or (r.op == "R") == (op_filter == "read")]
+        a, b = frame_records(columns.select(op_filter)), frame_records(kept)
+        assert np.array_equal(a.levels, b.levels) and a.pad_bytes == b.pad_bytes
 
 
 def test_frame_stream_from_frames_matches_bulk():
