@@ -44,7 +44,7 @@ def signal_distribution(stream: FrameStream) -> tuple[float, float, float]:
     """Percentage of -1, 0, +1 symbols over the whole stream."""
     if len(stream) == 0:
         raise EmptyStream("distribution needs at least one frame")
-    return _percentages(bulk.StreamStats(stream.levels).counts(), len(stream))
+    return _percentages(bulk.StreamStats(stream.masks).counts(), len(stream))
 
 
 def analyze_trace(
@@ -68,7 +68,7 @@ def analyze_trace(
     requested = set(algorithms) if algorithms is not None else set(CANONICAL_ORDER)
     requested.add(Algorithm.NONE)
 
-    stats = bulk.StreamStats(stream.levels)
+    stats = bulk.StreamStats(stream.masks)
     powers = {}
     for alg in CANONICAL_ORDER:
         if alg not in requested:

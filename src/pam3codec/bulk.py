@@ -1,14 +1,13 @@
 """Array-shaped variants of the frame operations.
 
-Trace analysis touches millions of frames, so the hot paths work on numpy
-arrays of shape (n, 2, 8) holding int8 levels in {-1, 0, +1}. Every
-function here mirrors a scalar operation from core/encoders/power and the
-test suite pins the two paths to each other; the scalar forms stay the
-readable reference.
-
-Inside, a line is an 8-bit mask per level, position 0 in the most
-significant bit, and a frame is the two line masks side by side in one
-uint16 (line A in the first byte in memory). Every encoding is one rule
+Trace analysis touches millions of frames, so the hot paths work on line
+masks: a C-contiguous (2, n) uint16 array, row 0 marking the -1 and row 1
+the +1 positions. Each uint16 is line A's byte then line B's byte in
+memory, position 0 in the most significant bit. Every function here
+mirrors a scalar operation from core/encoders/power and the test suite
+pins the two paths to each other. The oracles count_block,
+termination_total and switching_total take (n, 2, 8) int8 levels, which
+masks_of_levels and levels_of_masks convert. Every encoding is one rule
 from a frame's level counts to a flag, and one table from flag to one of
 the six level bijections of encoders.PERMUTATION_IMAGES.
 """
@@ -97,23 +96,37 @@ _PAIR_FROM = np.array([0, 1, 0])
 _PAIR_TO = np.array([1, 2, 2])
 
 
-def _level_masks(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (n,) uint16 frame masks of the -1 and of the +1 positions."""
-    flat = np.asarray(levels).reshape(-1)
-    return np.packbits(flat == -1).view(np.uint16), np.packbits(flat == 1).view(np.uint16)
+def masks_of_levels(levels: np.ndarray) -> np.ndarray:
+    """(2, n) uint16 line masks of (n, 2, 8) levels in {-1, 0, +1}."""
+    levels = np.asarray(levels)
+    if levels.ndim != 3 or levels.shape[1:] != (2, 8):
+        raise ValueError(f"levels must have shape (n, 2, 8), got {levels.shape}")
+    if levels.size and (levels.min() < -1 or levels.max() > 1):
+        raise ValueError("levels must be -1, 0, or +1")
+    return np.packbits(levels.reshape(1, -1) == [[-1], [1]], axis=1).view(np.uint16)
 
 
-def _levels_of_masks(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """(n, 2, 8) int8 levels of frame masks, uint16 (n,) or uint8 (n, 2)."""
-    levels = np.unpackbits(pos.view(np.uint8)).view(np.int8)
-    levels -= np.unpackbits(neg.view(np.uint8)).view(np.int8)
-    return levels.reshape(-1, 2, 8)
+def levels_of_masks(masks: np.ndarray) -> np.ndarray:
+    """(n, 2, 8) int8 levels of (2, n) line masks."""
+    neg, pos = np.unpackbits(masks.view(np.uint8), axis=1).view(np.int8)
+    return np.subtract(pos, neg).reshape(-1, 2, 8)
 
 
-def _count_keys(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _line_bytes(masks: np.ndarray) -> np.ndarray:
+    """(sign, line, n) uint8 view of masks; sign 0 is -1, line 0 is line A."""
+    return masks.view(np.uint8).reshape(2, -1, 2).transpose(0, 2, 1)
+
+
+def _check_flags(flags: np.ndarray, algorithm: Algorithm) -> None:
+    limit = encoders.MAX_FLAG[algorithm]
+    if flags.size and (flags.min() < 0 or flags.max() > limit):
+        raise InvalidFlag(f"{algorithm.value} flag must be 0..{limit}")
+
+
+def _count_keys(masks: np.ndarray) -> np.ndarray:
     """(n,) uint16 count key cnt-1 * 17 + cnt0 of every frame."""
-    cnt_neg = np.take(_POP16, neg)
-    return cnt_neg * 17 + (16 - cnt_neg - np.take(_POP16, pos))
+    cnt_neg = np.take(_POP16, masks[0])
+    return cnt_neg * 17 + (16 - cnt_neg - np.take(_POP16, masks[1]))
 
 
 def _adjacent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -122,39 +135,38 @@ def _adjacent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.take(_POP16, (p << 1) & _NOT_LSB & q) + np.take(_POP16, (q << 1) & _NOT_LSB & p)
 
 
-def _permute(neg: np.ndarray, pos: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Levels of every frame mapped through its permutation index."""
+def _permute(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Masks of every frame's levels mapped through its permutation index."""
     select = _SELECT[perm]  # (n, 3, 2)
+    neg, pos = masks
     zero = ~(neg | pos)
-    out_neg, out_pos = (
-        (neg & select[:, 0, d]) | (zero & select[:, 1, d]) | (pos & select[:, 2, d])
-        for d in (0, 1)
-    )
-    return _levels_of_masks(out_neg, out_pos)
+    out = np.empty_like(masks)
+    for d in (0, 1):
+        out[d] = (neg & select[:, 0, d]) | (zero & select[:, 1, d]) | (pos & select[:, 2, d])
+    return out
 
 
 def modulate_block(words: np.ndarray) -> np.ndarray:
-    """Modulate (n, 3) uint8 word groups into (n, 2, 8) int8 level frames.
+    """Modulate (n, 3) uint8 word groups into (2, n) line masks.
 
     Bit column i of X, Y, Z is the symbol xyz of position i on both lines
     (core.PAIR_OF_SYMBOL): line A is -1 for 000, 001, 010 and +1 for 101,
     110, 111; line B is 0 for 001 and 110, else +1 for odd parity and -1
     for even parity.
     """
-    words = np.asarray(words, dtype=np.uint8)
-    x, y, z = words[:, 0], words[:, 1], words[:, 2]
-    neg = np.empty((len(words), 2), dtype=np.uint8)
-    pos = np.empty_like(neg)
+    x, y, z = np.asarray(words, dtype=np.uint8).T
+    masks = np.empty((2, len(x)), dtype=np.uint16)
+    (neg_a, neg_b), (pos_a, pos_b) = _line_bytes(masks)
     b_zero = (~x & ~y & z) | (x & y & ~z)
     odd = x ^ y ^ z
-    neg[:, 0] = ~(x | (y & z))
-    pos[:, 0] = x & (y | z)
-    neg[:, 1] = ~(odd | b_zero)
-    pos[:, 1] = odd & ~b_zero
-    return _levels_of_masks(neg, pos)
+    neg_a[:] = ~(x | (y & z))
+    pos_a[:] = x & (y | z)
+    neg_b[:] = ~(odd | b_zero)
+    pos_b[:] = odd & ~b_zero
+    return masks
 
 
-def demodulate_block(levels: np.ndarray) -> np.ndarray:
+def demodulate_block(masks: np.ndarray) -> np.ndarray:
     """Invert modulate_block back to (n, 3) uint8 word groups.
 
     Mask bits are in word bit order, so each word byte is a bit expression
@@ -162,9 +174,8 @@ def demodulate_block(levels: np.ndarray) -> np.ndarray:
     pairs (-1, +1), (0, -1), (+1, 0), (+1, +1), and Z for (-1, 0), (0, -1),
     (+1, -1), (+1, +1).
     """
-    neg, pos = (m.view(np.uint8).reshape(-1, 2) for m in _level_masks(levels))
-    zero = ~(neg | pos)
-    (neg_a, neg_b), (pos_a, pos_b), (zero_a, zero_b) = neg.T, pos.T, zero.T
+    (neg_a, neg_b), (pos_a, pos_b) = _line_bytes(masks)
+    zero_a, zero_b = ~(neg_a | pos_a), ~(neg_b | pos_b)
     unused = zero_a & zero_b
     if unused.any():
         frame_idx = int(np.flatnonzero(unused)[0])
@@ -172,7 +183,7 @@ def demodulate_block(levels: np.ndarray) -> np.ndarray:
         raise InvalidPair(
             f"frame {frame_idx}, column {col} holds the unused (0, 0) pair", frame_idx
         )
-    words = np.empty((len(neg), 3), dtype=np.uint8)
+    words = np.empty((len(neg_a), 3), dtype=np.uint8)
     words[:, 0] = pos_a | (zero_a & pos_b)
     words[:, 1] = (neg_a & pos_b) | (zero_a & neg_b) | (pos_a & ~neg_b)
     words[:, 2] = (neg_a & zero_b) | (zero_a & neg_b) | (pos_a & ~zero_b)
@@ -186,29 +197,25 @@ def count_block(levels: np.ndarray) -> np.ndarray:
 
 
 def encode_block(
-    levels: np.ndarray, algorithm: Algorithm
+    masks: np.ndarray, algorithm: Algorithm
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode every frame independently; returns (levels, flags)."""
-    neg, pos = _level_masks(levels)
-    flags = _FLAG_OF_KEY[algorithm][_count_keys(neg, pos)]
-    return _permute(neg, pos, _PERM_OF_FLAG[algorithm][flags]), flags
+    """Encode every frame independently; returns (masks, flags)."""
+    flags = _FLAG_OF_KEY[algorithm][_count_keys(masks)]
+    return _permute(masks, _PERM_OF_FLAG[algorithm][flags]), flags
 
 
 def decode_block(
-    levels: np.ndarray, flags: np.ndarray, algorithm: Algorithm
+    masks: np.ndarray, flags: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
     """Undo encode_block; raises InvalidFlag for a flag the algorithm never emits."""
     flags = np.asarray(flags)
-    limit = encoders.MAX_FLAG[algorithm]
-    if flags.size and flags.max() > limit:
-        raise InvalidFlag(f"{algorithm.value} flag must be 0..{limit}")
-    neg, pos = _level_masks(levels)
-    return _permute(neg, pos, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
+    _check_flags(flags, algorithm)
+    return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
 
 
 class StreamStats:
-    """Per-frame sufficient statistics of a level stream, for the power
-    totals of every encoding without building an encoded copy.
+    """Per-frame sufficient statistics of a frame stream's line masks, for
+    the power totals of every encoding without building an encoded copy.
 
     An encoding maps all 16 levels of a frame through one bijection picked
     by the frame's count key, so the encoded termination counts follow
@@ -218,21 +225,19 @@ class StreamStats:
     exact integer before the model weights apply, with the same float
     expressions as termination_total, switching_total and
     flag_termination_total. Only switching_total needs the pair counts and
-    the first and last levels, so they are built on first use. Levels must
-    be in {-1, 0, +1} and must not change while the statistics are in use.
+    the first and last levels, so they are built on first use. The masks
+    must not change while the statistics are in use.
     """
 
-    def __init__(self, levels: np.ndarray):
-        self._levels = np.asarray(levels, dtype=np.int8)
-        self._masks = _level_masks(self._levels)
-        self.key = _count_keys(*self._masks)
+    def __init__(self, masks: np.ndarray):
+        self._masks = masks
+        self.key = _count_keys(masks)
         self.frames_per_key = np.bincount(self.key, minlength=_KEYS)
 
     @cached_property
     def pairs_per_key(self) -> np.ndarray:
         """(3, _KEYS) int64 adjacent-pair counts of the _PAIR_FROM/_PAIR_TO types."""
         neg, pos = self._masks
-        self._masks = None  # needed only here; the totals that follow reuse the memory
         zero = ~(neg | pos)
         # the float64 sums bincount makes of the weights are exact
         return np.stack([
@@ -241,14 +246,10 @@ class StreamStats:
         ]).astype(np.int64)
 
     @cached_property
-    def first(self) -> np.ndarray:
-        """(2, n) level index (level + 1) of position 0 of each line."""
-        return (self._levels[:, :, 0].T + 1).astype(np.uint8, order="C")
-
-    @cached_property
-    def last(self) -> np.ndarray:
-        """(2, n) level index of position 7 of each line."""
-        return (self._levels[:, :, 7].T + 1).astype(np.uint8, order="C")
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, last): C-contiguous (2, n) level + 1 at positions 0 and 7 of each line."""
+        neg, pos = _line_bytes(self._masks)
+        return tuple(np.ascontiguousarray(1 + (pos >> s & 1) - (neg >> s & 1)) for s in (7, 0))
 
     def counts(self, algorithm: Algorithm = Algorithm.NONE) -> np.ndarray:
         """Totals of (-1, 0, +1) over the stream after encoding, (3,) int64."""
@@ -267,8 +268,7 @@ class StreamStats:
         steps = int((self.pairs_per_key * cost.T).sum())
         # across frame boundaries: last level of frame i to first of i + 1
         base = np.take(perm * 3, self.key)
-        first = np.take(_IMAGE_OF_INDEX, base + self.first)
-        last = np.take(_IMAGE_OF_INDEX, base + self.last)
+        first, last = (np.take(_IMAGE_OF_INDEX, base + index) for index in self.ends)
         d = first[:, 1:] - last[:, :-1]
         steps += int((d * d).sum(dtype=np.int64))
         return model.switch_unit_energy * steps
@@ -292,13 +292,6 @@ def _termination_power(cnt, model: PowerModel):
 def _flag_power(ones, total_bits: int, model: PowerModel) -> float:
     zeros = total_bits - ones
     return float(zeros * model.term_weight_neg + ones * model.term_weight_pos)
-
-
-def termination_block(
-    levels: np.ndarray, model: PowerModel = DEFAULT_MODEL
-) -> np.ndarray:
-    """Per-frame termination power, (n,) float64."""
-    return _termination_power(count_block(levels), model)
 
 
 def termination_total(
@@ -330,8 +323,11 @@ def flag_termination_total(
     """Termination power of the flag wires, driven as binary lines.
 
     A 0 bit is driven at level -1 and a 1 bit at level +1, so only the
-    zero bits cost power under the default weights.
+    zero bits cost power under the default weights. Raises InvalidFlag for
+    a flag the algorithm never emits.
     """
+    flags = np.asarray(flags)
+    _check_flags(flags, algorithm)
     width = encoders.FLAG_WIDTH[algorithm]
     if width == 0 or len(flags) == 0:
         return 0.0

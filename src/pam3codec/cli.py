@@ -128,8 +128,8 @@ def _write_binary(path: str, data: bytes):
 def _cmd_encode(args) -> int:
     alg = _ALG_CHOICES[args.alg]
     stream = frame_records(_read_records(args))
-    enc_levels, flags = bulk.encode_block(stream.levels, alg)
-    _write_binary(args.output, format_encoded(alg, enc_levels, flags, stream.pad_bytes))
+    enc_masks, flags = bulk.encode_block(stream.masks, alg)
+    _write_binary(args.output, format_encoded(alg, enc_masks, flags, stream.pad_bytes))
     return 0
 
 

@@ -10,6 +10,7 @@ default); only ratios are meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Optional, Sequence
 
 from .core import Pam3Frame, count_symbols
@@ -83,14 +84,7 @@ def termination_ratio(encoded_total: float, baseline_total: float) -> float:
 
 def line_switching_steps(levels: Sequence[int]) -> int:
     """Sum of squared level deltas along one line's symbol sequence."""
-    total = 0
-    prev = None
-    for level in levels:
-        if prev is not None:
-            d = level - prev
-            total += d * d
-        prev = level
-    return total
+    return sum((b - a) ** 2 for a, b in pairwise(levels))
 
 
 def switching_power(
@@ -102,24 +96,12 @@ def switching_power(
     every consecutive pair contributes (delta level)^2 units. The first
     symbol of the stream has no predecessor and contributes nothing.
     """
-    total_steps = 0
-    prev_a = prev_b = None
-    count = 0
-    for frame in stream:
-        count += 1
-        for level in frame.line_a:
-            if prev_a is not None:
-                d = level - prev_a
-                total_steps += d * d
-            prev_a = level
-        for level in frame.line_b:
-            if prev_b is not None:
-                d = level - prev_b
-                total_steps += d * d
-            prev_b = level
-    if count == 0:
+    frames = list(stream)
+    if not frames:
         raise EmptyStream("switching power needs at least one frame")
-    return model.switch_unit_energy * total_steps
+    line_a = [level for frame in frames for level in frame.line_a]
+    line_b = [level for frame in frames for level in frame.line_b]
+    return model.switch_unit_energy * (line_switching_steps(line_a) + line_switching_steps(line_b))
 
 
 def compare_powers(

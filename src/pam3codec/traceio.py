@@ -20,7 +20,7 @@ from __future__ import annotations
 import binascii
 import io
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -53,12 +53,13 @@ _FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
 _SYMBOL_COLUMNS = np.r_[2:10, 13:21]  # line A, then line B
 _FIXED_COLUMNS = np.array([0, 1, 10, 11, 12, 21, 22, 23, 25])
 _FLAG_COLUMN = 24
-_LEVEL_BYTE = np.frombuffer(b"-0+", dtype=np.uint8)  # indexed by level + 1
-_NOT_A_LEVEL = 2
-_BYTE_LEVEL = np.full(256, _NOT_A_LEVEL, dtype=np.int8)
-_BYTE_LEVEL[_LEVEL_BYTE] = (-1, 0, 1)
+_NEG, _ZERO, _POS = b"-0+"  # the symbol bytes of the levels
+# By mask byte, a line's 8 symbol bytes as one uint64 from its -1 mask ('-'
+# or '0'), and what its +1 mask takes off a '0' to make it '+'.
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_NEG_SYMBOLS = (_ZERO - (_ZERO - _NEG) * _BITS).view(np.uint64).reshape(-1)
+_POS_OFFSETS = ((_ZERO - _POS) * _BITS).view(np.uint64).reshape(-1)
 _FRAME_LINE_RE = re.compile(r"A:([-0+]{8}) B:([-0+]{8}) F:0*(\d+)\Z")
-_CHAR_LEVEL = {"-": -1, "0": 0, "+": 1}
 
 
 @dataclass(frozen=True)
@@ -116,55 +117,61 @@ class TraceColumns:
         )
 
 
+def _frame_of_row(row: np.ndarray) -> Pam3Frame:
+    return Pam3Frame(*row.tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class FrameStream:
     """Modulated frames of one trace plus the zero padding of the last group.
 
-    levels is an (n, 2, 8) int8 array; iteration yields Pam3Frame views.
-    The stream keeps a read-only copy of levels; with copy=False it makes
-    levels itself read-only and keeps it, for a caller that hands over an
-    array nothing else writes to.
+    masks is the (2, n) uint16 line masks of bulk. The stream keeps the
+    array it is given and makes it read-only. levels derives the (n, 2, 8)
+    int8 levels on each access; iteration yields Pam3Frames.
     """
 
-    levels: np.ndarray
+    masks: np.ndarray
     pad_bytes: int
-    copy: InitVar[bool] = True
 
-    def __post_init__(self, copy: bool):
-        levels = np.asarray(self.levels, dtype=np.int8)
-        if levels.ndim != 3 or levels.shape[1:] != (2, 8):
-            raise ValueError(f"levels must have shape (n, 2, 8), got {levels.shape}")
-        if levels.size and (levels.min() < -1 or levels.max() > 1):
-            raise ValueError("levels must be -1, 0, or +1")
+    def __post_init__(self):
+        masks = self.masks
+        if not (
+            isinstance(masks, np.ndarray) and masks.dtype == np.uint16
+            and masks.ndim == 2 and len(masks) == 2 and masks.flags.c_contiguous
+        ):
+            raise ValueError("masks must be a C-contiguous (2, n) uint16 array")
+        if (masks[0] & masks[1]).any():
+            raise ValueError("a position cannot be both -1 and +1")
         if self.pad_bytes not in (0, 1, 2):
             raise ValueError(f"pad_bytes must be 0..2, got {self.pad_bytes}")
-        if copy:
-            levels = levels.copy()
-        levels.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
+        masks.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.levels)
+        return self.masks.shape[1]
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Read-only (n, 2, 8) int8 levels of the frames."""
+        levels = bulk.levels_of_masks(self.masks)
+        levels.setflags(write=False)
+        return levels
 
     def __iter__(self) -> Iterator[Pam3Frame]:
-        for row in self.levels:
-            yield Pam3Frame(tuple(int(v) for v in row[0]), tuple(int(v) for v in row[1]))
+        return map(_frame_of_row, self.levels)
 
     def frame(self, index: int) -> Pam3Frame:
-        row = self.levels[index]
-        return Pam3Frame(tuple(int(v) for v in row[0]), tuple(int(v) for v in row[1]))
+        return _frame_of_row(bulk.levels_of_masks(self.masks[:, [index]])[0])
 
     def payload_bytes(self) -> bytes:
         """Demodulate back to the original payload, padding stripped."""
-        words = bulk.demodulate_block(self.levels)
+        words = bulk.demodulate_block(self.masks)
         data = words.reshape(-1).tobytes()
         return data[: len(data) - self.pad_bytes] if self.pad_bytes else data
 
     @classmethod
     def from_frames(cls, frames: Iterable[Pam3Frame], pad_bytes: int = 0) -> "FrameStream":
-        rows = [(f.line_a, f.line_b) for f in frames]
-        levels = np.array(rows, dtype=np.int8).reshape(len(rows), 2, 8)
-        return cls(levels, pad_bytes, copy=False)
+        levels = np.array([(f.line_a, f.line_b) for f in frames], dtype=np.int8)
+        return cls(bulk.masks_of_levels(levels.reshape(-1, 2, 8)), pad_bytes)
 
 
 def _ascii_lines(data: bytes) -> Iterable[str]:
@@ -267,26 +274,30 @@ def parse_text_columns(data: bytes) -> TraceColumns | None:
 
 
 def format_encoded(
-    alg: Algorithm, levels: np.ndarray, flags: np.ndarray, pad_bytes: int
+    alg: Algorithm, masks: np.ndarray, flags: np.ndarray, pad_bytes: int
 ) -> bytes:
-    """Encoded frame text of (n, 2, 8) encoded levels and their (n,) flags."""
+    """Encoded frame text of (2, n) encoded line masks and their (n,) flags."""
     flags = np.asarray(flags, dtype=np.uint8)
     if flags.size and flags.max() > MAX_FLAG[alg]:
         raise ValueError(f"{alg.value} flags must be 0..{MAX_FLAG[alg]}")
     rows = np.tile(_FRAME_ROW, (len(flags), 1))
-    rows[:, _SYMBOL_COLUMNS] = _LEVEL_BYTE[np.asarray(levels).reshape(-1, 16) + 1]
+    neg, pos = (mask.view(np.uint8) for mask in masks)  # line A, line B of every frame
+    symbols = np.take(_NEG_SYMBOLS, neg)
+    symbols -= np.take(_POS_OFFSETS, pos)  # no byte borrows: the masks are disjoint
+    rows[:, _SYMBOL_COLUMNS] = symbols.view(np.uint8).reshape(-1, 16)
     rows[:, _FLAG_COLUMN] = flags + ord("0")
-    return f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii") + rows.tobytes()
+    return b"".join((f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii"), rows.data))
 
 
 def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
-    """Read encoded frame text: (algorithm, pad bytes, levels, flags).
+    """Read encoded frame text: (algorithm, pad bytes, masks, flags).
 
-    levels is (n, 2, 8) int8 and flags is (n,) uint8, each flag within the
-    algorithm's range. Text in the exact layout format_encoded writes is
-    read as one byte array; anything else (blank lines, comments, CRLF,
-    whitespace around a line, leading zeros in a flag, or an error) goes
-    through the line parser, which raises the line-numbered ParseError.
+    masks is (2, n) uint16 line masks as in bulk and flags is (n,) uint8,
+    each flag within the algorithm's range. Text in the exact layout
+    format_encoded writes is read as one byte array; anything else (blank
+    lines, comments, CRLF, whitespace around a line, leading zeros in a
+    flag, or an error) goes through the line parser, which raises the
+    line-numbered ParseError.
     """
     parsed = _parse_encoded_rows(data)
     return parsed if parsed is not None else _parse_encoded_lines(data)[:4]
@@ -294,14 +305,12 @@ def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
 
 def decode_encoded(data: bytes) -> bytes:
     """The payload bytes that encoded frame text carries, padding stripped."""
-    alg, pad, levels, flags = parse_encoded(data)
+    alg, pad, masks, flags = parse_encoded(data)
     try:
-        words = bulk.demodulate_block(bulk.decode_block(levels, flags, alg))
+        return FrameStream(bulk.decode_block(masks, flags, alg), pad).payload_bytes()
     except InvalidPair as exc:
         frame_lines = _parse_encoded_lines(data)[4]
         raise ParseError(str(exc), frame_lines[exc.frame_index]) from exc
-    payload = words.reshape(-1).tobytes()
-    return payload[: len(payload) - pad] if pad else payload
 
 
 def _parse_encoded_rows(data: bytes):
@@ -315,11 +324,23 @@ def _parse_encoded_rows(data: bytes):
         return None
     if not (rows[:, _FIXED_COLUMNS] == _FRAME_ROW[_FIXED_COLUMNS]).all():
         return None
-    levels = _BYTE_LEVEL[rows[:, _SYMBOL_COLUMNS]]
+    masks = _masks_of_symbols(np.take(rows, _SYMBOL_COLUMNS, axis=1))
     flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
-    if len(rows) and (levels.max() == _NOT_A_LEVEL or flags.max() > MAX_FLAG[alg]):
+    if masks is None or (len(rows) and flags.max() > MAX_FLAG[alg]):
         return None
-    return alg, pad, levels.reshape(-1, 2, 8), flags
+    return alg, pad, masks, flags
+
+
+def _masks_of_symbols(symbols: np.ndarray) -> np.ndarray | None:
+    """(2, n) masks of (n, 16) symbol bytes, line A then B; None if one is not -, 0, +."""
+    masks = np.empty((2, len(symbols)), dtype=np.uint16)
+    bits = symbols == _ZERO
+    matched = np.count_nonzero(bits)
+    for mask, symbol in zip(masks, (_NEG, _POS)):
+        np.equal(symbols, symbol, out=bits)
+        matched += np.count_nonzero(bits)
+        mask.view(np.uint8)[:] = np.packbits(bits)
+    return masks if matched == symbols.size else None
 
 
 def _parse_encoded_lines(data: bytes):
@@ -327,7 +348,7 @@ def _parse_encoded_lines(data: bytes):
     parse_encoded; also returns the input line number of every frame."""
     alg = pad = None
     pad_line = 0
-    rows, flags, frame_lines = [], [], []
+    symbols, flags, frame_lines = [], [], []
     for line_number, line in enumerate(_ascii_lines(data), start=1):
         stripped = line.strip()
         if not stripped:
@@ -359,20 +380,20 @@ def _parse_encoded_lines(data: bytes):
         if not m:
             raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
                              line_number)
-        rows.append([[_CHAR_LEVEL[c] for c in m[1]], [_CHAR_LEVEL[c] for c in m[2]]])
+        symbols.append(m[1] + m[2])
         # saturate: a flag above 255 is out of range for every algorithm
         flags.append(min(int(m[3][:3]), 255))
         frame_lines.append(line_number)
     if alg is None or pad is None:
         raise ParseError("missing '# alg' or '# pad' header", 1)
-    if pad and not rows:
+    if pad and not symbols:
         raise ParseError(f"pad count {pad} without frames", pad_line)
     flags = np.array(flags, dtype=np.uint8)
     bad = np.flatnonzero(flags > MAX_FLAG[alg])
     if bad.size:
         raise ParseError(f"{alg.value} flag must be 0..{MAX_FLAG[alg]}", frame_lines[bad[0]])
-    levels = np.array(rows, dtype=np.int8).reshape(len(rows), 2, 8)
-    return alg, pad, levels, flags, frame_lines
+    symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
+    return alg, pad, _masks_of_symbols(symbols.reshape(-1, 16)), flags, frame_lines
 
 
 def parse_raw_trace(source: BinaryIO | bytes) -> list[TraceRecord]:
@@ -411,7 +432,7 @@ def frame_records(records: Iterable[TraceRecord] | TraceColumns) -> FrameStream:
     if pad_bytes:
         data = np.concatenate([data, np.zeros(pad_bytes, dtype=np.uint8)])
     words = data.reshape(-1, 3)
-    return FrameStream(bulk.modulate_block(words), pad_bytes, copy=False)
+    return FrameStream(bulk.modulate_block(words), pad_bytes)
 
 
 def generate_random_trace(byte_count: int, seed: int) -> list[TraceRecord]:

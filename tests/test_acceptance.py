@@ -21,7 +21,7 @@ from pam3codec.encoders import (
     encode_sort,
 )
 from pam3codec.errors import ZeroBaseline
-from pam3codec.power import termination_power
+from pam3codec.power import DEFAULT_MODEL, termination_power
 from pam3codec.traceio import FrameStream, TraceRecord, frame_records, generate_random_trace
 
 SEED = 20240501
@@ -45,6 +45,20 @@ def _frame(row) -> Pam3Frame:
     return Pam3Frame(tuple(int(v) for v in row[0]), tuple(int(v) for v in row[1]))
 
 
+def _frame_powers(levels):
+    """Per-frame termination power of (n, 2, 8) levels, from their counts."""
+    cnt = bulk.count_block(levels)
+    return (
+        cnt[:, 0] * DEFAULT_MODEL.term_weight_neg
+        + cnt[:, 1] * DEFAULT_MODEL.term_weight_zero
+        + cnt[:, 2] * DEFAULT_MODEL.term_weight_pos
+    )
+
+
+def _encoded_levels(levels, algorithm):
+    return bulk.levels_of_masks(bulk.encode_block(bulk.masks_of_levels(levels), algorithm)[0])
+
+
 def _random_frames(count, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(-1, 2, (count, 2, 8)).astype(np.int8)
@@ -63,7 +77,7 @@ def test_criterion_1_modulation_roundtrip():
     # the scalar operations agree with the array path on a large sample
     rng = np.random.default_rng(SEED)
     sample = rng.integers(0, 256, (100_000, 3), dtype=np.uint8)
-    lv = bulk.modulate_block(sample)
+    lv = bulk.levels_of_masks(bulk.modulate_block(sample))
     for i in range(0, len(sample), 1000):
         word = Word24(*map(int, sample[i]))
         assert modulate(word) == _frame(lv[i])
@@ -100,10 +114,10 @@ def test_criterion_3_sort_optimality():
 @criterion("criterion 4: dominance SORT <= {DBI, MF} <= baseline on 10^4 frames")
 def test_criterion_4_dominance():
     levels = _random_frames(10_000, SEED + 3)
-    baseline = bulk.termination_block(levels)
-    p_dbi = bulk.termination_block(bulk.encode_block(levels, Algorithm.DBI)[0])
-    p_mf = bulk.termination_block(bulk.encode_block(levels, Algorithm.MF)[0])
-    p_sort = bulk.termination_block(bulk.encode_block(levels, Algorithm.SORT)[0])
+    baseline = _frame_powers(levels)
+    p_dbi = _frame_powers(_encoded_levels(levels, Algorithm.DBI))
+    p_mf = _frame_powers(_encoded_levels(levels, Algorithm.MF))
+    p_sort = _frame_powers(_encoded_levels(levels, Algorithm.SORT))
     assert (p_sort <= p_dbi).all() and (p_dbi <= baseline).all()
     assert (p_sort <= p_mf).all() and (p_mf <= baseline).all()
     # scalar spot checks along the same chain
@@ -170,7 +184,7 @@ def test_criterion_8_switching_and_reports():
     for report in constant.per_algorithm.values():
         assert report.switch_power_encoded == 0.0
         assert report.switch_power_baseline == 0.0
-    stream = FrameStream(_random_frames(10_000, SEED + 6), 0)
+    stream = FrameStream(bulk.masks_of_levels(_random_frames(10_000, SEED + 6)), 0)
     stats = analyze_trace(stream)
     for report in stats.per_algorithm.values():
         assert report.switch_ratio_percent is not None

@@ -119,11 +119,12 @@ def test_distribution_random():
 def test_distribution_order_independent():
     import numpy as np
 
+    from pam3codec import bulk
     from pam3codec.traceio import FrameStream
 
     rng = np.random.default_rng(0)
     permuted = FrameStream(
-        RANDOM.levels[rng.permutation(len(RANDOM))], RANDOM.pad_bytes
+        bulk.masks_of_levels(RANDOM.levels[rng.permutation(len(RANDOM))]), RANDOM.pad_bytes
     )
     assert signal_distribution(permuted) == signal_distribution(RANDOM)
 

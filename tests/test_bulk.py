@@ -25,6 +25,13 @@ from pam3codec.power import (
 rng = np.random.default_rng(0xBEEF)
 WORDS = rng.integers(0, 256, (4000, 3), dtype=np.uint8)
 LEVELS = rng.integers(-1, 2, (4000, 2, 8)).astype(np.int8)
+MASKS = bulk.masks_of_levels(LEVELS)
+
+level_blocks = arrays(
+    np.int8,
+    st.tuples(st.integers(1, 40), st.just(2), st.just(8)),
+    elements=st.sampled_from((-1, 0, 1)),
+)
 
 
 def _frame(row) -> Pam3Frame:
@@ -32,7 +39,7 @@ def _frame(row) -> Pam3Frame:
 
 
 def test_modulate_block_matches_scalar():
-    lv = bulk.modulate_block(WORDS)
+    lv = bulk.levels_of_masks(bulk.modulate_block(WORDS))
     for i in range(0, len(WORDS), 97):
         assert _frame(lv[i]) == modulate(Word24(*map(int, WORDS[i])))
 
@@ -40,24 +47,24 @@ def test_modulate_block_matches_scalar():
 def test_modulate_block_every_symbol_at_every_position():
     # word groups whose 8 bit columns all hold one symbol, one group per symbol
     words = [[0xFF * (sym >> 2 & 1), 0xFF * (sym >> 1 & 1), 0xFF * (sym & 1)] for sym in range(8)]
-    lv = bulk.modulate_block(np.array(words, dtype=np.uint8))
+    lv = bulk.levels_of_masks(bulk.modulate_block(np.array(words, dtype=np.uint8)))
     for sym, row in enumerate(lv):
         a, b = PAIR_OF_SYMBOL[sym]
         assert _frame(row) == Pam3Frame((a,) * 8, (b,) * 8)
 
 
 def test_demodulate_block_inverts():
-    lv = bulk.modulate_block(WORDS)
-    assert (bulk.demodulate_block(lv) == WORDS).all()
+    masks = bulk.modulate_block(WORDS)
+    assert (bulk.demodulate_block(masks) == WORDS).all()
 
 
 def test_demodulate_block_rejects_unused_pair():
-    lv = bulk.modulate_block(WORDS[:4]).copy()
+    lv = bulk.levels_of_masks(bulk.modulate_block(WORDS[:4]))
     lv[2, :, 3] = 0
     lv[2, :, 6] = 0
     lv[3, :, 0] = 0
     with pytest.raises(InvalidPair, match="frame 2, column 3 ") as err:
-        bulk.demodulate_block(lv)
+        bulk.demodulate_block(bulk.masks_of_levels(lv))
     assert err.value.frame_index == 2
 
 
@@ -69,8 +76,9 @@ def test_count_block_matches_scalar():
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_encode_decode_block_matches_scalar(algorithm):
-    enc_levels, flags = bulk.encode_block(LEVELS, algorithm)
-    assert (bulk.decode_block(enc_levels, flags, algorithm) == LEVELS).all()
+    enc_masks, flags = bulk.encode_block(MASKS, algorithm)
+    assert (bulk.decode_block(enc_masks, flags, algorithm) == MASKS).all()
+    enc_levels = bulk.levels_of_masks(enc_masks)
     assert int(flags.max(initial=0)) < (1 << FLAG_WIDTH[algorithm])
     for i in range(0, len(LEVELS), 113):
         scalar = encode(_frame(LEVELS[i]), algorithm)
@@ -79,20 +87,50 @@ def test_encode_decode_block_matches_scalar(algorithm):
         assert decode(scalar) == _frame(LEVELS[i])
 
 
-@pytest.mark.parametrize(
-    "algorithm,bad_flag",
-    [(Algorithm.DBI, 2), (Algorithm.MF, 3), (Algorithm.SORT, 6)],
-)
+# numpy indexing would wrap a flag of -1 to the last table entry
+BAD_FLAGS = [
+    (Algorithm.DBI, 2), (Algorithm.MF, 3), (Algorithm.SORT, 6),
+    (Algorithm.NONE, -1), (Algorithm.DBI, -1), (Algorithm.SORT, -1),
+]
+
+
+def _bad_flags(bad_flag):
+    return np.array([0, bad_flag], dtype=np.uint8 if bad_flag >= 0 else np.int64)
+
+
+@pytest.mark.parametrize("algorithm,bad_flag", BAD_FLAGS)
 def test_decode_block_rejects_bad_flags(algorithm, bad_flag):
-    flags = np.array([0, bad_flag], dtype=np.uint8)
     with pytest.raises(InvalidFlag):
-        bulk.decode_block(LEVELS[:2], flags, algorithm)
+        bulk.decode_block(MASKS[:, :2].copy(), _bad_flags(bad_flag), algorithm)
 
 
-def test_termination_block_matches_scalar():
-    powers = bulk.termination_block(LEVELS)
-    for i in range(0, len(LEVELS), 151):
-        assert powers[i] == termination_power(_frame(LEVELS[i]))
+@pytest.mark.parametrize("algorithm,bad_flag", BAD_FLAGS)
+def test_flag_termination_total_rejects_bad_flags(algorithm, bad_flag):
+    with pytest.raises(InvalidFlag):
+        bulk.flag_termination_total(_bad_flags(bad_flag), algorithm)
+
+
+@given(level_blocks)
+@example(np.zeros((0, 2, 8), dtype=np.int8))
+def test_levels_masks_roundtrip(levels):
+    masks = bulk.masks_of_levels(levels)
+    assert masks.shape == (2, len(levels)) and masks.dtype == np.uint16
+    assert masks.flags.c_contiguous and not (masks[0] & masks[1]).any()
+    assert np.array_equal(bulk.levels_of_masks(masks), levels)
+
+
+@given(level_blocks, st.data())
+def test_masks_of_levels_rejects_out_of_range_level(levels, data):
+    levels = levels.copy()
+    position = data.draw(st.integers(0, levels.size - 1))
+    levels.reshape(-1)[position] = data.draw(st.sampled_from((-128, -2, 2, 3, 127)))
+    with pytest.raises(ValueError, match="-1, 0, or"):
+        bulk.masks_of_levels(levels)
+
+
+def test_masks_of_levels_rejects_bad_shape():
+    with pytest.raises(ValueError, match="shape"):
+        bulk.masks_of_levels(np.zeros((2, 2, 7), dtype=np.int8))
 
 
 def test_termination_total_is_exact_sum_of_counts():
@@ -141,11 +179,6 @@ def test_flag_tables_match_scalar_on_every_count_triple(algorithm):
         assert bulk._FLAG_OF_KEY[algorithm][neg * 17 + zero] == scalar.flag, (neg, zero)
 
 
-level_blocks = arrays(
-    np.int8,
-    st.tuples(st.integers(1, 40), st.just(2), st.just(8)),
-    elements=st.sampled_from((-1, 0, 1)),
-)
 MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
 
 
@@ -154,8 +187,9 @@ MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
 @example(np.array([[[1] * 8, [-1] * 8], [[-1] * 8, [1] * 8]], dtype=np.int8),
          Algorithm.SORT, MODELS[1])
 def test_stream_stats_match_encoded_copy(levels, algorithm, model):
-    stats = bulk.StreamStats(levels)
-    enc_levels, flags = bulk.encode_block(levels, algorithm)
+    stats = bulk.StreamStats(bulk.masks_of_levels(levels))
+    enc_masks, flags = bulk.encode_block(bulk.masks_of_levels(levels), algorithm)
+    enc_levels = bulk.levels_of_masks(enc_masks)
     assert (stats.counts(algorithm) == bulk.count_block(enc_levels).sum(axis=0)).all()
     assert stats.termination_total(algorithm, model) == bulk.termination_total(enc_levels, model)
     assert stats.switching_total(algorithm, model) == bulk.switching_total(enc_levels, model)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import io
 import json
 import os
@@ -275,12 +277,12 @@ def test_encode_stdout_decode_stdin(tmp_path, capsysbinary, monkeypatch):
 def test_encode_text_pipeline_lossless(payload, algorithm):
     "The encode text form carries everything decode needs, for any input."
     stream = frame_records([TraceRecord("W", 0, payload)])
-    enc_levels, flags = bulk.encode_block(stream.levels, algorithm)
-    text = format_encoded(algorithm, enc_levels, flags, stream.pad_bytes)
-    alg, pad, parsed_levels, parsed_flags = parse_encoded(text)
+    enc_masks, flags = bulk.encode_block(stream.masks, algorithm)
+    text = format_encoded(algorithm, enc_masks, flags, stream.pad_bytes)
+    alg, pad, parsed_masks, parsed_flags = parse_encoded(text)
     assert alg is algorithm
     assert pad == stream.pad_bytes
-    decoded = bulk.decode_block(parsed_levels, parsed_flags, alg)
+    decoded = bulk.decode_block(parsed_masks, parsed_flags, alg)
     data = bulk.demodulate_block(decoded).reshape(-1).tobytes()
     assert (data[: len(data) - pad] if pad else data) == payload
 
@@ -345,7 +347,7 @@ def cli_inputs(draw):
         payload = draw(st.binary(min_size=1, max_size=9))
         alg = draw(st.sampled_from(list(Algorithm)))
         stream = frame_records([TraceRecord("W", 0, payload)])
-        data = format_encoded(alg, *bulk.encode_block(stream.levels, alg), stream.pad_bytes)
+        data = format_encoded(alg, *bulk.encode_block(stream.masks, alg), stream.pad_bytes)
     if data and draw(st.booleans()):
         col = draw(st.integers(0, len(data) - 1))
         data = data[:col] + draw(st.binary(max_size=2)) + data[col + 1:]
@@ -371,3 +373,21 @@ def test_cli_fuzz_exit_codes(argv, data):
     # the same input through stdin and stdout gives the same verdict
     piped = _main_captured(argv, data)
     assert piped == (code, written if code == 0 else b"", err)
+
+
+def test_benchmark_sites_exist():
+    """Every (module, attribute) the benchmark's layer tracer wraps exists.
+
+    perfbench/layers.py skips a missing site silently, so a refactor that
+    drops one would otherwise only show as missing per-layer metrics.
+    """
+    with open(os.path.join(os.path.dirname(SRC), "perfbench", "layers.py")) as f:
+        tree = ast.parse(f.read())
+    (sites,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["SITES"]
+    ]
+    assert sites
+    for module, attr, _ in sites:
+        assert hasattr(importlib.import_module(f"pam3codec.{module}"), attr), (module, attr)

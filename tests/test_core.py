@@ -120,7 +120,8 @@ def test_count_symbols_totals_sixteen(frame):
 def test_random_word_symbol_fractions():
     # uniform random words hit each table pair equally, giving 6:4:6
     rng = np.random.default_rng(20240601)
-    lv = bulk.modulate_block(rng.integers(0, 256, (50_000, 3), dtype=np.uint8))
+    masks = bulk.modulate_block(rng.integers(0, 256, (50_000, 3), dtype=np.uint8))
+    lv = bulk.levels_of_masks(masks)
     counts = bulk.count_block(lv).sum(axis=0)
     fractions = 100.0 * counts / counts.sum()
     assert abs(fractions[0] - 37.5) < 1.0

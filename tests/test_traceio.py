@@ -293,33 +293,48 @@ def test_frame_stream_iterates_frames():
 
 
 def test_frame_stream_validation():
+    masks = np.zeros((2, 3), dtype=np.uint16)
+    for bad in (
+        np.zeros((2, 2, 8), dtype=np.int8),  # levels, not masks
+        masks.astype(np.uint8),
+        masks.astype(np.int32),
+        np.zeros((3, 3), dtype=np.uint16),
+        np.zeros((2, 3, 1), dtype=np.uint16),
+        np.zeros((3, 2), dtype=np.uint16).T,  # not C-contiguous
+        masks.tolist(),
+    ):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            FrameStream(bad, 0)
+    both = masks.copy()
+    both[:, 1] = 1  # one position of frame 1 in both masks
+    with pytest.raises(ValueError, match="both"):
+        FrameStream(both, 0)
     with pytest.raises(ValueError):
-        FrameStream(np.zeros((2, 2, 7), dtype=np.int8), 0)
-    for bad in (3, -128, -2, 2, 127):
-        levels = np.zeros((2, 2, 8), dtype=np.int8)
-        levels[1, 1, 7] = bad
-        with pytest.raises(ValueError):
-            FrameStream(levels, 0)
+        FrameStream(masks, 3)
+
+
+def test_frame_stream_keeps_caller_masks():
+    masks = bulk.masks_of_levels(np.zeros((2, 2, 8), dtype=np.int8))
+    stream = FrameStream(masks, 0)
+    assert stream.masks is masks and not masks.flags.writeable
     with pytest.raises(ValueError):
-        FrameStream(np.zeros((1, 2, 8), dtype=np.int8), 3)
+        masks[1, 1] = 1
 
 
 def test_frame_stream_levels_read_only():
-    stream = frame_records([TraceRecord("W", 0, b"\x00\x00\x00")])
+    payload = generate_random_trace(30, seed=4)[0].payload
+    stream = frame_records([TraceRecord("W", 0, payload)])
+    assert len(stream) == 10 and stream.masks.shape == (2, 10)
+    levels = stream.levels
+    assert levels.shape == (10, 2, 8) and levels.dtype == np.int8
+    assert np.array_equal(levels, bulk.levels_of_masks(stream.masks))
+    assert levels is not stream.levels  # derived on each access, never stored
+    assert [stream.frame(i) for i in range(10)] == list(stream) == [
+        modulate(Word24(*payload[i:i + 3])) for i in range(0, 30, 3)
+    ]
+    assert stream.frame(-1) == stream.frame(9)
     with pytest.raises(ValueError):
-        stream.levels[0, 0, 0] = 1
-
-
-def test_frame_stream_copies_caller_levels():
-    levels = np.zeros((2, 2, 8), dtype=np.int8)
-    stream = FrameStream(levels, 0)
-    levels[1, 1, 7] = 1
-    assert not stream.levels.any()
-    with pytest.raises(ValueError):
-        stream.levels[0, 0, 0] = 1
-    # handed over: kept as is and made read-only
-    stream = FrameStream(levels, 0, copy=False)
-    assert stream.levels is levels and not levels.flags.writeable
+        levels[0, 0, 0] = 1
 
 
 def test_frame_records_of_columns():
@@ -329,7 +344,7 @@ def test_frame_records_of_columns():
     for op_filter in OP_FILTERS:
         kept = [r for r in records if op_filter == "all" or (r.op == "R") == (op_filter == "read")]
         a, b = frame_records(columns.select(op_filter)), frame_records(kept)
-        assert np.array_equal(a.levels, b.levels) and a.pad_bytes == b.pad_bytes
+        assert np.array_equal(a.masks, b.masks) and a.pad_bytes == b.pad_bytes
 
 
 def test_frame_stream_from_frames_matches_bulk():
@@ -350,15 +365,16 @@ GOLDEN_PAYLOAD = generate_random_trace(240, seed=2024)[0].payload + bytes(61)
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_format_encoded_golden(algorithm):
     stream = frame_records([TraceRecord("W", 0, GOLDEN_PAYLOAD)])
-    levels, flags = bulk.encode_block(stream.levels, algorithm)
+    masks, flags = bulk.encode_block(stream.masks, algorithm)
     golden = (GOLDEN / f"{algorithm.value.lower()}.enc").read_bytes()
-    assert format_encoded(algorithm, levels, flags, stream.pad_bytes) == golden
+    assert format_encoded(algorithm, masks, flags, stream.pad_bytes) == golden
     assert decode_encoded(golden) == GOLDEN_PAYLOAD
 
 
 def test_format_encoded_rejects_out_of_range_flag():
     with pytest.raises(ValueError):
-        format_encoded(Algorithm.MF, np.ones((1, 2, 8), np.int8), np.array([3]), 0)
+        format_encoded(Algorithm.MF, bulk.masks_of_levels(np.ones((1, 2, 8), np.int8)),
+                       np.array([3]), 0)
 
 
 @st.composite
@@ -371,7 +387,7 @@ def encoded_texts(draw):
     flags = np.array(draw(st.lists(st.integers(0, MAX_FLAG[alg]), min_size=n, max_size=n)),
                      dtype=np.uint8)
     pad = draw(st.integers(0, 2 if n else 0))
-    lines = format_encoded(alg, levels, flags, pad).split(b"\n")[:-1]
+    lines = format_encoded(alg, bulk.masks_of_levels(levels), flags, pad).split(b"\n")[:-1]
     edits = draw(st.integers(0, 3))
     for _ in range(edits):
         kind = draw(st.sampled_from(("flip", "insert", "crlf", "flag")))
@@ -404,9 +420,9 @@ def _read(reader, data):
 def _same(a, b):
     if isinstance(a, int) or isinstance(b, int):
         return a == b
-    alg, pad, levels, flags = a
-    return (alg, pad) == b[:2] and levels.dtype == b[2].dtype and flags.dtype == b[3].dtype \
-        and np.array_equal(levels, b[2]) and np.array_equal(flags, b[3])
+    alg, pad, masks, flags = a
+    return (alg, pad) == b[:2] and masks.dtype == b[2].dtype and flags.dtype == b[3].dtype \
+        and np.array_equal(masks, b[2]) and np.array_equal(flags, b[3])
 
 
 @given(encoded_texts())
