@@ -98,24 +98,31 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
+def _report_format(fmt: str) -> str:
+    """fmt in lower case; ValueError unless it is csv or json."""
+    fmt = fmt.lower()
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"report format must be csv or json, got {fmt!r}")
+    return fmt
+
+
 def write_report(stats: TraceStats, fmt: str = "csv") -> str:
     """Serialize TraceStats; field order is fixed and ratios use 4 decimals."""
-    fmt = fmt.lower()
-    if fmt == "csv":
-        return _write_csv(stats)
-    if fmt == "json":
-        return _write_json(stats)
-    raise ValueError(f"report format must be csv or json, got {fmt!r}")
+    return _write_csv(stats) if _report_format(fmt) == "csv" else _write_json(stats)
 
 
 def read_report(text: str, fmt: str = "csv") -> TraceStats:
     """Parse a report emitted by write_report back into TraceStats."""
-    fmt = fmt.lower()
-    if fmt == "csv":
-        return _read_csv(text)
-    if fmt == "json":
-        return _read_json(text)
-    raise ValueError(f"report format must be csv or json, got {fmt!r}")
+    return _read_csv(text) if _report_format(fmt) == "csv" else _read_json(text)
+
+
+def write_distribution(percent: tuple[float, float, float], fmt: str = "csv") -> str:
+    """Serialize signal_distribution percentages of -1, 0, +1, each with 4
+    decimals in JSON too (100.0000, where json.dumps would write 100.0)."""
+    fields = [(key, _fmt(value)) for key, value in zip(_SIGNAL_KEYS, percent)]
+    if _report_format(fmt) == "csv":
+        return "signal,percent\n" + "".join(f"{key},{value}\n" for key, value in fields)
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
 
 
 def _write_csv(stats: TraceStats) -> str:

@@ -33,9 +33,9 @@ _IMAGE_OF_INDEX = _IMAGES.reshape(-1)  # [perm * 3 + level + 1]
 _INVERSE = np.array(
     [encoders.PermutationCode(i).inverse().index for i in range(6)], dtype=np.uint8
 )
-# _SELECT[perm, level + 1, d] is all ones when perm maps level to -1 (d = 0)
+# _SELECT[d, level + 1, perm] is all ones when perm maps level to -1 (d = 0)
 # or to +1 (d = 1), so output masks are ORs of selected input masks.
-_SELECT = np.where(_IMAGES[:, :, None] == np.array([-1, 1]), 0xFFFF, 0).astype(np.uint16)
+_SELECT = np.where(_IMAGES.T == np.array([-1, 1])[:, None, None], 0xFFFF, 0).astype(np.uint16)
 
 # The permutation index each flag value stands for; the flag is the index
 # into the tuple. DBI's flag 1 inverts, MF's flag names the level it swaps
@@ -137,12 +137,12 @@ def _adjacent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _permute(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Masks of every frame's levels mapped through its permutation index."""
-    select = _SELECT[perm]  # (n, 3, 2)
     neg, pos = masks
     zero = ~(neg | pos)
     out = np.empty_like(masks)
-    for d in (0, 1):
-        out[d] = (neg & select[:, 0, d]) | (zero & select[:, 1, d]) | (pos & select[:, 2, d])
+    for d, (sel_neg, sel_zero, sel_pos) in enumerate(_SELECT):  # (6,) tables by perm
+        out[d] = (neg & np.take(sel_neg, perm)) | (zero & np.take(sel_zero, perm))
+        out[d] |= pos & np.take(sel_pos, perm)
     return out
 
 
@@ -209,6 +209,8 @@ def decode_block(
 ) -> np.ndarray:
     """Undo encode_block; raises InvalidFlag for a flag the algorithm never emits."""
     flags = np.asarray(flags)
+    if flags.shape != masks.shape[1:]:
+        raise ValueError("flags must be 1-D with one entry per frame")
     _check_flags(flags, algorithm)
     return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
 

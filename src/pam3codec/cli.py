@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import bulk
-from .analysis import analyze_trace, signal_distribution, write_report
+from .analysis import analyze_trace, signal_distribution, write_distribution, write_report
 from .encoders import Algorithm
 from .errors import Pam3Error
 from .power import DEFAULT_MODEL
@@ -101,14 +101,6 @@ def _read_records(args) -> TraceColumns:
     return records.select(args.op_filter)
 
 
-def _write_text(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(text)
-
-
 def _read_binary(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -148,20 +140,14 @@ def _cmd_analyze(args) -> int:
         include_flag_power=args.include_flag_power,
         op_filter=args.op_filter,
     )
-    _write_text(args.output, write_report(stats, args.report))
+    _write_binary(args.output, write_report(stats, args.report).encode("ascii"))
     return 0
 
 
 def _cmd_distribution(args) -> int:
     stream = frame_records(_read_records(args))
-    dist = signal_distribution(stream)
-    if args.report == "json":
-        body = ('{\n  "-1": %.4f,\n  "0": %.4f,\n  "+1": %.4f\n}\n') % dist
-    else:
-        body = "signal,percent\n" + "".join(
-            f"{sig},{pct:.4f}\n" for sig, pct in zip(("-1", "0", "+1"), dist)
-        )
-    _write_text(args.output, body)
+    report = write_distribution(signal_distribution(stream), args.report)
+    _write_binary(args.output, report.encode("ascii"))
     return 0
 
 

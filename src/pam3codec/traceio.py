@@ -35,7 +35,6 @@ WRITE = "W"
 OP_FILTERS = ("all", "read", "write")
 
 _ADDRESS_RE = re.compile(r"(?:0x)?[0-9a-fA-F]+\Z")
-_RAW_CHUNK = 1 << 20
 
 # Canonical text trace lines, `R|W 0x<1..16 hex digits> <even-length hex>\n`,
 # as format_text_trace writes them: every byte at or below the space is a
@@ -278,6 +277,8 @@ def format_encoded(
 ) -> bytes:
     """Encoded frame text of (2, n) encoded line masks and their (n,) flags."""
     flags = np.asarray(flags, dtype=np.uint8)
+    if flags.shape != masks.shape[1:]:
+        raise ValueError("flags must be 1-D with one entry per frame")
     if flags.size and flags.max() > MAX_FLAG[alg]:
         raise ValueError(f"{alg.value} flags must be 0..{MAX_FLAG[alg]}")
     rows = np.tile(_FRAME_ROW, (len(flags), 1))
@@ -299,22 +300,25 @@ def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
     flag, or an error) goes through the line parser, which raises the
     line-numbered ParseError.
     """
-    parsed = _parse_encoded_rows(data)
-    return parsed if parsed is not None else _parse_encoded_lines(data)[:4]
+    return (_parse_encoded_rows(data) or _parse_encoded_lines(data))[:4]
 
 
 def decode_encoded(data: bytes) -> bytes:
-    """The payload bytes that encoded frame text carries, padding stripped."""
-    alg, pad, masks, flags = parse_encoded(data)
+    """The payload bytes that encoded frame text carries, padding stripped.
+
+    A frame that decodes to the unused pair is a ParseError on the input
+    line the same read gave that frame.
+    """
+    alg, pad, masks, flags, frame_lines = _parse_encoded_rows(data) or _parse_encoded_lines(data)
     try:
         return FrameStream(bulk.decode_block(masks, flags, alg), pad).payload_bytes()
     except InvalidPair as exc:
-        frame_lines = _parse_encoded_lines(data)[4]
         raise ParseError(str(exc), frame_lines[exc.frame_index]) from exc
 
 
 def _parse_encoded_rows(data: bytes):
-    """parse_encoded on the exact layout of format_encoded, else None."""
+    """(alg, pad, masks, flags, frame_lines) of text in the exact layout of
+    format_encoded, else None; frame i is on line i + 3, after the header."""
     header = _HEADER_RE.match(data)
     if header is None or (len(data) - header.end()) % len(_FRAME_ROW):
         return None
@@ -328,7 +332,7 @@ def _parse_encoded_rows(data: bytes):
     flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
     if masks is None or (len(rows) and flags.max() > MAX_FLAG[alg]):
         return None
-    return alg, pad, masks, flags
+    return alg, pad, masks, flags, range(3, 3 + len(rows))
 
 
 def _masks_of_symbols(symbols: np.ndarray) -> np.ndarray | None:
@@ -345,7 +349,8 @@ def _masks_of_symbols(symbols: np.ndarray) -> np.ndarray | None:
 
 def _parse_encoded_lines(data: bytes):
     """Line-by-line reader of encoded frame text, the reference for
-    parse_encoded; also returns the input line number of every frame."""
+    _parse_encoded_rows: (alg, pad, masks, flags, frame_lines), the last
+    the input line number of every frame."""
     alg = pad = None
     pad_line = 0
     symbols, flags, frame_lines = [], [], []
@@ -399,19 +404,10 @@ def _parse_encoded_lines(data: bytes):
 def parse_raw_trace(source: BinaryIO | bytes) -> list[TraceRecord]:
     """Wrap a flat byte stream as a single WRITE record at address 0.
 
-    File-like sources are read in bounded chunks to avoid duplicating the
-    data while it accumulates.
+    A binary file object is read to its end in one read call, so the data
+    is held once; a bytes-like source is taken as bytes.
     """
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        buf = bytearray()
-        while True:
-            chunk = source.read(_RAW_CHUNK)
-            if not chunk:
-                break
-            buf += chunk
-        data = bytes(buf)
+    data = bytes(source) if isinstance(source, (bytes, bytearray)) else source.read()
     if not data:
         raise EmptyInput("raw trace holds no bytes")
     return [TraceRecord(WRITE, 0, data)]

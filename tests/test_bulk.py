@@ -104,6 +104,14 @@ def test_decode_block_rejects_bad_flags(algorithm, bad_flag):
         bulk.decode_block(MASKS[:, :2].copy(), _bad_flags(bad_flag), algorithm)
 
 
+@pytest.mark.parametrize("flags", [np.zeros(1, np.uint8), np.zeros((1, 4), np.uint8),
+                                   np.uint8(0)])
+def test_decode_block_rejects_flags_not_per_frame(flags):
+    enc_masks = bulk.encode_block(MASKS[:, :4].copy(), Algorithm.SORT)[0]
+    with pytest.raises(ValueError, match="one entry per frame"):
+        bulk.decode_block(enc_masks, flags, Algorithm.SORT)
+
+
 @pytest.mark.parametrize("algorithm,bad_flag", BAD_FLAGS)
 def test_flag_termination_total_rejects_bad_flags(algorithm, bad_flag):
     with pytest.raises(InvalidFlag):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from pam3codec import bulk
+from pam3codec import bulk, traceio
 from pam3codec.core import Word24, modulate
 from pam3codec.encoders import MAX_FLAG, Algorithm
 from pam3codec.errors import EmptyInput, ParseError
@@ -226,6 +227,19 @@ def test_parse_raw_trace_file_object():
     assert rec.payload == b"\xab" * 5000
 
 
+def test_parse_raw_trace_file_object_held_once():
+    size = 8 << 20
+    source = io.BytesIO(bytes(range(256)) * (size // 256))
+    tracemalloc.start()
+    try:
+        (rec,) = parse_raw_trace(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rec.payload) == size
+    assert peak < 1.2 * size
+
+
 def test_parse_raw_trace_empty():
     with pytest.raises(EmptyInput):
         parse_raw_trace(b"")
@@ -371,6 +385,15 @@ def test_format_encoded_golden(algorithm):
     assert decode_encoded(golden) == GOLDEN_PAYLOAD
 
 
+def test_format_encoded_rejects_flags_not_per_frame():
+    one_frame = bulk.modulate_block(np.zeros((1, 3), np.uint8))
+    two_frames = bulk.modulate_block(np.zeros((2, 3), np.uint8))
+    for masks, flags in ((one_frame, [0, 1, 2]), (two_frames, [0]), (two_frames, [[0, 1]]),
+                         (two_frames, 0)):
+        with pytest.raises(ValueError, match="one entry per frame"):
+            format_encoded(Algorithm.SORT, masks, flags, 0)
+
+
 def test_format_encoded_rejects_out_of_range_flag():
     with pytest.raises(ValueError):
         format_encoded(Algorithm.MF, bulk.masks_of_levels(np.ones((1, 2, 8), np.int8)),
@@ -420,7 +443,7 @@ def _read(reader, data):
 def _same(a, b):
     if isinstance(a, int) or isinstance(b, int):
         return a == b
-    alg, pad, masks, flags = a
+    alg, pad, masks, flags = a[:4]
     return (alg, pad) == b[:2] and masks.dtype == b[2].dtype and flags.dtype == b[3].dtype \
         and np.array_equal(masks, b[2]) and np.array_equal(flags, b[3])
 
@@ -432,13 +455,25 @@ def _same(a, b):
 @example((b"# alg DBI\n# pad 1\n", False))
 def test_parse_encoded_matches_line_parser(case):
     data, canonical = case
-    reference = _read(lambda d: _parse_encoded_lines(d)[:4], data)
+    reference = _read(_parse_encoded_lines, data)
     fast = _parse_encoded_rows(data)
     if canonical:
         assert fast is not None
     if fast is not None:
         assert _same(fast, reference)
+        assert list(fast[4]) == reference[4]  # the input line of every frame
     assert _same(_read(parse_encoded, data), reference)
+
+
+@pytest.mark.parametrize("bad_frame", [0, 3, 6])
+def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame):
+    masks = bulk.modulate_block(np.arange(21, dtype=np.uint8).reshape(7, 3))
+    data = bytearray(format_encoded(Algorithm.NONE, masks, np.zeros(7, np.uint8), 0))
+    row = len(b"# alg NONE\n# pad 0\n") + 26 * bad_frame
+    data[row + 2] = data[row + 13] = ord("0")  # column 0 of lines A and B
+    monkeypatch.setattr(traceio, "_parse_encoded_lines", lambda _: pytest.fail("re-read"))
+    with pytest.raises(ParseError, match=rf"^line {bad_frame + 3}: frame {bad_frame}, column 0 "):
+        decode_encoded(bytes(data))
 
 
 # ------------------------------------------------------- random traces
