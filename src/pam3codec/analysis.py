@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import bulk
 from .core import SymbolCounts
@@ -19,8 +19,6 @@ from .encoders import CANONICAL_ORDER, Algorithm
 from .errors import EmptyStream
 from .power import DEFAULT_MODEL, PowerModel, PowerReport, compare_powers
 from .traceio import OP_FILTERS, FrameStream
-
-_SIGNAL_KEYS = ("-1", "0", "+1")
 
 
 @dataclass(frozen=True)
@@ -106,14 +104,72 @@ def _report_format(fmt: str) -> str:
     return fmt
 
 
+# The report schema: every field's name and kind, by section. The meta
+# fields sit at the top level of the JSON object and in the CSV meta row;
+# the per_algorithm fields repeat in every algorithm's row.
+_SCHEMA = {
+    "per_algorithm": (("term_power", "number"), ("term_ratio_percent", "ratio"),
+                      ("switch_power", "number"), ("switch_ratio_percent", "ratio")),
+    "totals": (("cnt_neg", "count"), ("cnt_zero", "count"), ("cnt_pos", "count")),
+    "distribution_percent": (("-1", "number"), ("0", "number"), ("+1", "number")),
+    "meta": (("frame_count", "count"), ("op_filter", "op filter"), ("flags_in_power", "bool")),
+}
+
+
+class _Kind(NamedTuple):
+    valid: Callable  # whether a report object's value is one of the kind
+    text: Callable  # the CSV text of a value
+    value: Callable  # the value of a CSV cell's text; ValueError or KeyError if none
+
+
+_KINDS = {
+    # type, not isinstance: bool is an int
+    "count": _Kind(lambda v: type(v) is int and v >= 0, str, int),
+    "number": _Kind(lambda v: type(v) in (int, float), _fmt, float),
+    # None: the ratio is undefined
+    "ratio": _Kind(lambda v: v is None or type(v) in (int, float), _fmt,
+                   lambda text: float(text) if text else None),
+    "bool": _Kind(lambda v: type(v) is bool, json.dumps,
+                  {"true": True, "false": False}.__getitem__),
+    "op filter": _Kind(lambda v: v in OP_FILTERS, str, str),
+}
+# The CSV rows after the algorithm rows, in blocks under a `section,...`
+# header that names the fields of the block's first section.
+_CSV_BLOCKS = (("totals", "distribution_percent"), ("meta",))
+_SIGNAL_KEYS = tuple(name for name, _ in _SCHEMA["distribution_percent"])
+
+
+def _fields_of(obj: dict, section: str) -> dict:
+    """The dict that holds section's fields in a report object, made if missing."""
+    return obj if section == "meta" else obj.setdefault(section, {})
+
+
 def write_report(stats: TraceStats, fmt: str = "csv") -> str:
-    """Serialize TraceStats; field order is fixed and ratios use 4 decimals."""
-    return _write_csv(stats) if _report_format(fmt) == "csv" else _write_json(stats)
+    """Serialize TraceStats as one JSON-shaped object, numbers rounded to 4
+    decimals, written as JSON or as the CSV sections; field order is fixed."""
+    def fields(section, values):
+        return {name: round(v, 4) if kind in ("number", "ratio") and v is not None else v
+                for (name, kind), v in zip(_SCHEMA[section], values)}
+    obj = {
+        **fields("meta", (stats.frame_count, stats.op_filter, stats.flags_in_power)),
+        "totals": fields("totals", stats.totals.as_tuple()),
+        "distribution_percent": fields("distribution_percent", stats.distribution_percent),
+        "per_algorithm": {alg.value: fields("per_algorithm", (
+            r.term_power_encoded, r.term_ratio_percent,
+            r.switch_power_encoded, r.switch_ratio_percent,
+        )) for alg, r in stats.per_algorithm.items()},
+    }
+    return _write_csv(obj) if _report_format(fmt) == "csv" else json.dumps(obj, indent=2) + "\n"
 
 
 def read_report(text: str, fmt: str = "csv") -> TraceStats:
-    """Parse a report emitted by write_report back into TraceStats."""
-    return _read_csv(text) if _report_format(fmt) == "csv" else _read_json(text)
+    """Parse a report emitted by write_report back into TraceStats.
+
+    Both formats give one report object, which one validator checks field
+    by field against the schema; ValueError names the row or field at fault.
+    """
+    fmt = _report_format(fmt)
+    return _stats_of(_read_csv(text) if fmt == "csv" else json.loads(text), fmt.upper())
 
 
 def write_distribution(percent: tuple[float, float, float], fmt: str = "csv") -> str:
@@ -125,154 +181,96 @@ def write_distribution(percent: tuple[float, float, float], fmt: str = "csv") ->
     return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
 
 
-def _write_csv(stats: TraceStats) -> str:
-    lines = ["algorithm,term_power,term_ratio_percent,switch_power,switch_ratio_percent"]
-    for alg, report in stats.per_algorithm.items():
-        lines.append(
-            f"{alg.value},{_fmt(report.term_power_encoded)},"
-            f"{_fmt(report.term_ratio_percent)},{_fmt(report.switch_power_encoded)},"
-            f"{_fmt(report.switch_ratio_percent)}"
-        )
-    lines.append("")
-    lines.append("section,cnt_neg,cnt_zero,cnt_pos")
-    lines.append(f"totals,{stats.totals.neg},{stats.totals.zero},{stats.totals.pos}")
-    d = stats.distribution_percent
-    lines.append(f"distribution_percent,{_fmt(d[0])},{_fmt(d[1])},{_fmt(d[2])}")
-    lines.append("")
-    lines.append("section,frame_count,op_filter,flags_in_power")
-    lines.append(
-        f"meta,{stats.frame_count},{stats.op_filter},"
-        f"{'true' if stats.flags_in_power else 'false'}"
-    )
+def _csv_header(first: str, section: str) -> str:
+    return ",".join([first, *(name for name, _ in _SCHEMA[section])])
+
+
+def _csv_line(label: str, fields: dict, section: str) -> str:
+    return ",".join([label, *(_KINDS[kind].text(fields[name]) for name, kind in _SCHEMA[section])])
+
+
+def _write_csv(obj: dict) -> str:
+    lines = [_csv_header("algorithm", "per_algorithm")]
+    lines += [_csv_line(name, row, "per_algorithm") for name, row in obj["per_algorithm"].items()]
+    for block in _CSV_BLOCKS:
+        lines += ["", _csv_header("section", block[0])]
+        lines += [_csv_line(section, _fields_of(obj, section), section) for section in block]
     return "\n".join(lines) + "\n"
 
 
-def _round(value: Optional[float]) -> Optional[float]:
-    return None if value is None else round(value, 4)
+def _csv_fields(cells: list[str], section: str, label: str) -> dict:
+    """The fields of one CSV row, a short row lacking its last fields. Text
+    its kind cannot read stays text, for the validator to reject."""
+    schema = _SCHEMA[section]
+    if len(cells) > len(schema):
+        raise ValueError(f"CSV report {label} row has {len(cells)} fields, not {len(schema)}")
+    fields = {}
+    for (name, kind), text in zip(schema, cells):
+        try:
+            fields[name] = _KINDS[kind].value(text)
+        except (ValueError, KeyError):
+            fields[name] = text
+    return fields
 
 
-def _write_json(stats: TraceStats) -> str:
-    obj = {
-        "frame_count": stats.frame_count,
-        "op_filter": stats.op_filter,
-        "flags_in_power": stats.flags_in_power,
-        "totals": {
-            "cnt_neg": stats.totals.neg,
-            "cnt_zero": stats.totals.zero,
-            "cnt_pos": stats.totals.pos,
-        },
-        "distribution_percent": {
-            key: _round(v) for key, v in zip(_SIGNAL_KEYS, stats.distribution_percent)
-        },
-        "per_algorithm": {
-            alg.value: {
-                "term_power": _round(report.term_power_encoded),
-                "term_ratio_percent": _round(report.term_ratio_percent),
-                "switch_power": _round(report.switch_power_encoded),
-                "switch_ratio_percent": _round(report.switch_ratio_percent),
-            }
-            for alg, report in stats.per_algorithm.items()
-        },
-    }
-    return json.dumps(obj, indent=2) + "\n"
+def _read_csv(text: str) -> dict:
+    """A CSV report as the report object of its JSON form, not yet checked."""
+    lines = text.rstrip().splitlines()  # trailing whitespace, as JSON allows
+    if not lines or lines[0] != _csv_header("algorithm", "per_algorithm"):
+        raise ValueError("not a pam3codec CSV report")
+    obj = {"per_algorithm": {}}
+    i = 1
+    while i < len(lines) and lines[i]:
+        name, *cells = lines[i].split(",")
+        obj["per_algorithm"][name] = _csv_fields(cells, "per_algorithm", name)
+        i += 1
+    for block in _CSV_BLOCKS:
+        if lines[i:i + 2] != ["", _csv_header("section", block[0])]:
+            raise ValueError(f"CSV report lacks its {block[0]} header")
+        i += 2
+        for section in block:
+            label, *cells = lines[i].split(",") if i < len(lines) else [""]
+            if label != section:
+                raise ValueError(f"CSV report lacks its {section} row")
+            _fields_of(obj, section).update(_csv_fields(cells, section, section))
+            i += 1
+    if i < len(lines):
+        raise ValueError(f"CSV report has text after its meta row, on line {i + 1}")
+    return obj
 
 
-def _rebuild_reports(
-    rows: dict[Algorithm, tuple[float, Optional[float], float, Optional[float]]],
-) -> dict[Algorithm, PowerReport]:
+def _values(fields, section: str, where: str) -> tuple:
+    """The values of section's fields, each checked against its kind;
+    ValueError names the field."""
+    values = []
+    for name, kind in _SCHEMA[section]:
+        if not isinstance(fields, dict) or name not in fields:
+            raise ValueError(f"{where} lacks its {name} field")
+        value = fields[name]
+        if not _KINDS[kind].valid(value):
+            raise ValueError(f"{where} field {name} is malformed: {value!r}")
+        values.append(float(value) if kind in ("number", "ratio") and value is not None else value)
+    return tuple(values)
+
+
+def _stats_of(obj, fmt: str) -> TraceStats:
+    """The one validator: TraceStats of a report object, checked against the schema."""
+    def part(section: str) -> dict:
+        if not isinstance(obj, dict) or not isinstance(obj.get(section), dict):
+            raise ValueError(f"{fmt} report lacks its {section} section")
+        return obj[section]
+
+    totals, distribution = (_values(part(section), section, f"{fmt} report {section}")
+                            for section in ("totals", "distribution_percent"))
+    rows = {Algorithm(name): _values(row, "per_algorithm", f"{fmt} report {name} row")
+            for name, row in part("per_algorithm").items()}
     if Algorithm.NONE not in rows:
         raise ValueError("report lacks the NONE baseline row")
     base_term, _, base_switch, _ = rows[Algorithm.NONE]
-    return {
-        alg: PowerReport(
-            term_power_baseline=base_term,
-            term_power_encoded=term,
-            term_ratio_percent=term_ratio,
-            switch_power_baseline=base_switch,
-            switch_power_encoded=switch,
-            switch_ratio_percent=switch_ratio,
-        )
+    frame_count, op_filter, flags_in_power = _values(obj, "meta", f"{fmt} report")
+    per_algorithm = {
+        alg: PowerReport(base_term, term, term_ratio, base_switch, switch, switch_ratio)
         for alg, (term, term_ratio, switch, switch_ratio) in rows.items()
     }
-
-
-def _csv_row(lines: list[str], index: int, label: str) -> list[str]:
-    """The four fields of the row named label, expected at lines[index]."""
-    row = lines[index].split(",") if index < len(lines) else []
-    if len(row) != 4 or row[0] != label:
-        raise ValueError(f"CSV report lacks its {label} row")
-    return row
-
-
-def _read_csv(text: str) -> TraceStats:
-    lines = text.splitlines()
-    header = "algorithm,term_power,term_ratio_percent,switch_power,switch_ratio_percent"
-    if not lines or lines[0] != header:
-        raise ValueError("not a pam3codec CSV report")
-    rows: dict[Algorithm, tuple] = {}
-    i = 1
-    while i < len(lines) and lines[i]:
-        name, term, term_ratio, switch, switch_ratio = lines[i].split(",")
-        rows[Algorithm(name)] = (
-            float(term),
-            float(term_ratio) if term_ratio else None,
-            float(switch),
-            float(switch_ratio) if switch_ratio else None,
-        )
-        i += 1
-    totals_row = _csv_row(lines, i + 2, "totals")
-    dist_row = _csv_row(lines, i + 3, "distribution_percent")
-    meta_row = _csv_row(lines, i + 6, "meta")
-    totals = SymbolCounts(int(totals_row[1]), int(totals_row[2]), int(totals_row[3]))
-    distribution = (float(dist_row[1]), float(dist_row[2]), float(dist_row[3]))
-    return TraceStats(
-        frame_count=int(meta_row[1]),
-        totals=totals,
-        distribution_percent=distribution,
-        per_algorithm=_rebuild_reports(rows),
-        op_filter=meta_row[2],
-        flags_in_power=meta_row[3] == "true",
-    )
-
-
-_NUMBER = (int, float)
-_RATIO = (int, float, type(None))  # None where the ratio is undefined
-_ROW_FIELDS = (
-    ("term_power", _NUMBER),
-    ("term_ratio_percent", _RATIO),
-    ("switch_power", _NUMBER),
-    ("switch_ratio_percent", _RATIO),
-)
-
-
-def _json_field(obj, name: str, kind, where: str = "report"):
-    """obj[name] checked to be of type kind; ValueError names the field."""
-    if not isinstance(obj, dict) or name not in obj:
-        raise ValueError(f"JSON {where} lacks its {name} field")
-    if not isinstance(obj[name], kind):
-        raise ValueError(f"JSON {where} field {name} is malformed")
-    return obj[name]
-
-
-def _read_json(text: str) -> TraceStats:
-    obj = json.loads(text)
-    totals = _json_field(obj, "totals", dict)
-    distribution = _json_field(obj, "distribution_percent", dict)
-    rows = {
-        Algorithm(name): tuple(
-            _json_field(entry, field, kind, name) for field, kind in _ROW_FIELDS
-        )
-        for name, entry in _json_field(obj, "per_algorithm", dict).items()
-    }
-    return TraceStats(
-        frame_count=_json_field(obj, "frame_count", int),
-        totals=SymbolCounts(*(
-            _json_field(totals, key, int, "totals") for key in ("cnt_neg", "cnt_zero", "cnt_pos")
-        )),
-        distribution_percent=tuple(
-            _json_field(distribution, key, _NUMBER, "distribution_percent") for key in _SIGNAL_KEYS
-        ),
-        per_algorithm=_rebuild_reports(rows),
-        op_filter=_json_field(obj, "op_filter", str),
-        flags_in_power=_json_field(obj, "flags_in_power", bool),
-    )
+    return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
+                      op_filter, flags_in_power)

@@ -23,9 +23,6 @@ from .encoders import Algorithm
 from .errors import EmptyStream, InvalidFlag, InvalidPair
 from .power import DEFAULT_MODEL, PowerModel
 
-# Set bits of every byte, and of every uint16 as the sum over its bytes.
-_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint16)
-_POP16 = (_POP8[:, None] + _POP8[None, :]).reshape(-1)
 _NOT_LSB = np.uint16(0xFEFE)  # clears what a left shift carries between the two bytes
 
 _IMAGES = np.array(encoders.PERMUTATION_IMAGES, dtype=np.int8)  # (6, 3)
@@ -125,14 +122,14 @@ def _check_flags(flags: np.ndarray, algorithm: Algorithm) -> None:
 
 def _count_keys(masks: np.ndarray) -> np.ndarray:
     """(n,) uint16 count key cnt-1 * 17 + cnt0 of every frame."""
-    cnt_neg = np.take(_POP16, masks[0])
-    return cnt_neg * 17 + (16 - cnt_neg - np.take(_POP16, masks[1]))
+    cnt_neg = np.bitwise_count(masks[0]).astype(np.uint16)  # * 17 overflows uint8
+    return cnt_neg * 17 + (16 - cnt_neg - np.bitwise_count(masks[1]))
 
 
 def _adjacent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per frame, the adjacent positions of a line holding p and q in
     either order, summed over both lines."""
-    return np.take(_POP16, (p << 1) & _NOT_LSB & q) + np.take(_POP16, (q << 1) & _NOT_LSB & p)
+    return np.bitwise_count((p << 1) & _NOT_LSB & q) + np.bitwise_count((q << 1) & _NOT_LSB & p)
 
 
 def _permute(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -278,7 +275,7 @@ class StreamStats:
     def flag_termination_total(
         self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
     ) -> float:
-        ones = self.frames_per_key @ _POP8[_FLAG_OF_KEY[algorithm]]
+        ones = self.frames_per_key @ np.bitwise_count(_FLAG_OF_KEY[algorithm])
         return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * len(self.key), model)
 
 
@@ -333,4 +330,4 @@ def flag_termination_total(
     width = encoders.FLAG_WIDTH[algorithm]
     if width == 0 or len(flags) == 0:
         return 0.0
-    return _flag_power(_POP8[flags].sum(dtype=np.int64), width * len(flags), model)
+    return _flag_power(np.bitwise_count(flags).sum(dtype=np.int64), width * len(flags), model)

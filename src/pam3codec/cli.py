@@ -46,6 +46,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pam3codec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-random", help="write a raw trace of random bytes")
     p.add_argument("--bytes", type=_positive_int, required=True, dest="byte_count")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--output", "-o", default="-", help="output path, - for stdout (binary)")
 
     return parser

@@ -163,9 +163,8 @@ class FrameStream:
 
     def payload_bytes(self) -> bytes:
         """Demodulate back to the original payload, padding stripped."""
-        words = bulk.demodulate_block(self.masks)
-        data = words.reshape(-1).tobytes()
-        return data[: len(data) - self.pad_bytes] if self.pad_bytes else data
+        words = bulk.demodulate_block(self.masks).reshape(-1)
+        return words[: len(words) - self.pad_bytes].tobytes()
 
     @classmethod
     def from_frames(cls, frames: Iterable[Pam3Frame], pad_bytes: int = 0) -> "FrameStream":

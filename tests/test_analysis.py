@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given
+import hypothesis.strategies as st
 
 from pam3codec.analysis import (
     TraceStats,
@@ -13,7 +15,7 @@ from pam3codec.analysis import (
 from pam3codec.encoders import Algorithm
 from pam3codec.errors import EmptyStream, ZeroBaseline
 from pam3codec.power import switching_power, termination_power
-from pam3codec.traceio import TraceRecord, frame_records, generate_random_trace
+from pam3codec.traceio import OP_FILTERS, TraceRecord, frame_records, generate_random_trace
 
 
 def _trace(payload: bytes):
@@ -236,6 +238,120 @@ def test_json_report_field_errors_name_the_field(path, value, field):
         parent[path[-1]] = value
     with pytest.raises(ValueError, match=field):
         read_report(json.dumps(obj), "json")
+
+
+@given(
+    st.binary(min_size=1, max_size=300),
+    st.sets(st.sampled_from(list(Algorithm))),
+    st.sampled_from(OP_FILTERS),
+    st.booleans(),
+)
+def test_csv_and_json_reports_read_back_equal(payload, algorithms, op_filter, flags_in_power):
+    try:
+        stats = analyze_trace(_trace(payload), algorithms,
+                              include_flag_power=flags_in_power, op_filter=op_filter)
+    except ZeroBaseline:
+        assume(False)
+    from_csv, from_json = (read_report(write_report(stats, fmt), fmt) for fmt in ("csv", "json"))
+    assert from_csv == from_json
+    assert (from_csv.frame_count, from_csv.totals) == (stats.frame_count, stats.totals)
+    assert (from_csv.op_filter, from_csv.flags_in_power) == (op_filter, flags_in_power)
+    assert set(from_csv.per_algorithm) == set(stats.per_algorithm)
+
+
+# Every report field as (section, name, kind); meta fields are at the top
+# level of a JSON report and in the meta row of a CSV report.
+REPORT_FIELDS = [
+    ("per_algorithm", "term_power", "number"),
+    ("per_algorithm", "term_ratio_percent", "ratio"),
+    ("per_algorithm", "switch_power", "number"),
+    ("per_algorithm", "switch_ratio_percent", "ratio"),
+    ("totals", "cnt_neg", "count"),
+    ("totals", "cnt_zero", "count"),
+    ("totals", "cnt_pos", "count"),
+    ("distribution_percent", "-1", "number"),
+    ("distribution_percent", "0", "number"),
+    ("distribution_percent", "+1", "number"),
+    ("meta", "frame_count", "count"),
+    ("meta", "op_filter", "op filter"),
+    ("meta", "flags_in_power", "bool"),
+]
+# Bad values by kind, each as (JSON value, CSV cell text). DELETE removes
+# the JSON field and cuts the CSV row short just before the field.
+BAD_VALUES = {
+    "count": [(DELETE, None), (1.5, "1.5"), ("7", "x7"), (None, ""),
+              (True, "true"), (False, "false"), (-3, "-3")],
+    "number": [(DELETE, None), ("1.5", "x"), (None, ""), (True, "true"), ([], "[]")],
+    "ratio": [(DELETE, None), ("1.5", "x"), (True, "true"), ({}, "{}")],
+    "bool": [(DELETE, None), ("yes", "banana"), (1, "1"), (None, ""), ("true", "True")],
+    "op filter": [(DELETE, None), ("bogus", "bogus"), (3, "3"), (None, ""), ("ALL", "ALL")],
+}
+BAD_REPORTS = [
+    pytest.param(section, name, json_value, csv_text, id=f"{name}-{kind}-{i}")
+    for section, name, kind in REPORT_FIELDS
+    for i, (json_value, csv_text) in enumerate(BAD_VALUES[kind])
+]
+
+
+def _names_field(exc, name: str) -> bool:
+    return name in str(exc.value).split()
+
+
+@pytest.mark.parametrize("section, name, json_value, csv_text", BAD_REPORTS)
+def test_both_readers_reject_bad_field(section, name, json_value, csv_text):
+    stats = analyze_trace(RANDOM, op_filter="read", include_flag_power=True)
+    obj = json.loads(write_report(stats, "json"))
+    parent = obj if section == "meta" else obj[section]
+    if section == "per_algorithm":
+        parent = parent["SORT"]
+    if json_value is DELETE:
+        del parent[name]
+    else:
+        parent[name] = json_value
+    with pytest.raises(ValueError) as exc:
+        read_report(json.dumps(obj), "json")
+    assert _names_field(exc, name)
+
+    label = "SORT" if section == "per_algorithm" else section
+    names = [n for s, n, _ in REPORT_FIELDS if s == section]
+    lines = write_report(stats, "csv").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(label + ","))
+    cells = lines[row].split(",")
+    column = 1 + names.index(name)
+    cells[column:] = [] if csv_text is None else [csv_text, *cells[column + 1:]]
+    lines[row] = ",".join(cells)
+    with pytest.raises(ValueError) as exc:
+        read_report("\n".join(lines) + "\n", "csv")
+    assert _names_field(exc, name)
+
+
+@pytest.mark.parametrize("fmt, edit", [
+    ("csv", "meta,1000,all,banana"),  # was read as False
+    ("json", {"frame_count": True}),  # a bool was taken for a count
+    ("json", {"totals": {"cnt_neg": False, "cnt_zero": 0, "cnt_pos": 0}}),
+    ("csv", "meta,1000,bogus,false"),
+    ("json", {"op_filter": "bogus"}),
+    ("csv", "meta,-3,all,false"),
+    ("json", {"frame_count": -3}),
+])
+def test_readers_reject_reports_one_of_them_accepted(fmt, edit):
+    stats = analyze_trace(RANDOM)
+    if fmt == "csv":
+        lines = write_report(stats, "csv").splitlines()
+        assert lines[-1] == "meta,1000,all,false"
+        text = "\n".join(lines[:-1] + [edit]) + "\n"
+    else:
+        text = json.dumps({**json.loads(write_report(stats, "json")), **edit})
+    with pytest.raises(ValueError):
+        read_report(text, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_readers_accept_trailing_whitespace_only(fmt):
+    text = write_report(analyze_trace(RANDOM), fmt)
+    assert read_report(text + "\n \n", fmt) == read_report(text, fmt)
+    with pytest.raises(ValueError):
+        read_report(text + "\nx\n", fmt)
 
 
 def test_report_rejects_unknown_format():

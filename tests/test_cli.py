@@ -59,6 +59,16 @@ def test_gen_random_rejects_zero_bytes():
     assert exc.value.code == 1
 
 
+def test_gen_random_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("gen-random", "--bytes", "10", "--seed", "-1")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "pam3codec gen-random: error: argument --seed: must be non-negative, got -1"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("alg", ["none", "dbi", "mf", "sort"])
 def test_encode_decode_roundtrip_raw(tmp_path, alg):
     raw = tmp_path / "trace.raw"
