@@ -38,15 +38,26 @@ def _percentages(counts, frame_count: int) -> tuple[float, float, float]:
     return tuple(100.0 * int(t) / denom for t in counts)
 
 
-def signal_distribution(stream: FrameStream) -> tuple[float, float, float]:
-    """Percentage of -1, 0, +1 symbols over the whole stream."""
-    if len(stream) == 0:
+def _folded(stats: bulk.CountStats, streams: FrameStream | Iterable[FrameStream]):
+    """stats with every frame of streams folded in; one FrameStream is one chunk."""
+    for stream in (streams,) if isinstance(streams, FrameStream) else streams:
+        stats.update(stream.masks)
+    return stats
+
+
+def signal_distribution(
+    streams: FrameStream | Iterable[FrameStream],
+) -> tuple[float, float, float]:
+    """Percentage of -1, 0, +1 symbols over the whole stream, given as one
+    FrameStream or in chunks in order."""
+    stats = _folded(bulk.CountStats(), streams)
+    if stats.frame_count == 0:
         raise EmptyStream("distribution needs at least one frame")
-    return _percentages(bulk.StreamStats(stream.masks).counts(), len(stream))
+    return _percentages(stats.counts(), stats.frame_count)
 
 
 def analyze_trace(
-    stream: FrameStream,
+    streams: FrameStream | Iterable[FrameStream],
     algorithms: Optional[Iterable[Algorithm]] = None,
     model: PowerModel = DEFAULT_MODEL,
     *,
@@ -55,18 +66,19 @@ def analyze_trace(
 ) -> TraceStats:
     """Power totals of the stream under each algorithm against the baseline.
 
-    The NONE baseline row is always present. Raises ZeroBaseline when the
-    unencoded trace has zero termination power; a zero switching baseline
-    just leaves the switching ratios undefined (None).
+    streams is one FrameStream or the stream's chunks in order. The NONE
+    baseline row is always present. Raises ZeroBaseline when the unencoded
+    trace has zero termination power; a zero switching baseline just leaves
+    the switching ratios undefined (None).
     """
-    if len(stream) == 0:
+    stats = _folded(bulk.StreamStats(), streams)
+    if stats.frame_count == 0:
         raise EmptyStream("analysis needs at least one frame")
     if op_filter not in OP_FILTERS:
         raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
     requested = set(algorithms) if algorithms is not None else set(CANONICAL_ORDER)
     requested.add(Algorithm.NONE)
 
-    stats = bulk.StreamStats(stream.masks)
     powers = {}
     for alg in CANONICAL_ORDER:
         if alg not in requested:
@@ -83,9 +95,9 @@ def analyze_trace(
 
     totals = stats.counts()
     return TraceStats(
-        frame_count=len(stream),
+        frame_count=stats.frame_count,
         totals=SymbolCounts(int(totals[0]), int(totals[1]), int(totals[2])),
-        distribution_percent=_percentages(totals, len(stream)),
+        distribution_percent=_percentages(totals, stats.frame_count),
         per_algorithm=per_algorithm,
         op_filter=op_filter,
         flags_in_power=include_flag_power,

@@ -14,8 +14,6 @@ the six level bijections of encoders.PERMUTATION_IMAGES.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import encoders
@@ -26,13 +24,14 @@ from .power import DEFAULT_MODEL, PowerModel
 _NOT_LSB = np.uint16(0xFEFE)  # clears what a left shift carries between the two bytes
 
 _IMAGES = np.array(encoders.PERMUTATION_IMAGES, dtype=np.int8)  # (6, 3)
-_IMAGE_OF_INDEX = _IMAGES.reshape(-1)  # [perm * 3 + level + 1]
 _INVERSE = np.array(
     [encoders.PermutationCode(i).inverse().index for i in range(6)], dtype=np.uint8
 )
-# _SELECT[d, level + 1, perm] is all ones when perm maps level to -1 (d = 0)
-# or to +1 (d = 1), so output masks are ORs of selected input masks.
-_SELECT = np.where(_IMAGES.T == np.array([-1, 1])[:, None, None], 0xFFFF, 0).astype(np.uint16)
+# Bit perm of _SELECT[d, level + 1] is set when perm maps level to -1 (d = 0)
+# or to +1 (d = 1), so output masks are ORs of the input masks it selects.
+_SELECT = (
+    (_IMAGES.T == np.array([-1, 1])[:, None, None]) << np.arange(6)
+).sum(axis=2).astype(np.uint16)
 
 # The permutation index each flag value stands for; the flag is the index
 # into the tuple. DBI's flag 1 inverts, MF's flag names the level it swaps
@@ -87,6 +86,23 @@ _FLAG_OF_KEY = {
 }
 _PERM_OF_KEY = {alg: _PERM_OF_FLAG[alg][flags] for alg, flags in _FLAG_OF_KEY.items()}
 
+# The keys fall into 7 classes, each mapped to one permutation by every
+# algorithm. A frame's first or last level on a line and its key's class
+# make a boundary state 3 * class + level + 1, which fixes that level after
+# every encoding: _BOUNDARY_LEVELS[alg][state].
+_CLASS_PERMS, _CLASS_OF_KEY = np.unique(
+    np.stack(list(_PERM_OF_KEY.values()), axis=1), axis=0, return_inverse=True
+)
+_STATES = 3 * len(_CLASS_PERMS)
+# By key, the state of level 0 in both bytes of a uint16, one byte per line.
+_STATE_BASE = ((3 * _CLASS_OF_KEY.reshape(-1) + 1) * 0x0101).astype(np.uint16)
+_LOW_BITS = np.uint16(0x0101)  # bit 0 of both bytes
+_MAX_ADJACENT = 14  # adjacent pairs of one type in a frame, 7 per line
+_BOUNDARY_LEVELS = {
+    alg: _IMAGES[perms].reshape(-1).astype(np.int64)
+    for alg, perms in zip(_PERM_OF_KEY, _CLASS_PERMS.T)
+}
+
 # The adjacent-pair types a bijection can make cost differently, as level
 # indices: {-1, 0}, {0, +1} and {-1, +1}.
 _PAIR_FROM = np.array([0, 1, 0])
@@ -136,10 +152,10 @@ def _permute(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Masks of every frame's levels mapped through its permutation index."""
     neg, pos = masks
     zero = ~(neg | pos)
-    out = np.empty_like(masks)
-    for d, (sel_neg, sel_zero, sel_pos) in enumerate(_SELECT):  # (6,) tables by perm
-        out[d] = (neg & np.take(sel_neg, perm)) | (zero & np.take(sel_zero, perm))
-        out[d] |= pos & np.take(sel_pos, perm)
+    out = np.zeros_like(masks)
+    for row, perm_bits in zip(out, _SELECT):
+        for mask, bits in zip((neg, zero, pos), perm_bits):
+            row |= mask & -(bits >> perm & 1)  # all ones where perm selects the mask
     return out
 
 
@@ -212,43 +228,33 @@ def decode_block(
     return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
 
 
-class StreamStats:
-    """Per-frame sufficient statistics of a frame stream's line masks, for
-    the power totals of every encoding without building an encoded copy.
+class CountStats:
+    """Frames per count key of a frame stream folded chunk by chunk: the
+    level counts and termination totals of every encoding, without building
+    an encoded copy.
 
     An encoding maps all 16 levels of a frame through one bijection picked
-    by the frame's count key, so the encoded termination counts follow
-    from the number of frames per key, the switching within frames from
-    the adjacent-pair counts per key, and the switching across frame
-    boundaries from each line's first and last level. Every total is an
-    exact integer before the model weights apply, with the same float
-    expressions as termination_total, switching_total and
-    flag_termination_total. Only switching_total needs the pair counts and
-    the first and last levels, so they are built on first use. The masks
-    must not change while the statistics are in use.
+    by the frame's count key, so the encoded level counts follow from the
+    number of frames per key. Every total is an exact integer before the
+    model weights apply, with the same float expressions as
+    termination_total and flag_termination_total, and is the same however
+    the stream was split into chunks.
     """
 
-    def __init__(self, masks: np.ndarray):
-        self._masks = masks
-        self.key = _count_keys(masks)
-        self.frames_per_key = np.bincount(self.key, minlength=_KEYS)
+    def __init__(self, masks: np.ndarray | None = None):
+        self.frame_count = 0
+        self.frames_per_key = np.zeros(_KEYS, dtype=np.int64)
+        if masks is not None:
+            self.update(masks)
 
-    @cached_property
-    def pairs_per_key(self) -> np.ndarray:
-        """(3, _KEYS) int64 adjacent-pair counts of the _PAIR_FROM/_PAIR_TO types."""
-        neg, pos = self._masks
-        zero = ~(neg | pos)
-        # the float64 sums bincount makes of the weights are exact
-        return np.stack([
-            np.bincount(self.key, _adjacent(p, q), _KEYS)
-            for p, q in ((neg, zero), (zero, pos), (neg, pos))
-        ]).astype(np.int64)
+    def update(self, masks: np.ndarray) -> None:
+        """Fold the (2, n) line masks of the frames after those folded so far."""
+        if masks.shape[1]:
+            self._fold(masks, _count_keys(masks))
 
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, last): C-contiguous (2, n) level + 1 at positions 0 and 7 of each line."""
-        neg, pos = _line_bytes(self._masks)
-        return tuple(np.ascontiguousarray(1 + (pos >> s & 1) - (neg >> s & 1)) for s in (7, 0))
+    def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
+        self.frame_count += len(key)
+        self.frames_per_key += np.bincount(key, minlength=_KEYS)
 
     def counts(self, algorithm: Algorithm = Algorithm.NONE) -> np.ndarray:
         """Totals of (-1, 0, +1) over the stream after encoding, (3,) int64."""
@@ -260,23 +266,60 @@ class StreamStats:
     def termination_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
         return float(_termination_power(self.counts(algorithm), model))
 
-    def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
-        perm = _PERM_OF_KEY[algorithm]
-        images = _IMAGES[perm].astype(np.int64)
-        cost = (images[:, _PAIR_FROM] - images[:, _PAIR_TO]) ** 2  # (_KEYS, 3)
-        steps = int((self.pairs_per_key * cost.T).sum())
-        # across frame boundaries: last level of frame i to first of i + 1
-        base = np.take(perm * 3, self.key)
-        first, last = (np.take(_IMAGE_OF_INDEX, base + index) for index in self.ends)
-        d = first[:, 1:] - last[:, :-1]
-        steps += int((d * d).sum(dtype=np.int64))
-        return model.switch_unit_energy * steps
-
     def flag_termination_total(
         self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
     ) -> float:
         ones = self.frames_per_key @ np.bitwise_count(_FLAG_OF_KEY[algorithm])
-        return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * len(self.key), model)
+        return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * self.frame_count, model)
+
+
+class StreamStats(CountStats):
+    """CountStats plus what the switching totals need.
+
+    The switching within frames follows from the adjacent-pair counts per
+    key, and the switching across frame boundaries from a 21 x 21
+    histogram of (last state of frame i, first state of frame i + 1) over
+    both lines, in the boundary states of _STATE_BASE. Between chunks only
+    the last frame's two end states carry over.
+    """
+
+    def __init__(self, masks: np.ndarray | None = None):
+        self.pairs_per_key = np.zeros((3, _KEYS), dtype=np.int64)  # _PAIR_FROM/_PAIR_TO types
+        self.boundaries = np.zeros((_STATES, _STATES), dtype=np.int64)
+        self._last = None  # the end states of the last frame folded, by line
+        super().__init__(masks)
+
+    def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
+        super()._fold(masks, key)
+        neg, pos = masks
+        zero = ~(neg | pos)
+        rows = key * np.uint16(_MAX_ADJACENT + 1)
+        for pairs, (p, q) in zip(self.pairs_per_key, ((neg, zero), (zero, pos), (neg, pos))):
+            # frames by key and by how many adjacent pairs of the type they hold
+            frames = np.bincount(rows + _adjacent(p, q), minlength=_KEYS * (_MAX_ADJACENT + 1))
+            pairs += frames.reshape(_KEYS, -1) @ np.arange(_MAX_ADJACENT + 1)
+        # (n, 2) uint8 boundary states of positions 0 (bit 7) and 7 (bit 0),
+        # line A then B; no byte borrows, as a position is not both -1 and +1
+        base = _STATE_BASE[key]
+        first, last = (
+            (base + (pos >> s & _LOW_BITS) - (neg >> s & _LOW_BITS)).view(np.uint8).reshape(-1, 2)
+            for s in (7, 0)
+        )
+        if self._last is not None:
+            np.add.at(self.boundaries, (self._last, first[0]), 1)
+        steps = last[:-1] * np.uint16(_STATES) + first[1:]
+        self.boundaries += np.bincount(steps.reshape(-1), minlength=_STATES**2).reshape(
+            _STATES, _STATES
+        )
+        self._last = last[-1].copy()
+
+    def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
+        images = _IMAGES[_PERM_OF_KEY[algorithm]].astype(np.int64)
+        cost = (images[:, _PAIR_FROM] - images[:, _PAIR_TO]) ** 2  # (_KEYS, 3)
+        steps = int((self.pairs_per_key * cost.T).sum())
+        levels = _BOUNDARY_LEVELS[algorithm]
+        steps += int(np.vdot(self.boundaries, (levels[:, None] - levels) ** 2))
+        return model.switch_unit_energy * steps
 
 
 def _termination_power(cnt, model: PowerModel):

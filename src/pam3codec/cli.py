@@ -10,23 +10,34 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from typing import Iterator
+
+import numpy as np
 
 from . import bulk
 from .analysis import analyze_trace, signal_distribution, write_distribution, write_report
 from .encoders import Algorithm
-from .errors import Pam3Error
+from .errors import Pam3Error, ParseError
 from .power import DEFAULT_MODEL
 from .traceio import (
     OP_FILTERS,
+    FrameStream,
     TraceColumns,
     decode_encoded,
     format_encoded,
-    frame_records,
+    frame_chunks,
+    frame_records,  # not called; perfbench/layers.py wraps this site
     generate_random_trace,
     parse_raw_trace,
     parse_text_columns,
     parse_text_trace,
+    text_chunks,
 )
+
+# Bytes per read of a trace: analyze and distribution hold a few chunks of
+# this size, whatever the size of the trace.
+_READ_SIZE = 1 << 18
 
 _ALG_CHOICES = {"none": Algorithm.NONE, "dbi": Algorithm.DBI,
                 "mf": Algorithm.MF, "sort": Algorithm.SORT}
@@ -97,22 +108,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_records(args) -> TraceColumns:
-    data = _read_binary(args.input)
-    if args.format == "raw":
-        records = TraceColumns.from_records(parse_raw_trace(data))
-    else:
-        records = parse_text_columns(data)
+def _frames(args) -> Iterator[FrameStream]:
+    """The frames of the trace the op filter keeps, one FrameStream per
+    chunk read; only the last has pad bytes."""
+    return frame_chunks(_read_chunks(args))
+
+
+def _open_input(path: str):
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+
+
+def _read_chunks(args) -> Iterator[TraceColumns]:
+    with _open_input(args.input) as f:
+        chunks = _raw_chunks(f) if args.format == "raw" else _text_chunks(f)
+        for records in chunks:
+            yield records.select(args.op_filter)
+
+
+def _raw_chunks(f) -> Iterator[TraceColumns]:
+    block = f.read(_READ_SIZE)
+    while True:
+        yield TraceColumns.from_records(parse_raw_trace(block))  # EmptyInput if the file is empty
+        block = f.read(_READ_SIZE)
+        if not block:
+            return
+
+
+def _text_chunks(f) -> Iterator[TraceColumns]:
+    """The records of each chunk of whole lines. A chunk in the canonical
+    layout is read in bulk, any other by the line reader, and an error
+    names the same line of the whole file as the line reader on it would."""
+    chunks = text_chunks(f, _READ_SIZE)
+    for chunk, lines_before in chunks:
+        records = parse_text_columns(chunk)
         if records is None:  # not the canonical layout, or an error
-            records = TraceColumns.from_records(parse_text_trace(data))
-    return records.select(args.op_filter)
-
-
-def _read_binary(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as f:
-        return f.read()
+            try:
+                records = TraceColumns.from_records(parse_text_trace(chunk))
+            except ParseError as exc:
+                for _ in chunks:  # a non-ASCII byte anywhere is reported first
+                    pass
+                raise ParseError(exc.reason, lines_before + exc.line_number) from None
+        yield records
 
 
 def _write_binary(path: str, data: bytes):
@@ -126,22 +162,24 @@ def _write_binary(path: str, data: bytes):
 
 def _cmd_encode(args) -> int:
     alg = _ALG_CHOICES[args.alg]
-    stream = frame_records(_read_records(args))
-    enc_masks, flags = bulk.encode_block(stream.masks, alg)
-    _write_binary(args.output, format_encoded(alg, enc_masks, flags, stream.pad_bytes))
+    streams = list(_frames(args))  # the pad header precedes the frames
+    masks = np.concatenate([stream.masks for stream in streams], axis=1)
+    enc_masks, flags = bulk.encode_block(masks, alg)
+    _write_binary(args.output, format_encoded(alg, enc_masks, flags, streams[-1].pad_bytes))
     return 0
 
 
 def _cmd_decode(args) -> int:
-    _write_binary(args.output, decode_encoded(_read_binary(args.input)))
+    with _open_input(args.input) as f:
+        data = f.read()
+    _write_binary(args.output, decode_encoded(data))
     return 0
 
 
 def _cmd_analyze(args) -> int:
     algorithms = None if args.alg == "all" else [_ALG_CHOICES[args.alg]]
-    stream = frame_records(_read_records(args))
     stats = analyze_trace(
-        stream,
+        _frames(args),
         algorithms,
         DEFAULT_MODEL,
         include_flag_power=args.include_flag_power,
@@ -152,8 +190,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    stream = frame_records(_read_records(args))
-    report = write_distribution(signal_distribution(stream), args.report)
+    report = write_distribution(signal_distribution(_frames(args)), args.report)
     _write_binary(args.output, report.encode("ascii"))
     return 0
 

@@ -40,9 +40,11 @@ class EmptyInput(Pam3Error):
 class ParseError(Pam3Error):
     """Malformed trace or encoded-frame input.
 
-    Carries the 1-based line number of the offending line.
+    Carries the 1-based line number of the offending line, and the message
+    without it as reason.
     """
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
+        self.reason = message
         self.line_number = line_number

@@ -172,16 +172,58 @@ class FrameStream:
         return cls(bulk.masks_of_levels(levels.reshape(-1, 2, 8)), pad_bytes)
 
 
+def _line_count(data: bytes) -> int:
+    """The line ends in data: LF, CRLF and lone CR."""
+    lines = data.count(b"\n")
+    if b"\r" in data:
+        lines += data.count(b"\r") - data.count(b"\r\n")
+    return lines
+
+
+def _check_ascii(data: bytes, lines_before: int = 0) -> None:
+    """A non-ASCII byte is a ParseError on its line, counted after lines_before."""
+    if not data.isascii():
+        start = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
+        raise ParseError("non-ASCII byte", lines_before + _line_count(data[:start]) + 1)
+
+
 def _ascii_lines(data: bytes) -> Iterable[str]:
     """The lines of ASCII data, each ended by LF, CRLF or CR.
 
     A non-ASCII byte is a ParseError on its line.
     """
-    if not data.isascii():
-        start = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
-        head = data[:start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise ParseError("non-ASCII byte", head.count(b"\n") + 1)
+    _check_ascii(data)
     return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
+
+
+def text_chunks(file: BinaryIO, size: int) -> Iterator[tuple[bytes, int]]:
+    """A text file read size bytes at a time, as chunks of whole lines.
+
+    Yields (chunk, number of lines before it); the chunks join to the
+    file's bytes. A chunk ends after the last LF or CR of a read, but not
+    after a CR that ends the read, since an LF may follow it, so chunks
+    split lines as _ascii_lines does. A chunk holds the rest of the read
+    before and at most size bytes more, unless a line is longer than size.
+    A non-ASCII byte is a ParseError on its line of the whole file, raised
+    before its chunk is yielded.
+    """
+    pending = []  # what was read after the last line end
+    lines = 0
+    for block in iter(lambda: file.read(size), b""):
+        end = len(block) - block.endswith(b"\r")
+        cut = max(block.rfind(b"\n", 0, end), block.rfind(b"\r", 0, end)) + 1
+        if not cut:
+            pending.append(block)
+            continue
+        chunk = b"".join([*pending, block[:cut]])
+        pending = [block[cut:]]
+        _check_ascii(chunk, lines)
+        yield chunk, lines
+        lines += _line_count(chunk)
+    chunk = b"".join(pending)  # a last line without a line end
+    if chunk:
+        _check_ascii(chunk, lines)
+        yield chunk, lines
 
 
 def parse_text_trace(source) -> list[TraceRecord]:
@@ -282,8 +324,8 @@ def format_encoded(
         raise ValueError(f"{alg.value} flags must be 0..{MAX_FLAG[alg]}")
     rows = np.tile(_FRAME_ROW, (len(flags), 1))
     neg, pos = (mask.view(np.uint8) for mask in masks)  # line A, line B of every frame
-    symbols = np.take(_NEG_SYMBOLS, neg)
-    symbols -= np.take(_POS_OFFSETS, pos)  # no byte borrows: the masks are disjoint
+    symbols = _NEG_SYMBOLS[neg]
+    symbols -= _POS_OFFSETS[pos]  # no byte borrows: the masks are disjoint
     rows[:, _SYMBOL_COLUMNS] = symbols.view(np.uint8).reshape(-1, 16)
     rows[:, _FLAG_COLUMN] = flags + ord("0")
     return b"".join((f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii"), rows.data))
@@ -423,6 +465,27 @@ def frame_records(records: Iterable[TraceRecord] | TraceColumns) -> FrameStream:
         data = records.payload
     else:
         data = np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8)
+    return _frame_payload(data)
+
+
+def frame_chunks(chunks: Iterable[TraceColumns]) -> Iterator[FrameStream]:
+    """frame_records of a trace read in chunks, one FrameStream per chunk.
+
+    A chunk's partial 3-byte group carries over to the next chunk, and a
+    last stream, which may hold no frames, takes what is left, zero padded:
+    the streams together hold the frames of frame_records on the whole
+    trace, and only the last has pad bytes.
+    """
+    tail = np.zeros(0, dtype=np.uint8)
+    for columns in chunks:
+        data = np.concatenate([tail, columns.payload])
+        cut = len(data) - len(data) % 3
+        tail = data[cut:].copy()
+        yield _frame_payload(data[:cut])
+    yield _frame_payload(tail)
+
+
+def _frame_payload(data: np.ndarray) -> FrameStream:
     pad_bytes = (-len(data)) % 3
     if pad_bytes:
         data = np.concatenate([data, np.zeros(pad_bytes, dtype=np.uint8)])

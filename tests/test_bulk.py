@@ -213,3 +213,27 @@ def test_stream_stats_match_encoded_copy(levels, algorithm, model):
         [e.frame for e in encoded], model
     )
     assert [e.flag for e in encoded] == flags.tolist()
+
+
+@given(level_blocks, st.lists(st.integers(0, 40), max_size=6))
+@example(np.ones((3, 2, 8), dtype=np.int8), [0, 1, 1, 3])  # empty chunks at both ends
+def test_stream_stats_fold_any_split(levels, cuts):
+    masks = bulk.masks_of_levels(levels)
+    whole, count_only = bulk.StreamStats(masks), bulk.CountStats(masks)
+    split, split_counts = bulk.StreamStats(), bulk.CountStats()
+    bounds = [0, *sorted(min(cut, len(levels)) for cut in cuts), len(levels)]
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = np.ascontiguousarray(masks[:, start:stop])
+        split.update(chunk)
+        split_counts.update(chunk)
+    for stats in (split, split_counts, count_only):
+        assert stats.frame_count == whole.frame_count == len(levels)
+        assert np.array_equal(stats.frames_per_key, whole.frames_per_key)
+    assert np.array_equal(split.pairs_per_key, whole.pairs_per_key)
+    assert np.array_equal(split.boundaries, whole.boundaries)
+    assert whole.boundaries.sum() == 2 * (len(levels) - 1)
+    for algorithm in Algorithm:
+        assert split.switching_total(algorithm) == whole.switching_total(algorithm)
+        assert split_counts.flag_termination_total(algorithm) == whole.flag_termination_total(
+            algorithm
+        )

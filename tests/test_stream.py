@@ -1,0 +1,166 @@
+"""Chunked reading: the CLI reads traces in blocks of cli._READ_SIZE bytes,
+and every output and error is the same for every read size."""
+
+import io
+import os
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
+
+from pam3codec import cli
+from pam3codec.errors import ParseError
+from pam3codec.traceio import OP_FILTERS, generate_random_trace, parse_text_trace
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ONE_CHUNK = 1 << 30
+# golden/<alg>.enc is `pam3codec encode --format raw` of this payload
+ENC_PAYLOAD = generate_random_trace(240, seed=2024)[0].payload + bytes(61)
+
+
+ZERO_TRACE = (GOLDEN / "zero.trace").read_bytes()  # a comment line, then canonical lines
+# (input bytes, trace format) of every input the properties read
+INPUTS = {
+    "raw": ((GOLDEN / "uniform.raw").read_bytes(), "raw"),
+    "enc payload": (ENC_PAYLOAD, "raw"),
+    "LF": (ZERO_TRACE, "text"),
+    "CRLF": (ZERO_TRACE.replace(b"\n", b"\r\n"), "text"),
+    "CR": (ZERO_TRACE.replace(b"\n", b"\r"), "text"),
+    "LF, no final line end": (ZERO_TRACE.rstrip(b"\n"), "text"),
+}
+COMMANDS = [
+    ["analyze", "--alg", alg, *flags]
+    for alg in ("all", "none", "dbi", "mf", "sort")
+    for flags in ([], ["--include-flag-power"])
+] + [["distribution"]] + [["encode", "--alg", alg] for alg in ("none", "dbi", "mf", "sort")]
+
+
+def _run(argv, data: bytes, size: int):
+    """(exit code, output bytes or stderr text) of the CLI on data, read size bytes at a time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source, dest = os.path.join(tmp, "in"), os.path.join(tmp, "out")
+        with open(source, "wb") as f:
+            f.write(data)
+        err = io.StringIO()
+        with mock.patch.object(cli, "_READ_SIZE", size), redirect_stderr(err):
+            code = cli.main([*argv, "-i", source, "-o", dest])
+        if code:
+            return code, err.getvalue()
+        with open(dest, "rb") as f:
+            return code, f.read()
+
+
+read_sizes = st.integers(1, 300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(COMMANDS), st.sampled_from(sorted(INPUTS)),
+       st.sampled_from(OP_FILTERS), read_sizes)
+@example(["analyze"], "CRLF", "read", 2)  # CR and LF in different reads
+@example(["encode", "--alg", "sort"], "raw", "all", 1)  # every group spans reads
+def test_output_does_not_depend_on_read_size(command, source, op_filter, size):
+    data, fmt = INPUTS[source]
+    argv = [*command, "--format", fmt, "--op-filter", op_filter]
+    assert _run(argv, data, size) == _run(argv, data, ONE_CHUNK)
+
+
+GOLDEN_REPORTS = {
+    "uniform_all": ("raw", "analyze"),
+    "uniform_sort": ("raw", "analyze", "--alg", "sort"),
+    "uniform_flags": ("raw", "analyze", "--include-flag-power"),
+    "uniform_dist": ("raw", "distribution"),
+    "zero_all": ("text", "analyze"),
+    "zero_sort_read": ("text", "analyze", "--alg", "sort", "--op-filter", "read"),
+    "zero_flags_write": ("text", "analyze", "--include-flag-power", "--op-filter", "write"),
+    "zero_mf_flags": ("text", "analyze", "--alg", "mf", "--include-flag-power"),
+    "zero_dist_read": ("text", "distribution", "--op-filter", "read"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GOLDEN_REPORTS)), st.sampled_from(("csv", "json")),
+       st.sampled_from(("LF", "CRLF", "CR")), read_sizes)
+def test_chunked_reports_match_golden(case, report, line_end, size):
+    fmt, *argv = GOLDEN_REPORTS[case]
+    data = INPUTS[line_end if fmt == "text" else "raw"][0]
+    golden = (GOLDEN / f"{case}.{report}").read_bytes()
+    assert _run([*argv, "--format", fmt, "--report", report], data, size) == (0, golden)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("none", "dbi", "mf", "sort")), read_sizes)
+def test_chunked_encode_matches_golden(alg, size):
+    golden = (GOLDEN / f"{alg}.enc").read_bytes()
+    assert _run(["encode", "--alg", alg, "--format", "raw"], ENC_PAYLOAD, size) == (0, golden)
+
+
+GOOD_LINES = ["W 0x10 00ff00", "R 0x0 aabbccdd", "# a comment", "", "W 0x2 0011"]
+BAD_LINES = ["W 0x10 abc", "X 0x1 00", "R zz 00", "R 0x1", "W 0x1 0g"]
+
+
+@st.composite
+def broken_traces(draw):
+    """A text trace with LF, CRLF or CR line ends, perhaps a bad line and
+    perhaps a non-ASCII byte, either of them first."""
+    lines = draw(st.lists(st.sampled_from(GOOD_LINES), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    data = draw(st.sampled_from(("\n", "\r\n", "\r"))).join(lines).encode("ascii")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken_traces(), read_sizes)
+@example(b"W 0x10 abc\nW 0x0 00\n" * 20 + b"W 0x0 00\xff\n", 16)  # non-ASCII after the error
+@example(b"W 0x0 00\r\n" * 30 + b"W 0x0 0\r\n", 10)  # CRLF split by a read
+def test_errors_name_the_line_of_the_whole_file(data, size):
+    try:
+        parse_text_trace(data)
+    except ParseError as exc:
+        expected = (2, f"pam3codec: error: {exc}\n")
+    else:
+        expected = _run(["analyze"], data, ONE_CHUNK)
+    assert _run(["analyze"], data, size) == expected
+
+
+def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return parse_text_trace(data)
+
+    monkeypatch.setattr(cli, "parse_text_trace", counted)
+    size = 512
+    assert len(ZERO_TRACE) > 20 * size and ZERO_TRACE.startswith(b"#")
+    out = _run(["analyze"], ZERO_TRACE, size)
+    assert len(calls) == 1 and calls[0].startswith(b"# ")
+    assert out == _run(["analyze"], ZERO_TRACE, ONE_CHUNK) == (
+        0, (GOLDEN / "zero_all.csv").read_bytes())
+
+
+TRACED_PEAK_BOUND = 8e6  # bytes; a few chunks, whatever the size of the trace
+
+
+@pytest.mark.parametrize("command", [["analyze", "--alg", "all"], ["distribution"]])
+def test_memory_does_not_grow_with_the_trace(tmp_path, command):
+    trace = tmp_path / "big.raw"
+    np.random.default_rng(5).integers(0, 256, 12_000_000, dtype=np.uint8).tofile(trace)
+    out = tmp_path / "report.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main([*command, "--format", "raw", "-i", str(trace), "-o", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < TRACED_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
