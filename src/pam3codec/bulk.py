@@ -179,20 +179,22 @@ def modulate_block(words: np.ndarray) -> np.ndarray:
     return masks
 
 
-def demodulate_block(masks: np.ndarray) -> np.ndarray:
+def demodulate_block(masks: np.ndarray, first_frame: int = 0) -> np.ndarray:
     """Invert modulate_block back to (n, 3) uint8 word groups.
 
     Mask bits are in word bit order, so each word byte is a bit expression
     of the line masks: X is 1 for A = +1 or (A, B) = (0, +1), Y for the
     pairs (-1, +1), (0, -1), (+1, 0), (+1, +1), and Z for (-1, 0), (0, -1),
-    (+1, -1), (+1, +1).
+    (+1, -1), (+1, +1). An InvalidPair numbers the frames from first_frame,
+    the position of the block's first frame in its stream.
     """
     (neg_a, neg_b), (pos_a, pos_b) = _line_bytes(masks)
     zero_a, zero_b = ~(neg_a | pos_a), ~(neg_b | pos_b)
     unused = zero_a & zero_b
     if unused.any():
-        frame_idx = int(np.flatnonzero(unused)[0])
-        col = int(np.unpackbits(unused[frame_idx:frame_idx + 1]).argmax())
+        at = int(np.flatnonzero(unused)[0])
+        col = int(np.unpackbits(unused[at:at + 1]).argmax())
+        frame_idx = first_frame + at
         raise InvalidPair(
             f"frame {frame_idx}, column {col} holds the unused (0, 0) pair", frame_idx
         )

@@ -4,40 +4,56 @@ All subcommands read stdin / write stdout when a path is - (the default),
 so pipelines like `pam3codec gen-random ... | pam3codec analyze ...` work
 without temporary files. Exit codes: 0 success, 1 usage error, 2 input or
 parse error.
+
+Inputs are read in blocks of _READ_SIZE bytes, and every subcommand but
+gen-random holds a few blocks at a time, whatever the size of its input.
+Outputs go through a spool (_spool), a seekable temporary file that
+becomes the output only when the command succeeds: a failed run leaves
+stdout empty and the output path as it was. encode writes its `# pad 0`
+header first and, once the last block has shown the pad count, seeks back
+and overwrites that one digit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
+import stat
 import sys
-from contextlib import nullcontext
-from typing import Iterator
+import tempfile
+from contextlib import contextmanager, nullcontext
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from . import bulk
 from .analysis import analyze_trace, signal_distribution, write_distribution, write_report
 from .encoders import Algorithm
-from .errors import Pam3Error, ParseError
+from .errors import EmptyInput, Pam3Error, ParseError
 from .power import DEFAULT_MODEL
 from .traceio import (
     OP_FILTERS,
     FrameStream,
     TraceColumns,
-    decode_encoded,
-    format_encoded,
+    decode_chunks,
+    format_encoded_header,
+    format_encoded_rows,
     frame_chunks,
     frame_records,  # not called; perfbench/layers.py wraps this site
     generate_random_trace,
-    parse_raw_trace,
+    parse_raw_trace,  # not called; perfbench/layers.py wraps this site
     parse_text_columns,
     parse_text_trace,
     text_chunks,
 )
 
-# Bytes per read of a trace: analyze and distribution hold a few chunks of
-# this size, whatever the size of the trace.
+# Bytes per read of a trace or of encoded text: every command holds a few
+# chunks of this size, whatever the size of its input.
 _READ_SIZE = 1 << 18
+# Frames per formatted group of encoded text; formatting costs about 100
+# bytes per frame in temporaries.
+_FORMAT_FRAMES = 8192
 
 _ALG_CHOICES = {"none": Algorithm.NONE, "dbi": Algorithm.DBI,
                 "mf": Algorithm.MF, "sort": Algorithm.SORT}
@@ -108,30 +124,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _frames(args) -> Iterator[FrameStream]:
-    """The frames of the trace the op filter keeps, one FrameStream per
-    chunk read; only the last has pad bytes."""
-    return frame_chunks(_read_chunks(args))
+def _frames(f, args) -> Iterator[FrameStream]:
+    """The frames of the trace in f that the op filter keeps, one
+    FrameStream per chunk read; only the last has pad bytes."""
+    return frame_chunks(_read_chunks(f, args))
 
 
 def _open_input(path: str):
     return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
-def _read_chunks(args) -> Iterator[TraceColumns]:
-    with _open_input(args.input) as f:
-        chunks = _raw_chunks(f) if args.format == "raw" else _text_chunks(f)
-        for records in chunks:
-            yield records.select(args.op_filter)
+def _read_chunks(f, args) -> Iterator[TraceColumns]:
+    chunks = _raw_chunks(f) if args.format == "raw" else _text_chunks(f)
+    for records in chunks:
+        yield records.select(args.op_filter)
 
 
 def _raw_chunks(f) -> Iterator[TraceColumns]:
+    """Each block of a raw trace as one write record."""
     block = f.read(_READ_SIZE)
-    while True:
-        yield TraceColumns.from_records(parse_raw_trace(block))  # EmptyInput if the file is empty
+    if not block:
+        raise EmptyInput("raw trace holds no bytes")
+    while block:
+        payload = np.frombuffer(block, dtype=np.uint8)
+        yield TraceColumns(np.zeros(1, dtype=bool), payload, np.array([len(payload)]))
         block = f.read(_READ_SIZE)
-        if not block:
-            return
 
 
 def _text_chunks(f) -> Iterator[TraceColumns]:
@@ -151,47 +168,110 @@ def _text_chunks(f) -> Iterator[TraceColumns]:
         yield records
 
 
+def _spool(path: str):
+    """A seekable file for a command's output that reaches path, - for
+    stdout, only if the with block ends without an error, so a failed run
+    writes nothing.
+
+    A regular file, or a new one, is spooled to a temporary file in its
+    directory and renamed over it at the end. stdout and any other kind of
+    file (a device, a pipe) are spooled to an anonymous temporary file and
+    copied out at the end.
+    """
+    if path != "-":
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            return _replacing(path, None)
+        if stat.S_ISREG(mode):
+            return _replacing(path, stat.S_IMODE(mode))
+    return _copying(path)
+
+
+@contextmanager
+def _replacing(path: str, mode: int | None) -> Iterator[BinaryIO]:
+    """The spool of a regular file; the file it becomes is new, with the
+    mode of the file it replaces or, given None, the mode open() gives."""
+    target = os.path.realpath(path)  # through a symbolic link, as open() writes
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
+        fd, temp = tempfile.mkstemp(prefix=".pam3codec-", dir=os.path.dirname(target))
+    except OSError as exc:  # name the output, not the spool
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w+b") as spool:
+            yield spool
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+@contextmanager
+def _copying(path: str) -> Iterator[BinaryIO]:
+    with tempfile.TemporaryFile() as spool:
+        yield spool
+        spool.seek(0)
+        if path == "-":
+            shutil.copyfileobj(spool, sys.stdout.buffer, _READ_SIZE)
+            sys.stdout.buffer.flush()
+        else:
+            with open(path, "wb") as out:
+                shutil.copyfileobj(spool, out, _READ_SIZE)
+
+
 def _write_binary(path: str, data: bytes):
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as f:
-            f.write(data)
+    with _spool(path) as out:
+        out.write(data)
 
 
 def _cmd_encode(args) -> int:
+    """Encoded frame text, written as the chunks are read. The pad count
+    is known after the last chunk only, so the header first says 0 and its
+    pad digit is overwritten at the end."""
     alg = _ALG_CHOICES[args.alg]
-    streams = list(_frames(args))  # the pad header precedes the frames
-    masks = np.concatenate([stream.masks for stream in streams], axis=1)
-    enc_masks, flags = bulk.encode_block(masks, alg)
-    _write_binary(args.output, format_encoded(alg, enc_masks, flags, streams[-1].pad_bytes))
+    header = format_encoded_header(alg, 0)
+    with _open_input(args.input) as f, _spool(args.output) as out:
+        out.write(header)
+        for stream in _frames(f, args):
+            masks, flags = bulk.encode_block(stream.masks, alg)
+            for start in range(0, len(flags), _FORMAT_FRAMES):
+                end = start + _FORMAT_FRAMES
+                out.write(format_encoded_rows(alg, masks[:, start:end], flags[start:end]))
+        out.seek(len(header) - 2)
+        out.write(b"%d" % stream.pad_bytes)
     return 0
 
 
 def _cmd_decode(args) -> int:
-    with _open_input(args.input) as f:
-        data = f.read()
-    _write_binary(args.output, decode_encoded(data))
+    with _open_input(args.input) as f, _spool(args.output) as out:
+        for piece in decode_chunks(text_chunks(f, _READ_SIZE)):
+            out.write(piece)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     algorithms = None if args.alg == "all" else [_ALG_CHOICES[args.alg]]
-    stats = analyze_trace(
-        _frames(args),
-        algorithms,
-        DEFAULT_MODEL,
-        include_flag_power=args.include_flag_power,
-        op_filter=args.op_filter,
-    )
+    with _open_input(args.input) as f:
+        stats = analyze_trace(
+            _frames(f, args),
+            algorithms,
+            DEFAULT_MODEL,
+            include_flag_power=args.include_flag_power,
+            op_filter=args.op_filter,
+        )
     _write_binary(args.output, write_report(stats, args.report).encode("ascii"))
     return 0
 
 
 def _cmd_distribution(args) -> int:
-    report = write_distribution(signal_distribution(_frames(args)), args.report)
-    _write_binary(args.output, report.encode("ascii"))
+    with _open_input(args.input) as f:
+        distribution = signal_distribution(_frames(f, args))
+    _write_binary(args.output, write_distribution(distribution, args.report).encode("ascii"))
     return 0
 
 

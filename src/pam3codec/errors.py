@@ -8,8 +8,8 @@ class Pam3Error(Exception):
 class InvalidPair(Pam3Error):
     """A frame column holds the unused (0, 0) level pair.
 
-    frame_index is the frame's position in a block of frames, or None when
-    a single frame was checked.
+    frame_index is the frame's position in its stream of frames, or None
+    when a single frame was checked.
     """
 
     def __init__(self, message: str, frame_index: int | None = None):

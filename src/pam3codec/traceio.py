@@ -12,7 +12,12 @@ parse_text_columns reads a trace in the canonical layout as columns
 
 Encoded frame text is two header lines, `# alg <NAME>` and `# pad <0..2>`,
 then one line per frame, `A:<8 symbols> B:<8 symbols> F:<flag>`, with the
-symbols written as -, 0, +.
+symbols written as -, 0, +. It is written as a header and groups of rows
+(format_encoded_header, format_encoded_rows); the pad count is one digit
+at a fixed place, so a writer can patch it once the frames are known. It
+is read in chunks of whole lines by one reader, decode_chunks, which keeps
+back the errors that only the end of the text settles; parse_encoded and
+decode_encoded give it their text as one chunk.
 """
 
 from __future__ import annotations
@@ -317,6 +322,19 @@ def format_encoded(
     alg: Algorithm, masks: np.ndarray, flags: np.ndarray, pad_bytes: int
 ) -> bytes:
     """Encoded frame text of (2, n) encoded line masks and their (n,) flags."""
+    return format_encoded_header(alg, pad_bytes) + format_encoded_rows(alg, masks, flags)
+
+
+def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
+    """The two header lines of encoded frame text. The pad count is the
+    second last byte, so a writer that learns it only after the frames can
+    write 0 first and overwrite that one digit."""
+    return f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii")
+
+
+def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) -> bytes:
+    """The frame lines of encoded frame text, one 26-byte row per frame of
+    (2, n) encoded line masks and their (n,) flags."""
     flags = np.asarray(flags, dtype=np.uint8)
     if flags.shape != masks.shape[1:]:
         raise ValueError("flags must be 1-D with one entry per frame")
@@ -328,52 +346,182 @@ def format_encoded(
     symbols -= _POS_OFFSETS[pos]  # no byte borrows: the masks are disjoint
     rows[:, _SYMBOL_COLUMNS] = symbols.view(np.uint8).reshape(-1, 16)
     rows[:, _FLAG_COLUMN] = flags + ord("0")
-    return b"".join((f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii"), rows.data))
+    return rows.tobytes()
 
 
 def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
     """Read encoded frame text: (algorithm, pad bytes, masks, flags).
 
     masks is (2, n) uint16 line masks as in bulk and flags is (n,) uint8,
-    each flag within the algorithm's range. Text in the exact layout
-    format_encoded writes is read as one byte array; anything else (blank
-    lines, comments, CRLF, whitespace around a line, leading zeros in a
-    flag, or an error) goes through the line parser, which raises the
-    line-numbered ParseError.
+    each flag within the algorithm's range. The text is read as one chunk
+    of _EncodedReader, the reader decode_chunks uses.
     """
-    return (_parse_encoded_rows(data) or _parse_encoded_lines(data))[:4]
+    _check_ascii(data)
+    reader = _EncodedReader()
+    masks, flags, _ = reader.read(data, 0)
+    return (*reader.end(), masks, flags)
 
 
 def decode_encoded(data: bytes) -> bytes:
-    """The payload bytes that encoded frame text carries, padding stripped.
+    """The payload bytes that encoded frame text carries, padding stripped:
+    decode_chunks on the text as one chunk."""
+    _check_ascii(data)
+    return b"".join(decode_chunks([(data, 0)]))
 
-    A frame that decodes to the unused pair is a ParseError on the input
-    line the same read gave that frame.
+
+def decode_chunks(chunks: Iterable[tuple[bytes, int]]) -> Iterator[bytes]:
+    """The payload bytes of encoded frame text read in chunks of whole
+    lines, as text_chunks yields them: one piece per chunk with frames.
+    The pad is stripped from the last piece, so one piece is held back.
+
+    Errors come in the order of a read of the whole text: a non-ASCII byte
+    (from text_chunks), the first structural ParseError in line order, a
+    missing header, a pad count without frames, the first out-of-range
+    flag, and last the first frame that decodes to the unused pair, a
+    ParseError on the input line of that frame. The chunks after a
+    structural error are still read, for a non-ASCII byte among them.
     """
-    alg, pad, masks, flags, frame_lines = _parse_encoded_rows(data) or _parse_encoded_lines(data)
-    try:
-        return FrameStream(bulk.decode_block(masks, flags, alg), pad).payload_bytes()
-    except InvalidPair as exc:
-        raise ParseError(str(exc), frame_lines[exc.frame_index]) from exc
+    chunks = iter(chunks)
+    reader = _EncodedReader()
+    piece = b""  # the last piece decoded, held back
+    unused_pair = None  # the first frame that decodes to the unused pair
+    for chunk, lines_before in chunks:
+        first_frame = reader.frames
+        try:
+            masks, flags, frame_lines = reader.read(chunk, lines_before)
+        except ParseError:
+            for _ in chunks:
+                pass
+            raise
+        if (not len(flags) or unused_pair or reader.bad_flag_line
+                or reader.alg is None or reader.pad is None):
+            continue  # nothing to decode, or the text is in error already
+        try:
+            words = bulk.demodulate_block(bulk.decode_block(masks, flags, reader.alg), first_frame)
+        except InvalidPair as exc:
+            unused_pair = ParseError(str(exc), frame_lines[exc.frame_index - first_frame])
+            continue
+        if piece:
+            yield piece
+        piece = words.tobytes()
+    _, pad = reader.end()
+    if unused_pair:
+        raise unused_pair
+    yield piece[: len(piece) - pad]
 
 
-def _parse_encoded_rows(data: bytes):
-    """(alg, pad, masks, flags, frame_lines) of text in the exact layout of
-    format_encoded, else None; frame i is on line i + 3, after the header."""
-    header = _HEADER_RE.match(data)
-    if header is None or (len(data) - header.end()) % len(_FRAME_ROW):
-        return None
-    alg, pad = Algorithm(header[1].decode("ascii")), int(header[2])
-    rows = np.frombuffer(data, dtype=np.uint8, offset=header.end()).reshape(-1, len(_FRAME_ROW))
-    if pad and not len(rows):
-        return None
-    if not (rows[:, _FIXED_COLUMNS] == _FRAME_ROW[_FIXED_COLUMNS]).all():
-        return None
-    masks = _masks_of_symbols(np.take(rows, _SYMBOL_COLUMNS, axis=1))
-    flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
-    if masks is None or (len(rows) and flags.max() > MAX_FLAG[alg]):
-        return None
-    return alg, pad, masks, flags, range(3, 3 + len(rows))
+class _EncodedReader:
+    """Encoded frame text read in chunks of whole lines, in line order.
+
+    read gives the frames of one chunk and raises a structural ParseError
+    at once; end raises, in this order, what only the end of the text
+    settles: a missing header, a pad count without frames and the first
+    out-of-range flag, held back as bad_flag_line.
+    """
+
+    def __init__(self):
+        self.alg = self.pad = None
+        self.pad_line = 0
+        self.frames = 0  # frame lines read so far
+        self.bad_flag_line = 0
+
+    def read(self, chunk: bytes, lines_before: int):
+        """(masks, flags, frame_lines) of the frames of a chunk whose first
+        line is line lines_before + 1: masks (2, n) uint16, flags (n,) uint8
+        and the input line of every frame.
+
+        A chunk in the exact layout format_encoded writes is read as one
+        byte array (rows); any other (blank lines, comments, CRLF,
+        whitespace around a line, leading zeros in a flag, or an error) by
+        the line reader (lines), which raises the line-numbered ParseError.
+        """
+        return self.rows(chunk, lines_before) or self.lines(chunk, lines_before)
+
+    def rows(self, chunk: bytes, lines_before: int):
+        """read of a chunk of canonical 26-byte rows after the header, or of
+        the two header lines and then rows before any header or frame line;
+        else None."""
+        alg, pad, start = self.alg, self.pad, 0
+        if alg is None or pad is None:
+            header = _HEADER_RE.match(chunk)
+            if header is None or alg is not None or pad is not None or self.frames:
+                return None
+            alg, pad, start = Algorithm(header[1].decode("ascii")), int(header[2]), header.end()
+        if (len(chunk) - start) % len(_FRAME_ROW):
+            return None
+        rows = np.frombuffer(chunk, dtype=np.uint8, offset=start).reshape(-1, len(_FRAME_ROW))
+        if not (rows[:, _FIXED_COLUMNS] == _FRAME_ROW[_FIXED_COLUMNS]).all():
+            return None
+        masks = _masks_of_symbols(np.take(rows, _SYMBOL_COLUMNS, axis=1))
+        flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
+        if masks is None or (len(rows) and flags.max() > MAX_FLAG[alg]):
+            return None
+        if start:
+            self.alg, self.pad, self.pad_line = alg, pad, lines_before + 2
+            lines_before += 2
+        self.frames += len(rows)
+        return masks, flags, range(lines_before + 1, lines_before + 1 + len(rows))
+
+    def lines(self, chunk: bytes, lines_before: int):
+        """read of an ASCII chunk line by line, the reference for rows."""
+        symbols, flags, frame_lines = [], [], []
+        lines = io.TextIOWrapper(io.BytesIO(chunk), encoding="ascii", newline=None)
+        for line_number, line in enumerate(lines, start=lines_before + 1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                self._header(stripped, line_number)
+                continue
+            m = _FRAME_LINE_RE.match(stripped)
+            if not m:
+                raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
+                                 line_number)
+            symbols.append(m[1] + m[2])
+            # saturate: a flag above 255 is out of range for every algorithm
+            flags.append(min(int(m[3][:3]), 255))
+            frame_lines.append(line_number)
+            self.frames += 1
+            # a frame before the algorithm is an error of a header, which comes first
+            if not self.bad_flag_line and self.alg is not None and flags[-1] > MAX_FLAG[self.alg]:
+                self.bad_flag_line = line_number
+        symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
+        return _masks_of_symbols(symbols.reshape(-1, 16)), np.array(flags, np.uint8), frame_lines
+
+    def _header(self, stripped: str, line_number: int) -> None:
+        """Take a `# alg` or `# pad` header line; any other `#` line is a comment."""
+        fields = stripped[1:].split()
+        if len(fields) != 2 or fields[0] not in ("alg", "pad"):
+            return
+        name, value = fields
+        if (self.alg if name == "alg" else self.pad) is not None:
+            raise ParseError(f"repeated '# {name}' header", line_number)
+        if self.frames:
+            raise ParseError(f"'# {name}' header after the first frame line", line_number)
+        if name == "alg":
+            try:
+                self.alg = Algorithm(value)
+            except ValueError:
+                raise ParseError(f"unknown algorithm {value!r}", line_number)
+            return
+        try:
+            pad = int(value)
+        except ValueError:
+            raise ParseError(f"bad pad count {value!r}", line_number)
+        if pad not in (0, 1, 2):
+            raise ParseError(f"pad count must be 0..2, got {pad}", line_number)
+        self.pad, self.pad_line = pad, line_number
+
+    def end(self) -> tuple[Algorithm, int]:
+        """(algorithm, pad bytes) of the text once every chunk is read."""
+        if self.alg is None or self.pad is None:
+            raise ParseError("missing '# alg' or '# pad' header", 1)
+        if self.pad and not self.frames:
+            raise ParseError(f"pad count {self.pad} without frames", self.pad_line)
+        if self.bad_flag_line:
+            raise ParseError(f"{self.alg.value} flag must be 0..{MAX_FLAG[self.alg]}",
+                             self.bad_flag_line)
+        return self.alg, self.pad
 
 
 def _masks_of_symbols(symbols: np.ndarray) -> np.ndarray | None:
@@ -386,60 +534,6 @@ def _masks_of_symbols(symbols: np.ndarray) -> np.ndarray | None:
         matched += np.count_nonzero(bits)
         mask.view(np.uint8)[:] = np.packbits(bits)
     return masks if matched == symbols.size else None
-
-
-def _parse_encoded_lines(data: bytes):
-    """Line-by-line reader of encoded frame text, the reference for
-    _parse_encoded_rows: (alg, pad, masks, flags, frame_lines), the last
-    the input line number of every frame."""
-    alg = pad = None
-    pad_line = 0
-    symbols, flags, frame_lines = [], [], []
-    for line_number, line in enumerate(_ascii_lines(data), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            fields = stripped[1:].split()
-            if len(fields) != 2 or fields[0] not in ("alg", "pad"):
-                continue  # a comment
-            name, value = fields
-            if (alg if name == "alg" else pad) is not None:
-                raise ParseError(f"repeated '# {name}' header", line_number)
-            if frame_lines:
-                raise ParseError(f"'# {name}' header after the first frame line", line_number)
-            if name == "alg":
-                try:
-                    alg = Algorithm(value)
-                except ValueError:
-                    raise ParseError(f"unknown algorithm {value!r}", line_number)
-            else:
-                try:
-                    pad = int(value)
-                except ValueError:
-                    raise ParseError(f"bad pad count {value!r}", line_number)
-                if pad not in (0, 1, 2):
-                    raise ParseError(f"pad count must be 0..2, got {pad}", line_number)
-                pad_line = line_number
-            continue
-        m = _FRAME_LINE_RE.match(stripped)
-        if not m:
-            raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
-                             line_number)
-        symbols.append(m[1] + m[2])
-        # saturate: a flag above 255 is out of range for every algorithm
-        flags.append(min(int(m[3][:3]), 255))
-        frame_lines.append(line_number)
-    if alg is None or pad is None:
-        raise ParseError("missing '# alg' or '# pad' header", 1)
-    if pad and not symbols:
-        raise ParseError(f"pad count {pad} without frames", pad_line)
-    flags = np.array(flags, dtype=np.uint8)
-    bad = np.flatnonzero(flags > MAX_FLAG[alg])
-    if bad.size:
-        raise ParseError(f"{alg.value} flag must be 0..{MAX_FLAG[alg]}", frame_lines[bad[0]])
-    symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
-    return alg, pad, _masks_of_symbols(symbols.reshape(-1, 16)), flags, frame_lines
 
 
 def parse_raw_trace(source: BinaryIO | bytes) -> list[TraceRecord]:

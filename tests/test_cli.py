@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pam3codec import bulk
+from pam3codec import bulk, cli
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
 from pam3codec.traceio import (
@@ -19,6 +20,7 @@ from pam3codec.traceio import (
     format_encoded,
     format_text_trace,
     frame_records,
+    generate_random_trace,
     parse_encoded,
 )
 
@@ -27,6 +29,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def _run(*argv) -> int:
     return main(list(argv))
+
+
+def _run_reading(size: int, *argv) -> int:
+    """main(argv) reading its input size bytes at a time."""
+    with mock.patch.object(cli, "_READ_SIZE", size):
+        return main([str(arg) for arg in argv])
 
 
 def test_gen_random_deterministic(tmp_path):
@@ -227,6 +235,8 @@ def _decode_error(tmp_path, capsys, text: str) -> str:
     ("# alg DBI\n# pad 0\n\nA:++++++++ B:++++++++ F:2\n", 4),
     ("# alg MF\n# pad 0\nA:++++++++ B:++++++++ F:3\n", 3),
     ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:6\n", 3),
+    # the first of two
+    ("# alg DBI\n# pad 0\nA:++++++++ B:++++++++ F:2\nA:++++++++ B:++++++++ F:3\n", 3),
 ])
 def test_decode_rejects_out_of_range_flag(tmp_path, capsys, text, line):
     assert f"line {line}:" in _decode_error(tmp_path, capsys, text)
@@ -278,6 +288,55 @@ def test_encode_stdout_decode_stdin(tmp_path, capsysbinary, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(encoded)))
     assert _run("decode") == 0
     assert capsysbinary.readouterr().out == bytes.fromhex("00ff00aa")
+
+
+def test_encode_and_decode_in_place(tmp_path):
+    """-o naming the input file: the output replaces it only at the end."""
+    payload = generate_random_trace(3001, seed=4)[0].payload
+    path, copy = tmp_path / "data", tmp_path / "copy"
+    path.write_bytes(payload)
+    encode = ("encode", "--alg", "sort", "--format", "raw", "-i", path, "-o")
+    assert _run_reading(64, *encode, copy) == 0
+    assert _run_reading(64, *encode, path) == 0
+    assert path.read_bytes() == copy.read_bytes()
+    assert _run_reading(64, "decode", "-i", path, "-o", path) == 0
+    assert path.read_bytes() == payload
+    assert sorted(os.listdir(tmp_path)) == ["copy", "data"]
+
+
+ROW = b"A:++++++++ B:++++++++ F:0\n"
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["encode", "--alg", "sort"], b"W 0x0 00ff00\n" * 50 + b"W 0x0 0g\n"),
+    (["encode", "--alg", "sort", "--format", "raw"], b""),
+    (["decode"], b"# alg SORT\n# pad 0\n" + ROW * 50 + b"A:+\n"),
+    (["decode"], b"# alg NONE\n# pad 0\n" + ROW * 50 + ROW.replace(b"+", b"0")),
+])
+def test_failed_run_leaves_no_file(tmp_path, argv, data):
+    source, out = tmp_path / "in", tmp_path / "out"
+    source.write_bytes(data)
+    assert _run_reading(64, *argv, "-i", source, "-o", out) == 2
+    assert os.listdir(tmp_path) == ["in"]  # neither the output nor a spool file
+    out.write_bytes(b"kept")
+    assert _run_reading(64, *argv, "-i", source, "-o", out) == 2
+    assert sorted(os.listdir(tmp_path)) == ["in", "out"] and out.read_bytes() == b"kept"
+
+
+def test_output_file_mode(tmp_path):
+    """The spooled output gets the mode open() would give it."""
+    trace = tmp_path / "t.txt"
+    trace.write_text("W 0x0 00ff00\n")
+    out = tmp_path / "out"
+    umask = os.umask(0o027)
+    try:
+        assert _run("encode", "--alg", "dbi", "-i", str(trace), "-o", str(out)) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o640
+    out.chmod(0o604)
+    assert _run("decode", "-i", str(out), "-o", str(out)) == 0
+    assert out.stat().st_mode & 0o777 == 0o604 and out.read_bytes() == bytes.fromhex("00ff00")
 
 
 @given(

@@ -1,5 +1,6 @@
-"""Chunked reading: the CLI reads traces in blocks of cli._READ_SIZE bytes,
-and every output and error is the same for every read size."""
+"""Chunked reading: the CLI reads traces and encoded text in blocks of
+cli._READ_SIZE bytes, and every output and error is the same for every
+read size."""
 
 import io
 import os
@@ -14,9 +15,20 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from pam3codec import cli
+from pam3codec import bulk, cli
+from pam3codec.encoders import Algorithm
 from pam3codec.errors import ParseError
-from pam3codec.traceio import OP_FILTERS, generate_random_trace, parse_text_trace
+from pam3codec.traceio import (
+    OP_FILTERS,
+    TraceRecord,
+    decode_encoded,
+    format_encoded,
+    frame_records,
+    generate_random_trace,
+    parse_text_trace,
+)
+from test_cli import _main_captured
+from test_traceio import encoded_texts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ONE_CHUNK = 1 << 30
@@ -100,6 +112,57 @@ def test_chunked_encode_matches_golden(alg, size):
     assert _run(["encode", "--alg", alg, "--format", "raw"], ENC_PAYLOAD, size) == (0, golden)
 
 
+ROW = b"A:++++++++ B:++++++++ F:0\n"  # a frame of payload ff ff ff for every algorithm
+
+
+@settings(max_examples=150, deadline=None)
+@given(encoded_texts(), read_sizes)
+# a bad flag in an early chunk, a structural error in a later one
+@example((b"# alg MF\n# pad 0\n" + ROW.replace(b"F:0", b"F:3") + ROW * 8 + b"A:+\n", False), 30)
+# an unused pair in an early chunk, a bad flag in a later one
+@example((b"# alg NONE\n# pad 0\n" + ROW.replace(b"+", b"0") + ROW * 8
+          + ROW.replace(b"F:0", b"F:1"), False), 26)
+# a non-ASCII byte after a structural error
+@example((b"# alg SORT\n# pad 0\nA:+\n" + ROW * 8 + b"\xff", False), 40)
+# the pad is stripped from a last chunk of one frame
+@example((b"# alg DBI\n# pad 2\n" + ROW * 9, True), 26)
+def test_decode_does_not_depend_on_read_size(case, size):
+    data, _ = case
+    try:
+        expected = (0, decode_encoded(data))
+    except ParseError as exc:
+        expected = (2, f"pam3codec: error: {exc}\n")
+    assert _run(["decode"], data, size) == expected
+
+
+@pytest.mark.parametrize("size", [1, 7, ONE_CHUNK])
+@pytest.mark.parametrize("alg", ["none", "dbi", "mf", "sort"])
+def test_golden_encode_through_stdout(alg, size):
+    golden = (GOLDEN / f"{alg}.enc").read_bytes()
+    with mock.patch.object(cli, "_READ_SIZE", size):
+        assert _main_captured(["encode", "--alg", alg, "--format", "raw"], ENC_PAYLOAD) == (
+            0, golden, "")
+        assert _main_captured(["decode"], golden) == (0, ENC_PAYLOAD, "")
+
+
+def test_encode_of_no_records_is_the_header_alone():
+    out = _run(["encode", "--alg", "mf", "--op-filter", "read"], b"W 0x0 00ff00\n", ONE_CHUNK)
+    assert out == (0, b"# alg MF\n# pad 0\n")
+    assert _run(["decode"], out[1], ONE_CHUNK) == (0, b"")
+
+
+@pytest.mark.parametrize("size", [1, 300])  # 300: the lone last group is the whole last read
+@pytest.mark.parametrize("remainder", [1, 2])
+def test_pad_of_a_lone_last_group(size, remainder):
+    payload = generate_random_trace(300 + remainder, seed=remainder)[0].payload
+    stream = frame_records([TraceRecord("W", 0, payload)])
+    encoded = format_encoded(Algorithm.SORT, *bulk.encode_block(stream.masks, Algorithm.SORT),
+                             stream.pad_bytes)
+    assert encoded.startswith(b"# alg SORT\n# pad %d\n" % (3 - remainder))
+    assert _run(["encode", "--alg", "sort", "--format", "raw"], payload, size) == (0, encoded)
+    assert _run(["decode"], encoded, size) == (0, payload)
+
+
 GOOD_LINES = ["W 0x10 00ff00", "R 0x0 aabbccdd", "# a comment", "", "W 0x2 0011"]
 BAD_LINES = ["W 0x10 abc", "X 0x1 00", "R zz 00", "R 0x1", "W 0x1 0g"]
 
@@ -151,16 +214,25 @@ def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch):
 TRACED_PEAK_BOUND = 8e6  # bytes; a few chunks, whatever the size of the trace
 
 
-@pytest.mark.parametrize("command", [["analyze", "--alg", "all"], ["distribution"]])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--alg", "all"], ["distribution"], ["encode", "--alg", "sort"], ["decode"],
+])
 def test_memory_does_not_grow_with_the_trace(tmp_path, command):
     trace = tmp_path / "big.raw"
     np.random.default_rng(5).integers(0, 256, 12_000_000, dtype=np.uint8).tofile(trace)
-    out = tmp_path / "report.csv"
+    argv = [*command, "--format", "raw", "-i", str(trace)]
+    if command == ["decode"]:  # the encoded text of the trace, 104 MB
+        encoded = tmp_path / "big.enc"
+        assert cli.main(["encode", "--alg", "sort", *argv[1:], "-o", str(encoded)]) == 0
+        argv = ["decode", "-i", str(encoded)]
+    out = tmp_path / "out"
     tracemalloc.start()
     try:
-        code = cli.main([*command, "--format", "raw", "-i", str(trace), "-o", str(out)])
+        code = cli.main([*argv, "-o", str(out)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
     assert peak < TRACED_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
+    if command == ["decode"]:
+        assert out.read_bytes() == trace.read_bytes()

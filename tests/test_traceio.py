@@ -17,8 +17,6 @@ from pam3codec.traceio import (
     FrameStream,
     TraceColumns,
     TraceRecord,
-    _parse_encoded_lines,
-    _parse_encoded_rows,
     decode_encoded,
     format_encoded,
     format_text_trace,
@@ -440,6 +438,17 @@ def _read(reader, data):
         return exc.line_number
 
 
+def _one_chunk(read):
+    """(alg, pad, masks, flags, frame_lines) of one way of _EncodedReader to
+    read a chunk, on data as one chunk, or None if it does not read it."""
+    def reader(data):
+        traceio._check_ascii(data)
+        encoded = traceio._EncodedReader()
+        frames = read(encoded, data, 0)
+        return None if frames is None else (*encoded.end(), *frames)
+    return reader
+
+
 def _same(a, b):
     if isinstance(a, int) or isinstance(b, int):
         return a == b
@@ -455,13 +464,14 @@ def _same(a, b):
 @example((b"# alg DBI\n# pad 1\n", False))
 def test_parse_encoded_matches_line_parser(case):
     data, canonical = case
-    reference = _read(_parse_encoded_lines, data)
-    fast = _parse_encoded_rows(data)
+    reference = _read(_one_chunk(traceio._EncodedReader.lines), data)
+    fast = _read(_one_chunk(traceio._EncodedReader.rows), data)
     if canonical:
-        assert fast is not None
+        assert isinstance(fast, tuple)
     if fast is not None:
         assert _same(fast, reference)
-        assert list(fast[4]) == reference[4]  # the input line of every frame
+        if isinstance(fast, tuple):
+            assert list(fast[4]) == reference[4]  # the input line of every frame
     assert _same(_read(parse_encoded, data), reference)
 
 
@@ -471,7 +481,7 @@ def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame):
     data = bytearray(format_encoded(Algorithm.NONE, masks, np.zeros(7, np.uint8), 0))
     row = len(b"# alg NONE\n# pad 0\n") + 26 * bad_frame
     data[row + 2] = data[row + 13] = ord("0")  # column 0 of lines A and B
-    monkeypatch.setattr(traceio, "_parse_encoded_lines", lambda _: pytest.fail("re-read"))
+    monkeypatch.setattr(traceio._EncodedReader, "lines", lambda *_: pytest.fail("re-read"))
     with pytest.raises(ParseError, match=rf"^line {bad_frame + 3}: frame {bad_frame}, column 0 "):
         decode_encoded(bytes(data))
 
