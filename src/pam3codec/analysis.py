@@ -66,18 +66,22 @@ def analyze_trace(
 ) -> TraceStats:
     """Power totals of the stream under each algorithm against the baseline.
 
-    streams is one FrameStream or the stream's chunks in order. The NONE
-    baseline row is always present. Raises ZeroBaseline when the unencoded
-    trace has zero termination power; a zero switching baseline just leaves
-    the switching ratios undefined (None).
+    streams is one FrameStream or the stream's chunks in order. Each of
+    algorithms is an Algorithm or its name. The NONE baseline row is always
+    present. The arguments are checked before any stream is read. Raises
+    ZeroBaseline when the unencoded trace has zero termination power; a
+    zero switching baseline just leaves the switching ratios undefined
+    (None).
     """
+    requested = set(CANONICAL_ORDER if algorithms is None else map(Algorithm, algorithms))
+    requested.add(Algorithm.NONE)
+    if op_filter not in OP_FILTERS:
+        raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
+    if not isinstance(include_flag_power, bool):
+        raise TypeError(f"include_flag_power must be a bool, got {include_flag_power!r}")
     stats = _folded(bulk.StreamStats(), streams)
     if stats.frame_count == 0:
         raise EmptyStream("analysis needs at least one frame")
-    if op_filter not in OP_FILTERS:
-        raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
-    requested = set(algorithms) if algorithms is not None else set(CANONICAL_ORDER)
-    requested.add(Algorithm.NONE)
 
     powers = {}
     for alg in CANONICAL_ORDER:

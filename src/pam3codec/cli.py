@@ -5,13 +5,12 @@ so pipelines like `pam3codec gen-random ... | pam3codec analyze ...` work
 without temporary files. Exit codes: 0 success, 1 usage error, 2 input or
 parse error.
 
-Inputs are read in blocks of _READ_SIZE bytes, and every subcommand but
-gen-random holds a few blocks at a time, whatever the size of its input.
-Outputs go through a spool (_spool), a seekable temporary file that
-becomes the output only when the command succeeds: a failed run leaves
-stdout empty and the output path as it was. encode writes its `# pad 0`
-header first and, once the last block has shown the pad count, seeks back
-and overwrites that one digit.
+Inputs are read in blocks of _READ_SIZE bytes by traceio's chunked
+readers and writer (read_trace, read_encoded, write_encoded), so every
+subcommand but gen-random holds a few blocks at a time, whatever the size
+of its input. Outputs go through a spool (_spool), a seekable temporary
+file that becomes the output only when the command succeeds: a failed
+run leaves stdout empty and the output path as it was.
 """
 
 from __future__ import annotations
@@ -25,35 +24,26 @@ import tempfile
 from contextlib import contextmanager, nullcontext
 from typing import BinaryIO, Iterator
 
-import numpy as np
-
-from . import bulk
 from .analysis import analyze_trace, signal_distribution, write_distribution, write_report
 from .encoders import Algorithm
-from .errors import EmptyInput, Pam3Error, ParseError
+from .errors import Pam3Error
 from .power import DEFAULT_MODEL
 from .traceio import (
     OP_FILTERS,
+    TRACE_FORMATS,
     FrameStream,
-    TraceColumns,
-    decode_chunks,
-    format_encoded_header,
-    format_encoded_rows,
-    frame_chunks,
     frame_records,  # not called; perfbench/layers.py wraps this site
     generate_random_trace,
     parse_raw_trace,  # not called; perfbench/layers.py wraps this site
-    parse_text_columns,
-    parse_text_trace,
-    text_chunks,
+    parse_text_trace,  # not called; perfbench/layers.py wraps this site
+    read_encoded,
+    read_trace,
+    write_encoded,
 )
 
 # Bytes per read of a trace or of encoded text: every command holds a few
 # chunks of this size, whatever the size of its input.
 _READ_SIZE = 1 << 18
-# Frames per formatted group of encoded text; formatting costs about 100
-# bytes per frame in temporaries.
-_FORMAT_FRAMES = 8192
 
 _ALG_CHOICES = {"none": Algorithm.NONE, "dbi": Algorithm.DBI,
                 "mf": Algorithm.MF, "sort": Algorithm.SORT}
@@ -90,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path, - for stdout" + (" (binary)" if binary_out else ""))
 
     def add_trace_opts(p):
-        p.add_argument("--format", choices=("text", "raw"), default="text",
+        p.add_argument("--format", choices=TRACE_FORMATS, default="text",
                        help="trace input format")
         p.add_argument("--op-filter", choices=OP_FILTERS, default="all",
                        help="keep only read or write records")
@@ -125,47 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _frames(f, args) -> Iterator[FrameStream]:
-    """The frames of the trace in f that the op filter keeps, one
-    FrameStream per chunk read; only the last has pad bytes."""
-    return frame_chunks(_read_chunks(f, args))
+    return read_trace(f, args.format, args.op_filter, _READ_SIZE)
 
 
 def _open_input(path: str):
     return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
-
-
-def _read_chunks(f, args) -> Iterator[TraceColumns]:
-    chunks = _raw_chunks(f) if args.format == "raw" else _text_chunks(f)
-    for records in chunks:
-        yield records.select(args.op_filter)
-
-
-def _raw_chunks(f) -> Iterator[TraceColumns]:
-    """Each block of a raw trace as one write record."""
-    block = f.read(_READ_SIZE)
-    if not block:
-        raise EmptyInput("raw trace holds no bytes")
-    while block:
-        payload = np.frombuffer(block, dtype=np.uint8)
-        yield TraceColumns(np.zeros(1, dtype=bool), payload, np.array([len(payload)]))
-        block = f.read(_READ_SIZE)
-
-
-def _text_chunks(f) -> Iterator[TraceColumns]:
-    """The records of each chunk of whole lines. A chunk in the canonical
-    layout is read in bulk, any other by the line reader, and an error
-    names the same line of the whole file as the line reader on it would."""
-    chunks = text_chunks(f, _READ_SIZE)
-    for chunk, lines_before in chunks:
-        records = parse_text_columns(chunk)
-        if records is None:  # not the canonical layout, or an error
-            try:
-                records = TraceColumns.from_records(parse_text_trace(chunk))
-            except ParseError as exc:
-                for _ in chunks:  # a non-ASCII byte anywhere is reported first
-                    pass
-                raise ParseError(exc.reason, lines_before + exc.line_number) from None
-        yield records
 
 
 def _spool(path: str):
@@ -230,26 +184,14 @@ def _write_binary(path: str, data: bytes):
 
 
 def _cmd_encode(args) -> int:
-    """Encoded frame text, written as the chunks are read. The pad count
-    is known after the last chunk only, so the header first says 0 and its
-    pad digit is overwritten at the end."""
-    alg = _ALG_CHOICES[args.alg]
-    header = format_encoded_header(alg, 0)
     with _open_input(args.input) as f, _spool(args.output) as out:
-        out.write(header)
-        for stream in _frames(f, args):
-            masks, flags = bulk.encode_block(stream.masks, alg)
-            for start in range(0, len(flags), _FORMAT_FRAMES):
-                end = start + _FORMAT_FRAMES
-                out.write(format_encoded_rows(alg, masks[:, start:end], flags[start:end]))
-        out.seek(len(header) - 2)
-        out.write(b"%d" % stream.pad_bytes)
+        write_encoded(out, _ALG_CHOICES[args.alg], _frames(f, args))
     return 0
 
 
 def _cmd_decode(args) -> int:
     with _open_input(args.input) as f, _spool(args.output) as out:
-        for piece in decode_chunks(text_chunks(f, _READ_SIZE)):
+        for piece in read_encoded(f, _READ_SIZE):
             out.write(piece)
     return 0
 

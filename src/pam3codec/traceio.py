@@ -12,12 +12,12 @@ parse_text_columns reads a trace in the canonical layout as columns
 
 Encoded frame text is two header lines, `# alg <NAME>` and `# pad <0..2>`,
 then one line per frame, `A:<8 symbols> B:<8 symbols> F:<flag>`, with the
-symbols written as -, 0, +. It is written as a header and groups of rows
-(format_encoded_header, format_encoded_rows); the pad count is one digit
-at a fixed place, so a writer can patch it once the frames are known. It
-is read in chunks of whole lines by one reader, decode_chunks, which keeps
-back the errors that only the end of the text settles; parse_encoded and
-decode_encoded give it their text as one chunk.
+symbols written as -, 0, +.
+
+Files of any size are read and written a chunk at a time by read_trace
+(a trace, as one FrameStream per chunk), write_encoded (encoded frame
+text, whose one-digit pad count is patched at the end) and read_encoded
+(encoded frame text back to payload bytes; decode_encoded reads through it).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import binascii
 import io
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import EmptyInput, InvalidPair, ParseError
 READ = "R"
 WRITE = "W"
 OP_FILTERS = ("all", "read", "write")
+TRACE_FORMATS = ("text", "raw")
 
 _ADDRESS_RE = re.compile(r"(?:0x)?[0-9a-fA-F]+\Z")
 
@@ -64,6 +65,9 @@ _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 _NEG_SYMBOLS = (_ZERO - (_ZERO - _NEG) * _BITS).view(np.uint64).reshape(-1)
 _POS_OFFSETS = ((_ZERO - _POS) * _BITS).view(np.uint64).reshape(-1)
 _FRAME_LINE_RE = re.compile(r"A:([-0+]{8}) B:([-0+]{8}) F:0*(\d+)\Z")
+# Frames per group of rows that write_encoded formats at once; formatting
+# costs about 100 bytes per frame in temporaries.
+_FORMAT_FRAMES = 8192
 
 
 @dataclass(frozen=True)
@@ -192,25 +196,16 @@ def _check_ascii(data: bytes, lines_before: int = 0) -> None:
         raise ParseError("non-ASCII byte", lines_before + _line_count(data[:start]) + 1)
 
 
-def _ascii_lines(data: bytes) -> Iterable[str]:
-    """The lines of ASCII data, each ended by LF, CRLF or CR.
-
-    A non-ASCII byte is a ParseError on its line.
-    """
-    _check_ascii(data)
-    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=None)
-
-
 def text_chunks(file: BinaryIO, size: int) -> Iterator[tuple[bytes, int]]:
     """A text file read size bytes at a time, as chunks of whole lines.
 
     Yields (chunk, number of lines before it); the chunks join to the
     file's bytes. A chunk ends after the last LF or CR of a read, but not
     after a CR that ends the read, since an LF may follow it, so chunks
-    split lines as _ascii_lines does. A chunk holds the rest of the read
-    before and at most size bytes more, unless a line is longer than size.
-    A non-ASCII byte is a ParseError on its line of the whole file, raised
-    before its chunk is yielded.
+    split lines as parse_text_trace does. A chunk holds the rest of the
+    read before and at most size bytes more, unless a line is longer than
+    size. A non-ASCII byte is a ParseError on its line of the whole file,
+    raised before its chunk is yielded.
     """
     pending = []  # what was read after the last line end
     lines = 0
@@ -231,15 +226,34 @@ def text_chunks(file: BinaryIO, size: int) -> Iterator[tuple[bytes, int]]:
         yield chunk, lines
 
 
+def _read_text(file: BinaryIO, size: int, read: Callable) -> Iterator:
+    """read(chunk, lines before it) of each chunk text_chunks yields.
+
+    After a ParseError from read the rest of the file is still read, so
+    that a non-ASCII byte anywhere in it is the error raised.
+    """
+    chunks = text_chunks(file, size)
+    for chunk, lines_before in chunks:
+        try:
+            result = read(chunk, lines_before)
+        except ParseError:
+            for _ in chunks:
+                pass
+            raise
+        yield result
+
+
 def parse_text_trace(source) -> list[TraceRecord]:
     """Parse a text trace from bytes, a string or an iterable of lines.
 
-    Bytes must be ASCII and may end lines with LF, CRLF or CR.
+    Bytes must be ASCII. Bytes and a string may end lines with LF, CRLF
+    or CR.
     """
     if isinstance(source, (bytes, bytearray)):
-        source = _ascii_lines(source)
+        _check_ascii(source)
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="ascii", newline=None)
     elif isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline=None)
     records = []
     for line_number, line in enumerate(source, start=1):
         stripped = line.strip()
@@ -349,12 +363,31 @@ def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) ->
     return rows.tobytes()
 
 
+def write_encoded(out: BinaryIO, alg: Algorithm, streams: Iterable[FrameStream]) -> None:
+    """Write the encoded frame text of a trace's streams, in order, to the
+    seekable file out, formatting _FORMAT_FRAMES rows at a time. Only the
+    last stream has pad bytes, so the header's pad digit is written as 0
+    and overwritten once the streams end."""
+    header = format_encoded_header(alg, 0)
+    pad_digit = out.tell() + len(header) - 2
+    out.write(header)
+    pad_bytes = 0
+    for stream in streams:
+        masks, flags = bulk.encode_block(stream.masks, alg)
+        for start in range(0, len(flags), _FORMAT_FRAMES):
+            end = start + _FORMAT_FRAMES
+            out.write(format_encoded_rows(alg, masks[:, start:end], flags[start:end]))
+        pad_bytes = stream.pad_bytes
+    out.seek(pad_digit)
+    out.write(b"%d" % pad_bytes)
+
+
 def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
     """Read encoded frame text: (algorithm, pad bytes, masks, flags).
 
     masks is (2, n) uint16 line masks as in bulk and flags is (n,) uint8,
     each flag within the algorithm's range. The text is read as one chunk
-    of _EncodedReader, the reader decode_chunks uses.
+    of _EncodedReader, the reader read_encoded uses.
     """
     _check_ascii(data)
     reader = _EncodedReader()
@@ -364,38 +397,29 @@ def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
 
 def decode_encoded(data: bytes) -> bytes:
     """The payload bytes that encoded frame text carries, padding stripped:
-    decode_chunks on the text as one chunk."""
-    _check_ascii(data)
-    return b"".join(decode_chunks([(data, 0)]))
+    read_encoded on the text."""
+    return b"".join(read_encoded(io.BytesIO(data), max(len(data), 1)))
 
 
-def decode_chunks(chunks: Iterable[tuple[bytes, int]]) -> Iterator[bytes]:
-    """The payload bytes of encoded frame text read in chunks of whole
-    lines, as text_chunks yields them: one piece per chunk with frames.
-    The pad is stripped from the last piece, so one piece is held back.
+def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
+    """The payload bytes of the encoded frame text in file, read size bytes
+    at a time: one piece per chunk of whole lines with frames. The pad is
+    stripped from the last piece, so one piece is held back.
 
-    Errors come in the order of a read of the whole text: a non-ASCII byte
-    (from text_chunks), the first structural ParseError in line order, a
-    missing header, a pad count without frames, the first out-of-range
-    flag, and last the first frame that decodes to the unused pair, a
-    ParseError on the input line of that frame. The chunks after a
-    structural error are still read, for a non-ASCII byte among them.
+    Errors come in the order of a read of the whole text: a non-ASCII byte,
+    the first structural ParseError in line order, a missing header, a pad
+    count without frames, the first out-of-range flag, and last the first
+    frame that decodes to the unused pair, a ParseError on the input line
+    of that frame.
     """
-    chunks = iter(chunks)
     reader = _EncodedReader()
     piece = b""  # the last piece decoded, held back
     unused_pair = None  # the first frame that decodes to the unused pair
-    for chunk, lines_before in chunks:
-        first_frame = reader.frames
-        try:
-            masks, flags, frame_lines = reader.read(chunk, lines_before)
-        except ParseError:
-            for _ in chunks:
-                pass
-            raise
+    for masks, flags, frame_lines in _read_text(file, size, reader.read):
         if (not len(flags) or unused_pair or reader.bad_flag_line
                 or reader.alg is None or reader.pad is None):
             continue  # nothing to decode, or the text is in error already
+        first_frame = reader.frames - len(flags)
         try:
             words = bulk.demodulate_block(bulk.decode_block(masks, flags, reader.alg), first_frame)
         except InvalidPair as exc:
@@ -562,14 +586,47 @@ def frame_records(records: Iterable[TraceRecord] | TraceColumns) -> FrameStream:
     return _frame_payload(data)
 
 
-def frame_chunks(chunks: Iterable[TraceColumns]) -> Iterator[FrameStream]:
-    """frame_records of a trace read in chunks, one FrameStream per chunk.
+def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[FrameStream]:
+    """The frames of the records an op filter keeps of a text or raw trace
+    in file, read size bytes at a time: one FrameStream per chunk.
 
     A chunk's partial 3-byte group carries over to the next chunk, and a
-    last stream, which may hold no frames, takes what is left, zero padded:
-    the streams together hold the frames of frame_records on the whole
-    trace, and only the last has pad bytes.
+    last stream, which may hold no frames, takes what is left, zero padded,
+    so only the last stream has pad bytes.
     """
+    if fmt not in TRACE_FORMATS:
+        raise ValueError(f"fmt must be one of {TRACE_FORMATS}, got {fmt!r}")
+    if op_filter not in OP_FILTERS:
+        raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
+    chunks = _raw_columns(file, size) if fmt == "raw" else _read_text(file, size, _text_columns)
+    return _framed(columns.select(op_filter) for columns in chunks)
+
+
+def _raw_columns(file: BinaryIO, size: int) -> Iterator[TraceColumns]:
+    """Each block of a raw trace as one write record."""
+    block = file.read(size)
+    if not block:
+        raise EmptyInput("raw trace holds no bytes")
+    while block:
+        payload = np.frombuffer(block, dtype=np.uint8)
+        yield TraceColumns(np.zeros(1, dtype=bool), payload, np.array([len(payload)]))
+        block = file.read(size)
+
+
+def _text_columns(chunk: bytes, lines_before: int) -> TraceColumns:
+    """The records of a chunk of whole lines of a text trace, read in bulk
+    in the canonical layout and by the line reader otherwise; an error
+    names its line of the whole file."""
+    records = parse_text_columns(chunk)
+    if records is not None:
+        return records
+    try:
+        return TraceColumns.from_records(parse_text_trace(chunk))
+    except ParseError as exc:
+        raise ParseError(exc.reason, lines_before + exc.line_number) from None
+
+
+def _framed(chunks: Iterable[TraceColumns]) -> Iterator[FrameStream]:
     tail = np.zeros(0, dtype=np.uint8)
     for columns in chunks:
         data = np.concatenate([tail, columns.payload])

@@ -67,6 +67,29 @@ def test_empty_stream_raises():
         signal_distribution(frame_records([]))
 
 
+def test_analyze_trace_takes_algorithm_names():
+    by_name = analyze_trace(RANDOM, ["SORT", "MF"])
+    assert by_name == analyze_trace(RANDOM, [Algorithm.SORT, Algorithm.MF])
+    assert set(by_name.per_algorithm) == {Algorithm.NONE, Algorithm.MF, Algorithm.SORT}
+
+
+def _unread():
+    pytest.fail("a stream was read")
+    yield
+
+
+@pytest.mark.parametrize("error, kwargs", [
+    pytest.param(ValueError, {"algorithms": ["sort"]}, id="lower-case name"),
+    pytest.param(ValueError, {"algorithms": [3]}, id="number"),
+    pytest.param(ValueError, {"op_filter": "reads"}, id="op filter"),
+    pytest.param(TypeError, {"include_flag_power": "yes"}, id="string flag"),
+    pytest.param(TypeError, {"include_flag_power": 1}, id="int flag"),
+])
+def test_analyze_trace_checks_arguments_before_reading(error, kwargs):
+    with pytest.raises(error):
+        analyze_trace(_unread(), **kwargs)
+
+
 def test_constant_trace_switching_undefined():
     stats = analyze_trace(ALL_ZERO)
     for report in stats.per_algorithm.values():

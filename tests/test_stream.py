@@ -1,6 +1,6 @@
 """Chunked reading: the CLI reads traces and encoded text in blocks of
-cli._READ_SIZE bytes, and every output and error is the same for every
-read size."""
+cli._READ_SIZE bytes through traceio's chunked readers, and every output
+and error is the same for every read size."""
 
 import io
 import os
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from pam3codec import bulk, cli
+from pam3codec import bulk, cli, traceio
 from pam3codec.encoders import Algorithm
 from pam3codec.errors import ParseError
 from pam3codec.traceio import (
@@ -202,7 +202,7 @@ def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch):
         calls.append(data)
         return parse_text_trace(data)
 
-    monkeypatch.setattr(cli, "parse_text_trace", counted)
+    monkeypatch.setattr(traceio, "parse_text_trace", counted)
     size = 512
     assert len(ZERO_TRACE) > 20 * size and ZERO_TRACE.startswith(b"#")
     out = _run(["analyze"], ZERO_TRACE, size)

@@ -104,6 +104,20 @@ def test_parse_text_trace_bytes():
         parse_text_trace(b"W 0x0 00\r\nW 0x1 00\rW 0x2 00\xff\n")
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_parse_text_trace_str_splits_lines_as_bytes(line_end):
+    text = line_end.join(["# comment", "W 0x1 00", "", "R 0x2 ff", "W 0x3 aabb"]) + line_end
+    assert parse_text_trace(text) == parse_text_trace(text.encode("ascii"))
+    assert len(parse_text_trace(text)) == 3
+    bad = text + "W 0x4 0" + line_end
+    line_numbers = []
+    for source in (bad, bad.encode("ascii")):
+        with pytest.raises(ParseError) as err:
+            parse_text_trace(source)
+        line_numbers.append(err.value.line_number)
+    assert line_numbers == [6, 6]
+
+
 @given(st.lists(records_strategy, min_size=0, max_size=12))
 def test_text_trace_roundtrip(records):
     assert parse_text_trace(format_text_trace(records)) == records
@@ -205,6 +219,15 @@ def test_text_columns_match_line_parser(case):
         assert fast is not None
     if fast is not None:
         assert _same_columns(fast, reference)
+
+
+def test_read_trace_rejects_unknown_format_and_filter():
+    trace = io.BytesIO(b"W 0x0 00\n")
+    with pytest.raises(ValueError, match="fmt"):
+        traceio.read_trace(trace, "csv", "all", 16)
+    with pytest.raises(ValueError, match="op_filter"):
+        traceio.read_trace(trace, "text", "reads", 16)
+    assert trace.tell() == 0
 
 
 def test_trace_columns_select_rejects_unknown_filter():
