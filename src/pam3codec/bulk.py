@@ -108,6 +108,11 @@ _BOUNDARY_LEVELS = {
 _PAIR_FROM = np.array([0, 1, 0])
 _PAIR_TO = np.array([1, 2, 2])
 
+# Frames that CountStats.update folds at once. _fold makes intp temporaries
+# of ~8 bytes per frame, so a fixed block keeps them small and in cache
+# whatever the size of the chunk.
+_FOLD_FRAMES = 16384
+
 
 def masks_of_levels(levels: np.ndarray) -> np.ndarray:
     """(2, n) uint16 line masks of (n, 2, 8) levels in {-1, 0, +1}."""
@@ -250,9 +255,11 @@ class CountStats:
             self.update(masks)
 
     def update(self, masks: np.ndarray) -> None:
-        """Fold the (2, n) line masks of the frames after those folded so far."""
-        if masks.shape[1]:
-            self._fold(masks, _count_keys(masks))
+        """Fold the (2, n) line masks of the frames after those folded so far,
+        _FOLD_FRAMES at a time."""
+        for start in range(0, masks.shape[1], _FOLD_FRAMES):
+            block = masks[:, start:start + _FOLD_FRAMES]
+            self._fold(block, _count_keys(block))
 
     def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
         self.frame_count += len(key)
@@ -281,8 +288,9 @@ class StreamStats(CountStats):
     The switching within frames follows from the adjacent-pair counts per
     key, and the switching across frame boundaries from a 21 x 21
     histogram of (last state of frame i, first state of frame i + 1) over
-    both lines, in the boundary states of _STATE_BASE. Between chunks only
-    the last frame's two end states carry over.
+    both lines, in the boundary states of _STATE_BASE. Between folded
+    blocks, and so between chunks, only the last frame's two end states
+    carry over.
     """
 
     def __init__(self, masks: np.ndarray | None = None):

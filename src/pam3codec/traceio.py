@@ -196,50 +196,52 @@ def _check_ascii(data: bytes, lines_before: int = 0) -> None:
         raise ParseError("non-ASCII byte", lines_before + _line_count(data[:start]) + 1)
 
 
-def text_chunks(file: BinaryIO, size: int) -> Iterator[tuple[bytes, int]]:
+def text_chunks(file: BinaryIO, size: int) -> Iterator[bytes]:
     """A text file read size bytes at a time, as chunks of whole lines.
 
-    Yields (chunk, number of lines before it); the chunks join to the
-    file's bytes. A chunk ends after the last LF or CR of a read, but not
-    after a CR that ends the read, since an LF may follow it, so chunks
-    split lines as parse_text_trace does. A chunk holds the rest of the
-    read before and at most size bytes more, unless a line is longer than
-    size. A non-ASCII byte is a ParseError on its line of the whole file,
-    raised before its chunk is yielded.
+    The chunks join to the file's bytes. A chunk ends after the last LF or
+    CR of a read, but not after a CR that ends the read, since an LF may
+    follow it, so chunks split lines as parse_text_trace does. A chunk
+    holds the rest of the read before and at most size bytes more, unless
+    a line is longer than size.
     """
     pending = []  # what was read after the last line end
-    lines = 0
     for block in iter(lambda: file.read(size), b""):
         end = len(block) - block.endswith(b"\r")
         cut = max(block.rfind(b"\n", 0, end), block.rfind(b"\r", 0, end)) + 1
         if not cut:
             pending.append(block)
             continue
-        chunk = b"".join([*pending, block[:cut]])
+        yield b"".join([*pending, block[:cut]])
         pending = [block[cut:]]
-        _check_ascii(chunk, lines)
-        yield chunk, lines
-        lines += _line_count(chunk)
     chunk = b"".join(pending)  # a last line without a line end
     if chunk:
-        _check_ascii(chunk, lines)
-        yield chunk, lines
+        yield chunk
 
 
 def _read_text(file: BinaryIO, size: int, read: Callable) -> Iterator:
-    """read(chunk, lines before it) of each chunk text_chunks yields.
+    """The result of read(chunk, lines before it) for each chunk that
+    text_chunks yields; read returns (result, lines in the chunk), so a
+    chunk's lines are counted only by the reader that reads them.
 
-    After a ParseError from read the rest of the file is still read, so
-    that a non-ASCII byte anywhere in it is the error raised.
+    A non-ASCII byte is a ParseError on its line of the whole file, raised
+    before its chunk is read. After a ParseError from read the rest of the
+    file is still read, so that a non-ASCII byte anywhere in it is the
+    error raised.
     """
     chunks = text_chunks(file, size)
-    for chunk, lines_before in chunks:
+    lines = 0
+    for chunk in chunks:
+        _check_ascii(chunk, lines)
         try:
-            result = read(chunk, lines_before)
+            result, chunk_lines = read(chunk, lines)
         except ParseError:
-            for _ in chunks:
-                pass
+            lines += _line_count(chunk)  # the reader did not count them
+            for chunk in chunks:
+                _check_ascii(chunk, lines)
+                lines += _line_count(chunk)
             raise
+        lines += chunk_lines
         yield result
 
 
@@ -391,7 +393,7 @@ def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
     """
     _check_ascii(data)
     reader = _EncodedReader()
-    masks, flags, _ = reader.read(data, 0)
+    (masks, flags, _), _ = reader.read(data, 0)
     return (*reader.end(), masks, flags)
 
 
@@ -450,9 +452,10 @@ class _EncodedReader:
         self.bad_flag_line = 0
 
     def read(self, chunk: bytes, lines_before: int):
-        """(masks, flags, frame_lines) of the frames of a chunk whose first
-        line is line lines_before + 1: masks (2, n) uint16, flags (n,) uint8
-        and the input line of every frame.
+        """((masks, flags, frame_lines), lines) of a chunk whose first line
+        is line lines_before + 1: masks (2, n) uint16 and flags (n,) uint8
+        of its frames, the input line of every frame, and the number of
+        lines in the chunk.
 
         A chunk in the exact layout format_encoded writes is read as one
         byte array (rows); any other (blank lines, comments, CRLF,
@@ -480,11 +483,13 @@ class _EncodedReader:
         flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
         if masks is None or (len(rows) and flags.max() > MAX_FLAG[alg]):
             return None
+        lines = len(rows)
         if start:
             self.alg, self.pad, self.pad_line = alg, pad, lines_before + 2
-            lines_before += 2
+            lines += 2
         self.frames += len(rows)
-        return masks, flags, range(lines_before + 1, lines_before + 1 + len(rows))
+        end = lines_before + lines + 1
+        return (masks, flags, range(end - len(rows), end)), lines
 
     def lines(self, chunk: bytes, lines_before: int):
         """read of an ASCII chunk line by line, the reference for rows."""
@@ -510,7 +515,8 @@ class _EncodedReader:
             if not self.bad_flag_line and self.alg is not None and flags[-1] > MAX_FLAG[self.alg]:
                 self.bad_flag_line = line_number
         symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
-        return _masks_of_symbols(symbols.reshape(-1, 16)), np.array(flags, np.uint8), frame_lines
+        masks = _masks_of_symbols(symbols.reshape(-1, 16))
+        return (masks, np.array(flags, np.uint8), frame_lines), _line_count(chunk)
 
     def _header(self, stripped: str, line_number: int) -> None:
         """Take a `# alg` or `# pad` header line; any other `#` line is a comment."""
@@ -588,7 +594,9 @@ def frame_records(records: Iterable[TraceRecord] | TraceColumns) -> FrameStream:
 
 def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[FrameStream]:
     """The frames of the records an op filter keeps of a text or raw trace
-    in file, read size bytes at a time: one FrameStream per chunk.
+    in file, read size bytes at a time: one FrameStream per chunk. A raw
+    trace is read in whole 3-byte groups, size rounded down to a multiple
+    of 3 but at least 3.
 
     A chunk's partial 3-byte group carries over to the next chunk, and a
     last stream, which may hold no frames, takes what is left, zero padded,
@@ -603,7 +611,9 @@ def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[
 
 
 def _raw_columns(file: BinaryIO, size: int) -> Iterator[TraceColumns]:
-    """Each block of a raw trace as one write record."""
+    """Each block of a raw trace as one write record, read in whole 3-byte
+    groups so that _framed need not join a block to the group before."""
+    size = max(size - size % 3, 3)
     block = file.read(size)
     if not block:
         raise EmptyInput("raw trace holds no bytes")
@@ -613,15 +623,15 @@ def _raw_columns(file: BinaryIO, size: int) -> Iterator[TraceColumns]:
         block = file.read(size)
 
 
-def _text_columns(chunk: bytes, lines_before: int) -> TraceColumns:
-    """The records of a chunk of whole lines of a text trace, read in bulk
-    in the canonical layout and by the line reader otherwise; an error
-    names its line of the whole file."""
+def _text_columns(chunk: bytes, lines_before: int) -> tuple[TraceColumns, int]:
+    """(records, lines) of a chunk of whole lines of a text trace, read in
+    bulk in the canonical layout, one record per line, and by the line
+    reader otherwise; an error names its line of the whole file."""
     records = parse_text_columns(chunk)
     if records is not None:
-        return records
+        return records, len(records)
     try:
-        return TraceColumns.from_records(parse_text_trace(chunk))
+        return TraceColumns.from_records(parse_text_trace(chunk)), _line_count(chunk)
     except ParseError as exc:
         raise ParseError(exc.reason, lines_before + exc.line_number) from None
 
@@ -629,7 +639,7 @@ def _text_columns(chunk: bytes, lines_before: int) -> TraceColumns:
 def _framed(chunks: Iterable[TraceColumns]) -> Iterator[FrameStream]:
     tail = np.zeros(0, dtype=np.uint8)
     for columns in chunks:
-        data = np.concatenate([tail, columns.payload])
+        data = np.concatenate([tail, columns.payload]) if len(tail) else columns.payload
         cut = len(data) - len(data) % 3
         tail = data[cut:].copy()
         yield _frame_payload(data[:cut])

@@ -1,5 +1,7 @@
 """Pins the vectorized array pipeline to the scalar reference operations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -215,25 +217,60 @@ def test_stream_stats_match_encoded_copy(levels, algorithm, model):
     assert [e.flag for e in encoded] == flags.tolist()
 
 
-@given(level_blocks, st.lists(st.integers(0, 40), max_size=6))
-@example(np.ones((3, 2, 8), dtype=np.int8), [0, 1, 1, 3])  # empty chunks at both ends
-def test_stream_stats_fold_any_split(levels, cuts):
+def _check_fold_any_split(levels, cuts, whole):
+    """Folding levels in the chunks that cuts make, or as one chunk, gives
+    the stats of whole."""
     masks = bulk.masks_of_levels(levels)
-    whole, count_only = bulk.StreamStats(masks), bulk.CountStats(masks)
+    one_chunk, count_only = bulk.StreamStats(masks), bulk.CountStats(masks)
     split, split_counts = bulk.StreamStats(), bulk.CountStats()
     bounds = [0, *sorted(min(cut, len(levels)) for cut in cuts), len(levels)]
     for start, stop in zip(bounds, bounds[1:]):
         chunk = np.ascontiguousarray(masks[:, start:stop])
         split.update(chunk)
         split_counts.update(chunk)
-    for stats in (split, split_counts, count_only):
+    for stats in (one_chunk, split, split_counts, count_only):
         assert stats.frame_count == whole.frame_count == len(levels)
         assert np.array_equal(stats.frames_per_key, whole.frames_per_key)
-    assert np.array_equal(split.pairs_per_key, whole.pairs_per_key)
-    assert np.array_equal(split.boundaries, whole.boundaries)
+    for stats in (one_chunk, split):
+        assert np.array_equal(stats.pairs_per_key, whole.pairs_per_key)
+        assert np.array_equal(stats.boundaries, whole.boundaries)
     assert whole.boundaries.sum() == 2 * (len(levels) - 1)
     for algorithm in Algorithm:
         assert split.switching_total(algorithm) == whole.switching_total(algorithm)
         assert split_counts.flag_termination_total(algorithm) == whole.flag_termination_total(
             algorithm
         )
+
+
+@given(level_blocks, st.lists(st.integers(0, 40), max_size=6))
+@example(np.ones((3, 2, 8), dtype=np.int8), [0, 1, 1, 3])  # empty chunks at both ends
+def test_stream_stats_fold_any_split(levels, cuts):
+    _check_fold_any_split(levels, cuts, bulk.StreamStats(bulk.masks_of_levels(levels)))
+
+
+class _RecordedFolds(bulk.StreamStats):
+    """StreamStats that records the frames of each fold."""
+
+    def __init__(self, masks):
+        self.folds = []
+        super().__init__(masks)
+
+    def _fold(self, masks, key):
+        self.folds.append(len(key))
+        super()._fold(masks, key)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+@given(level_blocks, st.lists(st.integers(0, 40), max_size=6))
+@example(levels=LEVELS[:20], cuts=[10])  # a chunk seam on a block seam of every size
+def test_stream_stats_fold_any_split_in_blocks(block, levels, cuts):
+    """update folds a chunk _FOLD_FRAMES frames at a time; with blocks of
+    a few frames, every split still gives the stats of one fold."""
+    masks = bulk.masks_of_levels(levels)
+    assert len(levels) <= bulk._FOLD_FRAMES
+    whole = bulk.StreamStats(masks)  # one fold
+    with mock.patch.object(bulk, "_FOLD_FRAMES", block):
+        assert _RecordedFolds(masks).folds == [
+            min(block, len(levels) - start) for start in range(0, len(levels), block)
+        ]
+        _check_fold_any_split(levels, cuts, whole)

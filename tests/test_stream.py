@@ -212,27 +212,83 @@ def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch):
 
 
 TRACED_PEAK_BOUND = 8e6  # bytes; a few chunks, whatever the size of the trace
+# bytes; 2.8 and 3.9 MB when a chunk was folded at once and raw chunks were
+# joined to the partial group of the chunk before
+FOLD_PEAK_BOUND = 1e6
+RAW_ANALYZE_PEAK_BOUND = 2.5e6
+
+
+def _traced(run):
+    """(run(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _big_raw_trace(path: Path) -> Path:
+    np.random.default_rng(5).integers(0, 256, 12_000_000, dtype=np.uint8).tofile(path)
+    return path
 
 
 @pytest.mark.parametrize("command", [
     ["analyze", "--alg", "all"], ["distribution"], ["encode", "--alg", "sort"], ["decode"],
 ])
 def test_memory_does_not_grow_with_the_trace(tmp_path, command):
-    trace = tmp_path / "big.raw"
-    np.random.default_rng(5).integers(0, 256, 12_000_000, dtype=np.uint8).tofile(trace)
+    trace = _big_raw_trace(tmp_path / "big.raw")
     argv = [*command, "--format", "raw", "-i", str(trace)]
     if command == ["decode"]:  # the encoded text of the trace, 104 MB
         encoded = tmp_path / "big.enc"
         assert cli.main(["encode", "--alg", "sort", *argv[1:], "-o", str(encoded)]) == 0
         argv = ["decode", "-i", str(encoded)]
     out = tmp_path / "out"
-    tracemalloc.start()
-    try:
-        code = cli.main([*argv, "-o", str(out)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced(lambda: cli.main([*argv, "-o", str(out)]))
     assert code == 0
     assert peak < TRACED_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
     if command == ["decode"]:
         assert out.read_bytes() == trace.read_bytes()
+
+
+def test_raw_analyze_holds_little_beyond_its_chunk(tmp_path):
+    trace = _big_raw_trace(tmp_path / "big.raw")
+    argv = ["analyze", "--alg", "all", "--format", "raw", "-i", str(trace),
+            "-o", str(tmp_path / "out")]
+    code, peak = _traced(lambda: cli.main(argv))
+    assert code == 0
+    assert peak < RAW_ANALYZE_PEAK_BOUND, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_folding_a_chunk_holds_one_block_of_temporaries():
+    words = np.random.default_rng(6).integers(0, 256, (cli._READ_SIZE // 3, 3), dtype=np.uint8)
+    masks = bulk.modulate_block(words)  # the frames of one raw read
+    stats = bulk.StreamStats()
+    _, peak = _traced(lambda: stats.update(masks))
+    assert stats.frame_count == 87_381
+    assert peak < FOLD_PEAK_BOUND, f"traced peak {peak / 1e6:.2f} MB"
+
+
+class _RecordedReads(io.BytesIO):
+    """A binary file that records the size of each read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_raw_trace_is_read_in_whole_groups(size):
+    assert len(ENC_PAYLOAD) % 3  # a partial last group
+    whole = list(traceio.read_trace(io.BytesIO(ENC_PAYLOAD), "raw", "all", ONE_CHUNK))
+    file = _RecordedReads(ENC_PAYLOAD)
+    streams = list(traceio.read_trace(file, "raw", "all", size))
+    assert set(file.sizes) == {max(size - size % 3, 3)}
+    assert np.array_equal(np.concatenate([s.masks for s in streams], axis=1),
+                          np.concatenate([s.masks for s in whole], axis=1))
+    assert [s.pad_bytes for s in streams] == [0] * (len(streams) - 1) + [whole[-1].pad_bytes]

@@ -462,13 +462,17 @@ def _read(reader, data):
 
 
 def _one_chunk(read):
-    """(alg, pad, masks, flags, frame_lines) of one way of _EncodedReader to
-    read a chunk, on data as one chunk, or None if it does not read it."""
+    """(alg, pad, masks, flags, frame_lines, lines) of one way of
+    _EncodedReader to read a chunk, on data as one chunk, or None if it
+    does not read it."""
     def reader(data):
         traceio._check_ascii(data)
         encoded = traceio._EncodedReader()
-        frames = read(encoded, data, 0)
-        return None if frames is None else (*encoded.end(), *frames)
+        result = read(encoded, data, 0)
+        if result is None:
+            return None
+        frames, lines = result
+        return (*encoded.end(), *frames, lines)
     return reader
 
 
@@ -495,6 +499,7 @@ def test_parse_encoded_matches_line_parser(case):
         assert _same(fast, reference)
         if isinstance(fast, tuple):
             assert list(fast[4]) == reference[4]  # the input line of every frame
+            assert fast[5] == reference[5]  # the lines of the chunk
     assert _same(_read(parse_encoded, data), reference)
 
 
