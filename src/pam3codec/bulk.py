@@ -8,8 +8,9 @@ mirrors a scalar operation from core/encoders/power and the test suite
 pins the two paths to each other. The oracles count_block,
 termination_total and switching_total take (n, 2, 8) int8 levels, which
 masks_of_levels and levels_of_masks convert. Every encoding is one rule
-from a frame's level counts to a flag, and one table from flag to one of
-the six level bijections of encoders.PERMUTATION_IMAGES.
+from a frame's level counts to a flag, encoders.flag_of_counts, and one
+table from flag to level bijection, encoders.FLAG_IMAGES; the count-key
+and flag tables here are derived from the two at import.
 """
 
 from __future__ import annotations
@@ -33,38 +34,15 @@ _SELECT = (
     (_IMAGES.T == np.array([-1, 1])[:, None, None]) << np.arange(6)
 ).sum(axis=2).astype(np.uint16)
 
-# The permutation index each flag value stands for; the flag is the index
-# into the tuple. DBI's flag 1 inverts, MF's flag names the level it swaps
-# with +1 and a SORT flag is the permutation index itself.
+# The permutation index each flag value stands for, indexed by flag.
 _PERM_OF_FLAG = {
-    Algorithm.NONE: np.array([0], dtype=np.uint8),
-    Algorithm.DBI: np.array([0, 5], dtype=np.uint8),
-    Algorithm.MF: np.array([5, 1, 0], dtype=np.uint8),
-    Algorithm.SORT: np.arange(6, dtype=np.uint8),
+    alg: np.array([encoders.PermutationCode.from_images(i).index for i in images], np.uint8)
+    for alg, images in encoders.FLAG_IMAGES.items()
 }
-
-
-def _dbi_flags(cnt: np.ndarray) -> np.ndarray:
-    return cnt[:, 0] > cnt[:, 2]
-
-
-def _mf_flags(cnt: np.ndarray) -> np.ndarray:
-    # argmax over the reversed counts finds the first maximum from the +1
-    # side, matching the tie-break "+1, then 0, then -1"
-    return 2 - cnt[:, ::-1].argmax(axis=1)
-
-
-def _sort_flags(cnt: np.ndarray) -> np.ndarray:
-    order = np.argsort(cnt, axis=1, kind="stable")  # least to most frequent
-    ranks = np.empty_like(order)
-    ranks[np.arange(len(order))[:, None], order] = np.arange(3)
-    # lexicographic index of the image triple
-    return 2 * ranks[:, 0] + (ranks[:, 1] > ranks[:, 2])
-
 
 # A frame's counts (cnt-1, cnt0, cnt+1) sum to 16, so cnt-1 * 17 + cnt0 is
 # a key that fixes every flag rule. 153 of the 289 keys are reachable; the
-# others would need a negative cnt+1 and get zero counts here.
+# others would need a negative cnt+1 and get zero counts and flags here.
 _KEYS = 17 * 17
 _cnt_neg, _cnt_zero = np.divmod(np.arange(_KEYS), 17)
 _KEY_COUNTS = np.stack([_cnt_neg, _cnt_zero, 16 - _cnt_neg - _cnt_zero], axis=1)
@@ -72,18 +50,14 @@ _REACHABLE = _KEY_COUNTS[:, 2] >= 0
 _KEY_COUNTS[~_REACHABLE] = 0
 
 
-def _flag_of_key(rule) -> np.ndarray:
+def _flag_of_key(algorithm: Algorithm) -> np.ndarray:
     flags = np.zeros(_KEYS, dtype=np.uint8)
-    flags[_REACHABLE] = rule(_KEY_COUNTS[_REACHABLE])
+    counts = _KEY_COUNTS[_REACHABLE].tolist()
+    flags[_REACHABLE] = [encoders.flag_of_counts(c, algorithm) for c in counts]
     return flags
 
 
-_FLAG_OF_KEY = {
-    Algorithm.NONE: np.zeros(_KEYS, dtype=np.uint8),
-    Algorithm.DBI: _flag_of_key(_dbi_flags),
-    Algorithm.MF: _flag_of_key(_mf_flags),
-    Algorithm.SORT: _flag_of_key(_sort_flags),
-}
+_FLAG_OF_KEY = {alg: _flag_of_key(alg) for alg in _PERM_OF_FLAG}
 _PERM_OF_KEY = {alg: _PERM_OF_FLAG[alg][flags] for alg, flags in _FLAG_OF_KEY.items()}
 
 # The keys fall into 7 classes, each mapped to one permutation by every

@@ -128,16 +128,17 @@ def _spool(path: str):
     writes nothing.
 
     A regular file, or a new one, is spooled to a temporary file in its
-    directory and renamed over it at the end. stdout and any other kind of
-    file (a device, a pipe) are spooled to an anonymous temporary file and
-    copied out at the end.
+    directory and renamed over it at the end. stdout, a regular file in a
+    directory that is not writable and any other kind of file (a device, a
+    pipe) are spooled to an anonymous temporary file and copied out at the
+    end.
     """
     if path != "-":
         try:
             mode = os.stat(path).st_mode
         except FileNotFoundError:
             return _replacing(path, None)
-        if stat.S_ISREG(mode):
+        if stat.S_ISREG(mode) and os.access(os.path.dirname(os.path.realpath(path)), os.W_OK):
             return _replacing(path, stat.S_IMODE(mode))
     return _copying(path)
 

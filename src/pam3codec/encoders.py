@@ -1,8 +1,9 @@
 """The three low-power PAM-3 frame encodings: DBI, MF, and SORT.
 
 All three work on whole 16-symbol frames (both lines jointly) and remap
-levels through some bijection of {-1, 0, +1}, so each decoder only needs
-the flag bits to undo the mapping:
+levels through one of the six bijections of {-1, 0, +1}, picked by the
+frame's level counts, so each decoder only needs the flag bits to undo
+the mapping:
 
 * DBI inverts every level (-1 <-> +1, 0 fixed) when -1 symbols outnumber
   +1 symbols; 1 flag bit says whether it did.
@@ -10,6 +11,11 @@ the flag bits to undo the mapping:
   2 flag bits name that level.
 * SORT remaps levels by frequency rank, least frequent to -1 and most
   frequent to +1; 3 flag bits carry the permutation number.
+
+Each encoding is written once, as a rule and a table: flag_of_counts picks
+the flag from a frame's counts of (-1, 0, +1), and FLAG_IMAGES[alg][flag]
+is the bijection the flag stands for. encode and decode apply the two to
+one frame; bulk derives its count-key tables from them at import.
 """
 
 from __future__ import annotations
@@ -31,21 +37,6 @@ class Algorithm(Enum):
 
 CANONICAL_ORDER = (Algorithm.NONE, Algorithm.DBI, Algorithm.MF, Algorithm.SORT)
 
-FLAG_WIDTH = {
-    Algorithm.NONE: 0,
-    Algorithm.DBI: 1,
-    Algorithm.MF: 2,
-    Algorithm.SORT: 3,
-}
-
-# Largest flag value each algorithm emits; its decoder rejects anything above.
-MAX_FLAG = {
-    Algorithm.NONE: 0,
-    Algorithm.DBI: 1,
-    Algorithm.MF: 2,
-    Algorithm.SORT: 5,
-}
-
 # The six bijections of {-1, 0, +1} as image triples (image of -1, image
 # of 0, image of +1), indexed in lexicographic order of the triple. The
 # flag of a SORT frame is an index into this table.
@@ -60,14 +51,19 @@ PERMUTATION_IMAGES = (
 
 _INDEX_OF_IMAGES = {images: i for i, images in enumerate(PERMUTATION_IMAGES)}
 
-# Transposition applied by MF per most-frequent level (-1, 0, +1 in turn).
-_MF_IMAGES = (
-    (1, 0, -1),   # swap -1 and +1
-    (-1, 1, 0),   # swap 0 and +1
-    (-1, 0, 1),   # +1 already most frequent: identity
-)
+# The bijection each flag value stands for: FLAG_IMAGES[alg][flag]. DBI's
+# flag 1 inverts, MF's flag names the level (-1, 0, +1 in turn) it swaps
+# with +1, and a SORT flag indexes PERMUTATION_IMAGES.
+FLAG_IMAGES = {
+    Algorithm.NONE: ((-1, 0, 1),),
+    Algorithm.DBI: ((-1, 0, 1), (1, 0, -1)),
+    Algorithm.MF: ((1, 0, -1), (-1, 1, 0), (-1, 0, 1)),
+    Algorithm.SORT: PERMUTATION_IMAGES,
+}
 
-_INVERT_IMAGES = (1, 0, -1)
+# Largest flag value each algorithm emits; its decoder rejects anything above.
+MAX_FLAG = {alg: len(images) - 1 for alg, images in FLAG_IMAGES.items()}
+FLAG_WIDTH = {alg: limit.bit_length() for alg, limit in MAX_FLAG.items()}
 
 
 @dataclass(frozen=True)
@@ -131,20 +127,54 @@ def _map_frame(frame: Pam3Frame, images: tuple[int, int, int]) -> Pam3Frame:
     )
 
 
+def flag_of_counts(counts: tuple[int, int, int], algorithm: Algorithm) -> int:
+    """The flag algorithm picks for a frame holding counts of (-1, 0, +1)."""
+    if algorithm is Algorithm.NONE:
+        return 0
+    if algorithm is Algorithm.DBI:
+        return int(counts[0] > counts[2])  # -1 symbols outnumber +1 symbols
+    if algorithm is Algorithm.MF:
+        best = max(counts)
+        return max(i for i in range(3) if counts[i] == best)
+    if algorithm is Algorithm.SORT:
+        order = sorted(range(3), key=lambda i: counts[i])
+        images = [0, 0, 0]
+        for rank, level_index in enumerate(order):
+            images[level_index] = rank - 1
+        return PermutationCode.from_images(tuple(images)).index
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def encode(frame: Pam3Frame, algorithm: Algorithm) -> EncodedFrame:
+    """Encode with any algorithm; NONE passes the frame through (flag=0)."""
+    flag = flag_of_counts(count_symbols(frame).as_tuple(), algorithm)
+    return EncodedFrame(_map_frame(frame, FLAG_IMAGES[algorithm][flag]), algorithm, flag)
+
+
+def decode(encoded: EncodedFrame) -> Pam3Frame:
+    """Decode any EncodedFrame through the inverse of its flag's bijection."""
+    images = FLAG_IMAGES[encoded.algorithm]
+    if encoded.flag >= len(images):
+        raise InvalidFlag(
+            f"{encoded.algorithm.value} flag must be 0..{len(images) - 1}, got {encoded.flag}"
+        )
+    inverse = PermutationCode.from_images(images[encoded.flag]).inverse()
+    return _map_frame(encoded.frame, inverse.images)
+
+
+def _decode_as(encoded: EncodedFrame, algorithm: Algorithm) -> Pam3Frame:
+    if encoded.algorithm is not algorithm:
+        raise WrongAlgorithm(f"expected {algorithm.value} frame, got {encoded.algorithm.value}")
+    return decode(encoded)
+
+
 def encode_dbi(frame: Pam3Frame) -> EncodedFrame:
     """Invert the frame when -1 symbols outnumber +1 symbols (flag=1)."""
-    c = count_symbols(frame)
-    if c.neg > c.pos:
-        return EncodedFrame(_map_frame(frame, _INVERT_IMAGES), Algorithm.DBI, 1)
-    return EncodedFrame(frame, Algorithm.DBI, 0)
+    return encode(frame, Algorithm.DBI)
 
 
 def decode_dbi(encoded: EncodedFrame) -> Pam3Frame:
-    if encoded.algorithm is not Algorithm.DBI:
-        raise WrongAlgorithm(f"expected DBI frame, got {encoded.algorithm.value}")
-    if encoded.flag:
-        return _map_frame(encoded.frame, _INVERT_IMAGES)
-    return encoded.frame
+    return _decode_as(encoded, Algorithm.DBI)
 
 
 def encode_mf(frame: Pam3Frame) -> EncodedFrame:
@@ -153,19 +183,11 @@ def encode_mf(frame: Pam3Frame) -> EncodedFrame:
     Ties prefer +1, then 0, then -1, so a tie involving +1 degenerates to
     the identity instead of a pointless swap.
     """
-    counts = count_symbols(frame).as_tuple()
-    best = max(counts)
-    mf_index = max(i for i in range(3) if counts[i] == best)
-    return EncodedFrame(_map_frame(frame, _MF_IMAGES[mf_index]), Algorithm.MF, mf_index)
+    return encode(frame, Algorithm.MF)
 
 
 def decode_mf(encoded: EncodedFrame) -> Pam3Frame:
-    if encoded.algorithm is not Algorithm.MF:
-        raise WrongAlgorithm(f"expected MF frame, got {encoded.algorithm.value}")
-    if encoded.flag > 2:
-        raise InvalidFlag(f"MF flag must be 0..2, got {encoded.flag}")
-    # a transposition is its own inverse
-    return _map_frame(encoded.frame, _MF_IMAGES[encoded.flag])
+    return _decode_as(encoded, Algorithm.MF)
 
 
 def encode_sort(frame: Pam3Frame) -> EncodedFrame:
@@ -174,48 +196,11 @@ def encode_sort(frame: Pam3Frame) -> EncodedFrame:
     The rank order comes from a stable ascending sort over the counts of
     (-1, 0, +1) in that input order, so ties resolve deterministically.
     """
-    counts = count_symbols(frame).as_tuple()
-    order = sorted(range(3), key=lambda i: counts[i])
-    images = [0, 0, 0]
-    for rank, level_index in enumerate(order):
-        images[level_index] = rank - 1
-    code = PermutationCode.from_images(tuple(images))
-    return EncodedFrame(_map_frame(frame, code.images), Algorithm.SORT, code.index)
+    return encode(frame, Algorithm.SORT)
 
 
 def decode_sort(encoded: EncodedFrame) -> Pam3Frame:
-    if encoded.algorithm is not Algorithm.SORT:
-        raise WrongAlgorithm(f"expected SORT frame, got {encoded.algorithm.value}")
-    if encoded.flag > 5:
-        raise InvalidFlag(f"SORT flag must be 0..5, got {encoded.flag}")
-    inverse = PermutationCode(encoded.flag).inverse()
-    return _map_frame(encoded.frame, inverse.images)
-
-
-def encode(frame: Pam3Frame, algorithm: Algorithm) -> EncodedFrame:
-    """Encode with any algorithm; NONE passes the frame through (flag=0)."""
-    if algorithm is Algorithm.NONE:
-        return EncodedFrame(frame, Algorithm.NONE, 0)
-    if algorithm is Algorithm.DBI:
-        return encode_dbi(frame)
-    if algorithm is Algorithm.MF:
-        return encode_mf(frame)
-    if algorithm is Algorithm.SORT:
-        return encode_sort(frame)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def decode(encoded: EncodedFrame) -> Pam3Frame:
-    """Decode any EncodedFrame by dispatching on its algorithm tag."""
-    if encoded.algorithm is Algorithm.NONE:
-        return encoded.frame
-    if encoded.algorithm is Algorithm.DBI:
-        return decode_dbi(encoded)
-    if encoded.algorithm is Algorithm.MF:
-        return decode_mf(encoded)
-    if encoded.algorithm is Algorithm.SORT:
-        return decode_sort(encoded)
-    raise ValueError(f"unknown algorithm {encoded.algorithm!r}")
+    return _decode_as(encoded, Algorithm.SORT)
 
 
 def brute_force_best_permutation(

@@ -189,6 +189,14 @@ def test_flag_tables_match_scalar_on_every_count_triple(algorithm):
         assert bulk._FLAG_OF_KEY[algorithm][neg * 17 + zero] == scalar.flag, (neg, zero)
 
 
+def test_perm_of_flag_table():
+    """The flag -> bijection table, derived from encoders.FLAG_IMAGES."""
+    expected = {Algorithm.NONE: [0], Algorithm.DBI: [0, 5], Algorithm.MF: [5, 1, 0],
+                Algorithm.SORT: [0, 1, 2, 3, 4, 5]}
+    assert {alg: perms.tolist() for alg, perms in bulk._PERM_OF_FLAG.items()} == expected
+    assert all(perms.dtype == np.uint8 for perms in bulk._PERM_OF_FLAG.values())
+
+
 MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
 
 

@@ -339,6 +339,24 @@ def test_output_file_mode(tmp_path):
     assert out.stat().st_mode & 0o777 == 0o604 and out.read_bytes() == bytes.fromhex("00ff00")
 
 
+def test_output_file_in_read_only_directory(tmp_path, monkeypatch):
+    """A writable output file in a directory that is not writable is
+    rewritten in place, as no spool file can be made beside it."""
+    trace = tmp_path / "t.txt"
+    trace.write_text("W 0x0 00ff00\n")
+    out = tmp_path / "out"
+    out.write_bytes(b"old contents, longer than the output")
+    inode = out.stat().st_ino
+    directory = os.path.realpath(tmp_path)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, m: p != directory and access(p, m))
+    assert _run("encode", "--alg", "dbi", "-i", str(trace), "-o", str(out)) == 0
+    assert out.stat().st_ino == inode and out.read_bytes().startswith(b"# alg DBI\n")
+    assert _run("decode", "-i", str(out), "-o", str(out)) == 0
+    assert out.stat().st_ino == inode and out.read_bytes() == bytes.fromhex("00ff00")
+    assert sorted(os.listdir(tmp_path)) == ["out", "t.txt"]
+
+
 @given(
     st.binary(min_size=1, max_size=300),
     st.sampled_from(list(Algorithm)),

@@ -6,6 +6,8 @@ import hypothesis.strategies as st
 
 from pam3codec.core import Pam3Frame, count_symbols
 from pam3codec.encoders import (
+    FLAG_WIDTH,
+    MAX_FLAG,
     Algorithm,
     EncodedFrame,
     PermutationCode,
@@ -124,7 +126,7 @@ def test_mf_decode_examples():
 
 
 def test_mf_decode_invalid_flag():
-    with pytest.raises(InvalidFlag):
+    with pytest.raises(InvalidFlag, match=r"^MF flag must be 0\.\.2, got 3$"):
         decode_mf(EncodedFrame(ALL_POS, Algorithm.MF, 3))
 
 
@@ -179,7 +181,7 @@ def test_sort_decode_examples():
 
 @pytest.mark.parametrize("flag", [6, 7])
 def test_sort_decode_invalid_flag(flag):
-    with pytest.raises(InvalidFlag):
+    with pytest.raises(InvalidFlag, match=rf"^SORT flag must be 0\.\.5, got {flag}$"):
         decode_sort(EncodedFrame(ALL_POS, Algorithm.SORT, flag))
 
 
@@ -303,3 +305,16 @@ def test_none_encoding_is_identity():
 def test_encoded_frame_flag_width(algorithm, flag):
     with pytest.raises(InvalidFlag):
         EncodedFrame(ALL_POS, algorithm, flag)
+
+
+@pytest.mark.parametrize("algorithm", ["SORT", "sort", None])
+def test_encode_rejects_unknown_algorithm(algorithm):
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        encode(FRAME_655, algorithm)
+
+
+def test_flag_limits_are_the_papers():
+    """MAX_FLAG and FLAG_WIDTH derive from FLAG_IMAGES; pin them to the
+    paper's 1-, 2- and 3-bit flags."""
+    assert MAX_FLAG == {Algorithm.NONE: 0, Algorithm.DBI: 1, Algorithm.MF: 2, Algorithm.SORT: 5}
+    assert FLAG_WIDTH == {Algorithm.NONE: 0, Algorithm.DBI: 1, Algorithm.MF: 2, Algorithm.SORT: 3}
