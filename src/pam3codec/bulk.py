@@ -71,7 +71,6 @@ _STATES = 3 * len(_CLASS_PERMS)
 # By key, the state of level 0 in both bytes of a uint16, one byte per line.
 _STATE_BASE = ((3 * _CLASS_OF_KEY.reshape(-1) + 1) * 0x0101).astype(np.uint16)
 _LOW_BITS = np.uint16(0x0101)  # bit 0 of both bytes
-_MAX_ADJACENT = 14  # adjacent pairs of one type in a frame, 7 per line
 _BOUNDARY_LEVELS = {
     alg: _IMAGES[perms].reshape(-1).astype(np.int64)
     for alg, perms in zip(_PERM_OF_KEY, _CLASS_PERMS.T)
@@ -277,11 +276,10 @@ class StreamStats(CountStats):
         super()._fold(masks, key)
         neg, pos = masks
         zero = ~(neg | pos)
-        rows = key * np.uint16(_MAX_ADJACENT + 1)
         for pairs, (p, q) in zip(self.pairs_per_key, ((neg, zero), (zero, pos), (neg, pos))):
-            # frames by key and by how many adjacent pairs of the type they hold
-            frames = np.bincount(rows + _adjacent(p, q), minlength=_KEYS * (_MAX_ADJACENT + 1))
-            pairs += frames.reshape(_KEYS, -1) @ np.arange(_MAX_ADJACENT + 1)
+            # the float64 sums are exact: a block's _FOLD_FRAMES frames hold
+            # at most 14 pairs of a type each, far below 2**53
+            pairs += np.bincount(key, weights=_adjacent(p, q), minlength=_KEYS).astype(np.int64)
         # (n, 2) uint8 boundary states of positions 0 (bit 7) and 7 (bit 0),
         # line A then B; no byte borrows, as a position is not both -1 and +1
         base = _STATE_BASE[key]

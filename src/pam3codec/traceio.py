@@ -7,8 +7,9 @@ Text trace format, one record per line:
 where op is R or W, address is 0x-prefixed hex, and payload is even-length
 hex (any case). Blank lines and lines starting with # are skipped. Raw
 format is a flat binary file whose entire content is one WRITE payload.
-parse_text_columns reads a trace in the canonical layout as columns
-(TraceColumns), without a TraceRecord per record.
+An op filter keeps the records of all ops, of reads or of writes;
+parse_text_columns reads the payload it keeps of a trace in the canonical
+layout without a TraceRecord per record.
 
 Encoded frame text is two header lines, `# alg <NAME>` and `# pad <0..2>`,
 then one line per frame, `A:<8 symbols> B:<8 symbols> F:<flag>`, with the
@@ -17,7 +18,7 @@ symbols written as -, 0, +.
 Files of any size are read and written a chunk at a time by read_trace
 (a trace, as one FrameStream per chunk), write_encoded (encoded frame
 text, whose one-digit pad count is patched at the end) and read_encoded
-(encoded frame text back to payload bytes; decode_encoded reads through it).
+(encoded frame text back to payload bytes).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import binascii
 import io
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
@@ -50,9 +52,9 @@ _LINE_SEPARATORS = np.frombuffer(b"  \n", dtype=np.uint8)
 _TOKEN_BYTES = b"0123456789abcdefABCDEF \n"
 _ADDRESS_TOKEN = (3, 18)  # 0x plus 1..16 digits, below 2**64
 
-# Encoded frame text. format_encoded writes every frame as one 26-byte
+# Encoded frame text. format_encoded_rows writes every frame as one 26-byte
 # row of _FRAME_ROW (flags are at most 5, so always one digit), which
-# lets parse_encoded read a canonical file as an (n, 26) byte array.
+# lets _EncodedReader read a canonical chunk as an (n, 26) byte array.
 _HEADER_RE = re.compile(rb"# alg (NONE|DBI|MF|SORT)\n# pad ([012])\n")
 _FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
 _SYMBOL_COLUMNS = np.r_[2:10, 13:21]  # line A, then line B
@@ -85,44 +87,6 @@ class TraceRecord:
             raise ValueError(f"address must fit 64 bits, got {self.address!r}")
         if len(self.payload) < 1:
             raise ValueError("payload must hold at least one byte")
-
-
-@dataclass(frozen=True, eq=False)
-class TraceColumns:
-    """The records of a trace as columns, in record order.
-
-    is_read is (n,) bool, lengths is (n,) int64 payload byte counts and
-    payload is every record's payload joined, one uint8 array.
-    """
-
-    is_read: np.ndarray
-    payload: np.ndarray
-    lengths: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "TraceColumns":
-        records = list(records)
-        return cls(
-            np.array([r.op == READ for r in records], dtype=bool),
-            np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8),
-            np.array([len(r.payload) for r in records], dtype=np.int64),
-        )
-
-    def select(self, op_filter: str) -> "TraceColumns":
-        """The records an op filter keeps: all, read or write."""
-        if op_filter not in OP_FILTERS:
-            raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
-        if op_filter == "all":
-            return self
-        keep = self.is_read if op_filter == "read" else ~self.is_read
-        if keep.all():
-            return self
-        return TraceColumns(
-            self.is_read[keep], self.payload[np.repeat(keep, self.lengths)], self.lengths[keep]
-        )
 
 
 def _frame_of_row(row: np.ndarray) -> Pam3Frame:
@@ -292,8 +256,17 @@ def format_text_trace(records: Iterable[TraceRecord]) -> str:
     )
 
 
-def parse_text_columns(data: bytes) -> TraceColumns | None:
-    """Read a text trace in the canonical layout as columns, else None.
+def _kept_ops(op_filter: str) -> str:
+    """The ops of the records an op filter keeps: all, read or write."""
+    if op_filter not in OP_FILTERS:
+        raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
+    return {"all": READ + WRITE, "read": READ, "write": WRITE}[op_filter]
+
+
+def parse_text_columns(data: bytes, op_filter: str) -> tuple[np.ndarray, int] | None:
+    """(payload, lines) of a text trace in the canonical layout, else None:
+    the joined payload bytes of the records op_filter keeps, as a uint8
+    array, and the number of lines, one record each.
 
     The canonical layout is `R|W 0x<1..16 hex digits> <even-length hex>\n`
     on every line, as format_text_trace writes it; it is checked and read
@@ -302,6 +275,7 @@ def parse_text_columns(data: bytes) -> TraceColumns | None:
     or an error) gives None: parse_text_trace reads every other form with
     the same rules and raises the line-numbered ParseError.
     """
+    kept = list(_kept_ops(op_filter).encode("ascii"))
     buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero(buf <= 32)
     if not len(seps) or len(seps) % 3 or seps[-1] != len(buf) - 1:
@@ -327,18 +301,13 @@ def parse_text_columns(data: bytes) -> TraceColumns | None:
         and len(data.translate(None, _TOKEN_BYTES)) == 2 * len(starts)
     ):
         return None
-    # each line is a run of op and address, a run of payload digits and a newline
+    # each line is a run of op and address, a run of payload digits and a
+    # newline; only the payload runs of the kept records are picked
     runs = np.stack([address_end + 1 - starts, lengths, np.ones_like(lengths)], axis=1)
-    in_payload = np.repeat(np.tile([False, True, False], len(starts)), runs.reshape(-1))
-    payload = binascii.unhexlify(buf[in_payload])
-    return TraceColumns(is_read, np.frombuffer(payload, dtype=np.uint8), lengths // 2)
-
-
-def format_encoded(
-    alg: Algorithm, masks: np.ndarray, flags: np.ndarray, pad_bytes: int
-) -> bytes:
-    """Encoded frame text of (2, n) encoded line masks and their (n,) flags."""
-    return format_encoded_header(alg, pad_bytes) + format_encoded_rows(alg, masks, flags)
+    picked = np.zeros(runs.shape, dtype=bool)
+    picked[:, 1] = np.isin(ops, kept)
+    payload = binascii.unhexlify(buf[np.repeat(picked.reshape(-1), runs.reshape(-1))])
+    return np.frombuffer(payload, dtype=np.uint8), len(starts)
 
 
 def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
@@ -382,25 +351,6 @@ def write_encoded(out: BinaryIO, alg: Algorithm, streams: Iterable[FrameStream])
         pad_bytes = stream.pad_bytes
     out.seek(pad_digit)
     out.write(b"%d" % pad_bytes)
-
-
-def parse_encoded(data: bytes) -> tuple[Algorithm, int, np.ndarray, np.ndarray]:
-    """Read encoded frame text: (algorithm, pad bytes, masks, flags).
-
-    masks is (2, n) uint16 line masks as in bulk and flags is (n,) uint8,
-    each flag within the algorithm's range. The text is read as one chunk
-    of _EncodedReader, the reader read_encoded uses.
-    """
-    _check_ascii(data)
-    reader = _EncodedReader()
-    (masks, flags, _), _ = reader.read(data, 0)
-    return (*reader.end(), masks, flags)
-
-
-def decode_encoded(data: bytes) -> bytes:
-    """The payload bytes that encoded frame text carries, padding stripped:
-    read_encoded on the text."""
-    return b"".join(read_encoded(io.BytesIO(data), max(len(data), 1)))
 
 
 def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
@@ -457,7 +407,7 @@ class _EncodedReader:
         of its frames, the input line of every frame, and the number of
         lines in the chunk.
 
-        A chunk in the exact layout format_encoded writes is read as one
+        A chunk in the exact layout format_encoded_rows writes is read as one
         byte array (rows); any other (blank lines, comments, CRLF,
         whitespace around a line, leading zeros in a flag, or an error) by
         the line reader (lines), which raises the line-numbered ParseError.
@@ -578,18 +528,13 @@ def parse_raw_trace(source: BinaryIO | bytes) -> list[TraceRecord]:
     return [TraceRecord(WRITE, 0, data)]
 
 
-def frame_records(records: Iterable[TraceRecord] | TraceColumns) -> FrameStream:
+def frame_records(records: Iterable[TraceRecord]) -> FrameStream:
     """Concatenate payloads in record order and modulate 3-byte groups.
 
-    records is TraceRecords or TraceColumns, whose payload is already
-    joined. A final partial group is zero padded and the pad count
-    recorded so the payload can be reconstructed exactly.
+    A final partial group is zero padded and the pad count recorded so
+    the payload can be reconstructed exactly.
     """
-    if isinstance(records, TraceColumns):
-        data = records.payload
-    else:
-        data = np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8)
-    return _frame_payload(data)
+    return _frame_payload(np.frombuffer(b"".join(r.payload for r in records), dtype=np.uint8))
 
 
 def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[FrameStream]:
@@ -604,42 +549,45 @@ def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"fmt must be one of {TRACE_FORMATS}, got {fmt!r}")
-    if op_filter not in OP_FILTERS:
-        raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
-    chunks = _raw_columns(file, size) if fmt == "raw" else _read_text(file, size, _text_columns)
-    return _framed(columns.select(op_filter) for columns in chunks)
+    kept = _kept_ops(op_filter)  # before the first read
+    if fmt == "raw":
+        return _framed(_raw_payloads(file, size, WRITE in kept))
+    return _framed(_read_text(file, size, partial(_text_payload, op_filter=op_filter)))
 
 
-def _raw_columns(file: BinaryIO, size: int) -> Iterator[TraceColumns]:
-    """Each block of a raw trace as one write record, read in whole 3-byte
-    groups so that _framed need not join a block to the group before."""
+def _raw_payloads(file: BinaryIO, size: int, kept: bool) -> Iterator[np.ndarray]:
+    """Each block of a raw trace, one write record, or nothing of it if
+    the op filter does not keep it; read in whole 3-byte groups so that
+    _framed need not join a block to the group before."""
     size = max(size - size % 3, 3)
     block = file.read(size)
     if not block:
         raise EmptyInput("raw trace holds no bytes")
     while block:
-        payload = np.frombuffer(block, dtype=np.uint8)
-        yield TraceColumns(np.zeros(1, dtype=bool), payload, np.array([len(payload)]))
+        yield np.frombuffer(block if kept else b"", dtype=np.uint8)
         block = file.read(size)
 
 
-def _text_columns(chunk: bytes, lines_before: int) -> tuple[TraceColumns, int]:
-    """(records, lines) of a chunk of whole lines of a text trace, read in
-    bulk in the canonical layout, one record per line, and by the line
-    reader otherwise; an error names its line of the whole file."""
-    records = parse_text_columns(chunk)
-    if records is not None:
-        return records, len(records)
+def _text_payload(chunk: bytes, lines_before: int, op_filter: str) -> tuple[np.ndarray, int]:
+    """(payload, lines) of a chunk of whole lines of a text trace: the
+    payload an op filter keeps, read in bulk in the canonical layout and
+    by the line reader otherwise; an error names its line of the whole file."""
+    read = parse_text_columns(chunk, op_filter)
+    if read is not None:
+        return read
     try:
-        return TraceColumns.from_records(parse_text_trace(chunk)), _line_count(chunk)
+        records = parse_text_trace(chunk)
     except ParseError as exc:
         raise ParseError(exc.reason, lines_before + exc.line_number) from None
+    kept = _kept_ops(op_filter)
+    payload = b"".join(r.payload for r in records if r.op in kept)
+    return np.frombuffer(payload, dtype=np.uint8), _line_count(chunk)
 
 
-def _framed(chunks: Iterable[TraceColumns]) -> Iterator[FrameStream]:
+def _framed(payloads: Iterable[np.ndarray]) -> Iterator[FrameStream]:
     tail = np.zeros(0, dtype=np.uint8)
-    for columns in chunks:
-        data = np.concatenate([tail, columns.payload]) if len(tail) else columns.payload
+    for payload in payloads:
+        data = np.concatenate([tail, payload]) if len(tail) else payload
         cut = len(data) - len(data) % 3
         tail = data[cut:].copy()
         yield _frame_payload(data[:cut])

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,17 +13,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pam3codec import bulk, cli
+from pam3codec import cli
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
 from pam3codec.traceio import (
     TraceRecord,
-    format_encoded,
     format_text_trace,
     frame_records,
     generate_random_trace,
-    parse_encoded,
 )
+from test_traceio import decoded, encoded_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -364,14 +364,9 @@ def test_output_file_in_read_only_directory(tmp_path, monkeypatch):
 def test_encode_text_pipeline_lossless(payload, algorithm):
     "The encode text form carries everything decode needs, for any input."
     stream = frame_records([TraceRecord("W", 0, payload)])
-    enc_masks, flags = bulk.encode_block(stream.masks, algorithm)
-    text = format_encoded(algorithm, enc_masks, flags, stream.pad_bytes)
-    alg, pad, parsed_masks, parsed_flags = parse_encoded(text)
-    assert alg is algorithm
-    assert pad == stream.pad_bytes
-    decoded = bulk.decode_block(parsed_masks, parsed_flags, alg)
-    data = bulk.demodulate_block(decoded).reshape(-1).tobytes()
-    assert (data[: len(data) - pad] if pad else data) == payload
+    text = encoded_text(algorithm, stream)
+    assert text.startswith(b"# alg %s\n# pad %d\n" % (algorithm.value.encode(), stream.pad_bytes))
+    assert decoded(text) == payload
 
 
 def test_pipe_gen_random_into_analyze():
@@ -434,7 +429,7 @@ def cli_inputs(draw):
         payload = draw(st.binary(min_size=1, max_size=9))
         alg = draw(st.sampled_from(list(Algorithm)))
         stream = frame_records([TraceRecord("W", 0, payload)])
-        data = format_encoded(alg, *bulk.encode_block(stream.masks, alg), stream.pad_bytes)
+        data = encoded_text(alg, stream)
     if data and draw(st.booleans()):
         col = draw(st.integers(0, len(data) - 1))
         data = data[:col] + draw(st.binary(max_size=2)) + data[col + 1:]
@@ -460,6 +455,13 @@ def test_cli_fuzz_exit_codes(argv, data):
     # the same input through stdin and stdout gives the same verdict
     piped = _main_captured(argv, data)
     assert piped == (code, written if code == 0 else b"", err)
+
+
+def test_readme_library_example_runs(capsys):
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        (block,) = re.findall(r"\n## Library\n\n```python\n(.*?)```\n", f.read(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "SORT" in capsys.readouterr().out
 
 
 def test_benchmark_sites_exist():

@@ -45,7 +45,7 @@ def test_canonical_trace_report_matches_golden(tmp_path, case):
     # without its comment line zero.trace is read in bulk, not line by line
     lines = (GOLDEN / "zero.trace").read_bytes().splitlines(keepends=True)
     canonical = b"".join(line for line in lines if not line.startswith(b"#"))
-    assert parse_text_columns(canonical) is not None
+    assert parse_text_columns(canonical, "all") is not None
     trace = tmp_path / "zero.trace"
     trace.write_bytes(canonical)
     argv = [str(trace) if arg == TEXT[1] else arg for arg in CASES[case]]

@@ -21,14 +21,12 @@ from pam3codec.errors import ParseError
 from pam3codec.traceio import (
     OP_FILTERS,
     TraceRecord,
-    decode_encoded,
-    format_encoded,
     frame_records,
     generate_random_trace,
     parse_text_trace,
 )
 from test_cli import _main_captured
-from test_traceio import encoded_texts
+from test_traceio import decoded, encoded_text, encoded_texts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ONE_CHUNK = 1 << 30
@@ -129,7 +127,7 @@ ROW = b"A:++++++++ B:++++++++ F:0\n"  # a frame of payload ff ff ff for every al
 def test_decode_does_not_depend_on_read_size(case, size):
     data, _ = case
     try:
-        expected = (0, decode_encoded(data))
+        expected = (0, decoded(data))
     except ParseError as exc:
         expected = (2, f"pam3codec: error: {exc}\n")
     assert _run(["decode"], data, size) == expected
@@ -151,13 +149,27 @@ def test_encode_of_no_records_is_the_header_alone():
     assert _run(["decode"], out[1], ONE_CHUNK) == (0, b"")
 
 
+def test_op_filter_of_a_raw_trace():
+    """A raw trace is one write record, read in many blocks here."""
+    data = INPUTS["raw"][0]
+    for argv in (["analyze"], ["distribution"], ["encode", "--alg", "sort"]):
+        raw = [*argv, "--format", "raw"]
+        code, out = _run([*raw, "--op-filter", "write"], data, 300)
+        assert (code, out.replace(b",write,", b",all,")) == _run(raw, data, 300)  # report meta
+    for command, name in (("analyze", "analysis"), ("distribution", "distribution")):
+        assert _run([command, "--format", "raw", "--op-filter", "read"], data, 300) == (
+            2, f"pam3codec: error: {name} needs at least one frame\n")
+    encode = ["encode", "--alg", "sort", "--format", "raw", "--op-filter", "read"]
+    assert _run(encode, data, 300) == (0, b"# alg SORT\n# pad 0\n")
+    assert _run(encode, b"", 300) == (2, "pam3codec: error: raw trace holds no bytes\n")
+
+
 @pytest.mark.parametrize("size", [1, 300])  # 300: the lone last group is the whole last read
 @pytest.mark.parametrize("remainder", [1, 2])
 def test_pad_of_a_lone_last_group(size, remainder):
     payload = generate_random_trace(300 + remainder, seed=remainder)[0].payload
     stream = frame_records([TraceRecord("W", 0, payload)])
-    encoded = format_encoded(Algorithm.SORT, *bulk.encode_block(stream.masks, Algorithm.SORT),
-                             stream.pad_bytes)
+    encoded = encoded_text(Algorithm.SORT, stream)
     assert encoded.startswith(b"# alg SORT\n# pad %d\n" % (3 - remainder))
     assert _run(["encode", "--alg", "sort", "--format", "raw"], payload, size) == (0, encoded)
     assert _run(["decode"], encoded, size) == (0, payload)

@@ -15,14 +15,12 @@ from pam3codec.errors import EmptyInput, ParseError
 from pam3codec.traceio import (
     OP_FILTERS,
     FrameStream,
-    TraceColumns,
     TraceRecord,
-    decode_encoded,
-    format_encoded,
+    format_encoded_header,
+    format_encoded_rows,
     format_text_trace,
     frame_records,
     generate_random_trace,
-    parse_encoded,
     parse_raw_trace,
     parse_text_columns,
     parse_text_trace,
@@ -176,22 +174,8 @@ def text_traces(draw):
     return b"\n".join(lines) + newline, canonical
 
 
-def _same_columns(columns, reference):
-    """Whether columns hold parse_text_trace's records for every op filter;
-    reference is a line number where parse_text_trace raised ParseError."""
-    if isinstance(reference, int):
-        return False
-    for op_filter in OP_FILTERS:
-        kept = columns.select(op_filter)
-        records = [r for r in reference
-                   if op_filter == "all" or (r.op == "R") == (op_filter == "read")]
-        if not (kept.payload.dtype == np.uint8 and kept.lengths.dtype == np.int64
-                and kept.is_read.dtype == bool
-                and kept.payload.tobytes() == b"".join(r.payload for r in records)
-                and kept.lengths.tolist() == [len(r.payload) for r in records]
-                and kept.is_read.tolist() == [r.op == "R" for r in records]):
-            return False
-    return True
+def _kept(records, op_filter):
+    return [r for r in records if op_filter == "all" or (r.op == "R") == (op_filter == "read")]
 
 
 @given(text_traces())
@@ -214,11 +198,15 @@ def _same_columns(columns, reference):
 def test_text_columns_match_line_parser(case):
     data, canonical = case
     reference = _read(parse_text_trace, data)
-    fast = parse_text_columns(data)
-    if canonical:
-        assert fast is not None
-    if fast is not None:
-        assert _same_columns(fast, reference)
+    for op_filter in OP_FILTERS:
+        fast = parse_text_columns(data, op_filter)
+        if canonical:
+            assert fast is not None
+        if fast is not None:
+            payload, lines = fast
+            assert isinstance(reference, list) and lines == len(reference)
+            assert payload.dtype == np.uint8
+            assert payload.tobytes() == b"".join(r.payload for r in _kept(reference, op_filter))
 
 
 def test_read_trace_rejects_unknown_format_and_filter():
@@ -230,10 +218,10 @@ def test_read_trace_rejects_unknown_format_and_filter():
     assert trace.tell() == 0
 
 
-def test_trace_columns_select_rejects_unknown_filter():
-    columns = parse_text_columns(b"R 0x1 00\n")
-    with pytest.raises(ValueError):
-        columns.select("reads")
+def test_parse_text_columns_rejects_unknown_filter():
+    for data in (b"R 0x1 00\n", b"# not canonical\n"):
+        with pytest.raises(ValueError, match="op_filter"):
+            parse_text_columns(data, "reads")
 
 
 def test_parse_raw_trace():
@@ -372,14 +360,16 @@ def test_frame_stream_levels_read_only():
         levels[0, 0, 0] = 1
 
 
-def test_frame_records_of_columns():
+def test_text_readers_keep_the_filtered_records():
     records = [TraceRecord("W", 0, b"\x11\x22"), TraceRecord("R", 4, b"\x33\x44")]
-    columns = TraceColumns.from_records(records)
-    assert len(columns) == 2
+    text = format_text_trace(records).encode("ascii")
     for op_filter in OP_FILTERS:
-        kept = [r for r in records if op_filter == "all" or (r.op == "R") == (op_filter == "read")]
-        a, b = frame_records(columns.select(op_filter)), frame_records(kept)
-        assert np.array_equal(a.masks, b.masks) and a.pad_bytes == b.pad_bytes
+        expected = frame_records(_kept(records, op_filter))
+        for data in (text, b"#\n" + text):  # the bulk reader, then the line reader
+            streams = list(traceio.read_trace(io.BytesIO(data), "text", op_filter, 1 << 10))
+            assert np.array_equal(np.concatenate([s.masks for s in streams], axis=1),
+                                  expected.masks)
+            assert streams[-1].pad_bytes == expected.pad_bytes
 
 
 def test_frame_stream_from_frames_matches_bulk():
@@ -393,17 +383,28 @@ def test_frame_stream_from_frames_matches_bulk():
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # golden/<alg>.enc is `pam3codec encode --format raw` of this payload as
-# written by the line-by-line writer that format_encoded replaced
+# written by the line-by-line writer that format_encoded_rows replaced
 GOLDEN_PAYLOAD = generate_random_trace(240, seed=2024)[0].payload + bytes(61)
+
+
+def encoded_text(alg: Algorithm, stream: FrameStream) -> bytes:
+    """The encoded frame text write_encoded writes of one stream."""
+    out = io.BytesIO()
+    traceio.write_encoded(out, alg, [stream])
+    return out.getvalue()
+
+
+def decoded(data: bytes) -> bytes:
+    """The payload read_encoded reads of encoded frame text in one chunk."""
+    return b"".join(traceio.read_encoded(io.BytesIO(data), len(data) + 1))
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_format_encoded_golden(algorithm):
     stream = frame_records([TraceRecord("W", 0, GOLDEN_PAYLOAD)])
-    masks, flags = bulk.encode_block(stream.masks, algorithm)
     golden = (GOLDEN / f"{algorithm.value.lower()}.enc").read_bytes()
-    assert format_encoded(algorithm, masks, flags, stream.pad_bytes) == golden
-    assert decode_encoded(golden) == GOLDEN_PAYLOAD
+    assert encoded_text(algorithm, stream) == golden
+    assert decoded(golden) == GOLDEN_PAYLOAD
 
 
 def test_format_encoded_rejects_flags_not_per_frame():
@@ -412,13 +413,13 @@ def test_format_encoded_rejects_flags_not_per_frame():
     for masks, flags in ((one_frame, [0, 1, 2]), (two_frames, [0]), (two_frames, [[0, 1]]),
                          (two_frames, 0)):
         with pytest.raises(ValueError, match="one entry per frame"):
-            format_encoded(Algorithm.SORT, masks, flags, 0)
+            format_encoded_rows(Algorithm.SORT, masks, flags)
 
 
 def test_format_encoded_rejects_out_of_range_flag():
     with pytest.raises(ValueError):
-        format_encoded(Algorithm.MF, bulk.masks_of_levels(np.ones((1, 2, 8), np.int8)),
-                       np.array([3]), 0)
+        format_encoded_rows(Algorithm.MF, bulk.masks_of_levels(np.ones((1, 2, 8), np.int8)),
+                            np.array([3]))
 
 
 @st.composite
@@ -431,7 +432,8 @@ def encoded_texts(draw):
     flags = np.array(draw(st.lists(st.integers(0, MAX_FLAG[alg]), min_size=n, max_size=n)),
                      dtype=np.uint8)
     pad = draw(st.integers(0, 2 if n else 0))
-    lines = format_encoded(alg, bulk.masks_of_levels(levels), flags, pad).split(b"\n")[:-1]
+    rows = format_encoded_rows(alg, bulk.masks_of_levels(levels), flags)
+    lines = (format_encoded_header(alg, pad) + rows).split(b"\n")[:-1]
     edits = draw(st.integers(0, 3))
     for _ in range(edits):
         kind = draw(st.sampled_from(("flip", "insert", "crlf", "flag")))
@@ -500,18 +502,19 @@ def test_parse_encoded_matches_line_parser(case):
         if isinstance(fast, tuple):
             assert list(fast[4]) == reference[4]  # the input line of every frame
             assert fast[5] == reference[5]  # the lines of the chunk
-    assert _same(_read(parse_encoded, data), reference)
+    assert _same(_read(_one_chunk(traceio._EncodedReader.read), data), reference)
 
 
 @pytest.mark.parametrize("bad_frame", [0, 3, 6])
 def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame):
     masks = bulk.modulate_block(np.arange(21, dtype=np.uint8).reshape(7, 3))
-    data = bytearray(format_encoded(Algorithm.NONE, masks, np.zeros(7, np.uint8), 0))
+    rows = format_encoded_rows(Algorithm.NONE, masks, np.zeros(7, np.uint8))
+    data = bytearray(format_encoded_header(Algorithm.NONE, 0) + rows)
     row = len(b"# alg NONE\n# pad 0\n") + 26 * bad_frame
     data[row + 2] = data[row + 13] = ord("0")  # column 0 of lines A and B
     monkeypatch.setattr(traceio._EncodedReader, "lines", lambda *_: pytest.fail("re-read"))
     with pytest.raises(ParseError, match=rf"^line {bad_frame + 3}: frame {bad_frame}, column 0 "):
-        decode_encoded(bytes(data))
+        decoded(bytes(data))
 
 
 # ------------------------------------------------------- random traces
