@@ -5,6 +5,7 @@ come from exact summed symbol counts; switching totals include inter-frame
 transitions on each physical line. Flag wires are excluded from the power
 accounting unless include_flag_power is set, in which case they add to the
 termination side only, as binary lines (0 bit at level -1, 1 bit at +1).
+The symbol distribution needs only the popcounts of the -1 and +1 masks.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from . import bulk
 from .core import SymbolCounts
@@ -38,22 +41,25 @@ def _percentages(counts, frame_count: int) -> tuple[float, float, float]:
     return tuple(100.0 * int(t) / denom for t in counts)
 
 
-def _folded(stats: bulk.CountStats, streams: FrameStream | Iterable[FrameStream]):
-    """stats with every frame of streams folded in; one FrameStream is one chunk."""
-    for stream in (streams,) if isinstance(streams, FrameStream) else streams:
-        stats.update(stream.masks)
-    return stats
+def _chunks(streams: FrameStream | Iterable[FrameStream]) -> Iterable[FrameStream]:
+    """The chunks of streams in order; one FrameStream is one chunk."""
+    return (streams,) if isinstance(streams, FrameStream) else streams
 
 
 def signal_distribution(
     streams: FrameStream | Iterable[FrameStream],
 ) -> tuple[float, float, float]:
     """Percentage of -1, 0, +1 symbols over the whole stream, given as one
-    FrameStream or in chunks in order."""
-    stats = _folded(bulk.CountStats(), streams)
-    if stats.frame_count == 0:
+    FrameStream or in chunks in order: popcounts of the -1 and +1 masks,
+    the rest of the 16 symbols per frame at 0."""
+    frame_count, signed = 0, np.zeros(2, dtype=np.int64)  # the -1s and the +1s
+    for stream in _chunks(streams):
+        frame_count += len(stream)
+        signed += np.bitwise_count(stream.masks).sum(axis=1, dtype=np.int64)
+    if frame_count == 0:
         raise EmptyStream("distribution needs at least one frame")
-    return _percentages(stats.counts(), stats.frame_count)
+    neg, pos = signed.tolist()
+    return _percentages((neg, 16 * frame_count - neg - pos, pos), frame_count)
 
 
 def analyze_trace(
@@ -79,7 +85,9 @@ def analyze_trace(
         raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
     if not isinstance(include_flag_power, bool):
         raise TypeError(f"include_flag_power must be a bool, got {include_flag_power!r}")
-    stats = _folded(bulk.StreamStats(), streams)
+    stats = bulk.StreamStats()
+    for stream in _chunks(streams):
+        stats.update(stream.masks)
     if stats.frame_count == 0:
         raise EmptyStream("analysis needs at least one frame")
 

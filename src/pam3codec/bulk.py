@@ -5,12 +5,13 @@ masks: a C-contiguous (2, n) uint16 array, row 0 marking the -1 and row 1
 the +1 positions. Each uint16 is line A's byte then line B's byte in
 memory, position 0 in the most significant bit. Every function here
 mirrors a scalar operation from core/encoders/power and the test suite
-pins the two paths to each other. The oracles count_block,
-termination_total and switching_total take (n, 2, 8) int8 levels, which
-masks_of_levels and levels_of_masks convert. Every encoding is one rule
-from a frame's level counts to a flag, encoders.flag_of_counts, and one
-table from flag to level bijection, encoders.FLAG_IMAGES; the count-key
-and flag tables here are derived from the two at import.
+pins the two paths to each other. StreamStats folds a stream chunk by
+chunk into the sums that every analysis total comes from. The oracles
+count_block, termination_total and switching_total take (n, 2, 8) int8
+levels, which masks_of_levels and levels_of_masks convert. Every encoding
+is one rule from a frame's level counts to a flag, encoders.flag_of_counts,
+and one table from flag to level bijection, encoders.FLAG_IMAGES; the
+count-key and flag tables here are derived from the two at import.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ _BOUNDARY_LEVELS = {
 _PAIR_FROM = np.array([0, 1, 0])
 _PAIR_TO = np.array([1, 2, 2])
 
-# Frames that CountStats.update folds at once. _fold makes intp temporaries
+# Frames that StreamStats.update folds at once. _fold makes intp temporaries
 # of ~8 bytes per frame, so a fixed block keeps them small and in cache
 # whatever the size of the chunk.
 _FOLD_FRAMES = 16384
@@ -208,22 +209,30 @@ def decode_block(
     return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
 
 
-class CountStats:
-    """Frames per count key of a frame stream folded chunk by chunk: the
-    level counts and termination totals of every encoding, without building
+class StreamStats:
+    """Sums over a frame stream folded chunk by chunk: the level counts,
+    termination and switching totals of every encoding, without building
     an encoded copy.
 
     An encoding maps all 16 levels of a frame through one bijection picked
     by the frame's count key, so the encoded level counts follow from the
-    number of frames per key. Every total is an exact integer before the
-    model weights apply, with the same float expressions as
-    termination_total and flag_termination_total, and is the same however
-    the stream was split into chunks.
+    number of frames per key, and the switching within frames from the
+    adjacent-pair counts per key. The switching across frame boundaries
+    follows from a 21 x 21 histogram of (last state of frame i, first state
+    of frame i + 1) over both lines, in the boundary states of
+    _STATE_BASE. Between folded blocks, and so between chunks, only the
+    last frame's two end states carry over. Every total is an exact integer
+    before the model weights apply, with the same float expressions as
+    termination_total and switching_total, and is the same however the
+    stream was split into chunks.
     """
 
     def __init__(self, masks: np.ndarray | None = None):
         self.frame_count = 0
         self.frames_per_key = np.zeros(_KEYS, dtype=np.int64)
+        self.pairs_per_key = np.zeros((3, _KEYS), dtype=np.int64)  # _PAIR_FROM/_PAIR_TO types
+        self.boundaries = np.zeros((_STATES, _STATES), dtype=np.int64)
+        self._last = None  # the end states of the last frame folded, by line
         if masks is not None:
             self.update(masks)
 
@@ -237,43 +246,6 @@ class CountStats:
     def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
         self.frame_count += len(key)
         self.frames_per_key += np.bincount(key, minlength=_KEYS)
-
-    def counts(self, algorithm: Algorithm = Algorithm.NONE) -> np.ndarray:
-        """Totals of (-1, 0, +1) over the stream after encoding, (3,) int64."""
-        encoded = np.zeros_like(_KEY_COUNTS)
-        rows = np.arange(_KEYS)[:, None]
-        encoded[rows, _IMAGES[_PERM_OF_KEY[algorithm]] + 1] = _KEY_COUNTS
-        return self.frames_per_key @ encoded
-
-    def termination_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
-        return float(_termination_power(self.counts(algorithm), model))
-
-    def flag_termination_total(
-        self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
-    ) -> float:
-        ones = self.frames_per_key @ np.bitwise_count(_FLAG_OF_KEY[algorithm])
-        return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * self.frame_count, model)
-
-
-class StreamStats(CountStats):
-    """CountStats plus what the switching totals need.
-
-    The switching within frames follows from the adjacent-pair counts per
-    key, and the switching across frame boundaries from a 21 x 21
-    histogram of (last state of frame i, first state of frame i + 1) over
-    both lines, in the boundary states of _STATE_BASE. Between folded
-    blocks, and so between chunks, only the last frame's two end states
-    carry over.
-    """
-
-    def __init__(self, masks: np.ndarray | None = None):
-        self.pairs_per_key = np.zeros((3, _KEYS), dtype=np.int64)  # _PAIR_FROM/_PAIR_TO types
-        self.boundaries = np.zeros((_STATES, _STATES), dtype=np.int64)
-        self._last = None  # the end states of the last frame folded, by line
-        super().__init__(masks)
-
-    def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
-        super()._fold(masks, key)
         neg, pos = masks
         zero = ~(neg | pos)
         for pairs, (p, q) in zip(self.pairs_per_key, ((neg, zero), (zero, pos), (neg, pos))):
@@ -294,6 +266,24 @@ class StreamStats(CountStats):
             _STATES, _STATES
         )
         self._last = last[-1].copy()
+
+    def counts(self, algorithm: Algorithm = Algorithm.NONE) -> np.ndarray:
+        """Totals of (-1, 0, +1) over the stream after encoding, (3,) int64."""
+        encoded = np.zeros_like(_KEY_COUNTS)
+        rows = np.arange(_KEYS)[:, None]
+        encoded[rows, _IMAGES[_PERM_OF_KEY[algorithm]] + 1] = _KEY_COUNTS
+        return self.frames_per_key @ encoded
+
+    def termination_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
+        return float(_termination_power(self.counts(algorithm), model))
+
+    def flag_termination_total(
+        self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
+    ) -> float:
+        """Termination power of the flag wires, driven as binary lines: a 0
+        bit at level -1 and a 1 bit at level +1."""
+        ones = self.frames_per_key @ np.bitwise_count(_FLAG_OF_KEY[algorithm])
+        return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * self.frame_count, model)
 
     def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
         images = _IMAGES[_PERM_OF_KEY[algorithm]].astype(np.int64)
@@ -339,20 +329,3 @@ def switching_total(levels: np.ndarray, model: PowerModel = DEFAULT_MODEL) -> fl
         d = np.diff(seq)
         steps += int((d * d).sum())
     return model.switch_unit_energy * steps
-
-
-def flag_termination_total(
-    flags: np.ndarray, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
-) -> float:
-    """Termination power of the flag wires, driven as binary lines.
-
-    A 0 bit is driven at level -1 and a 1 bit at level +1, so only the
-    zero bits cost power under the default weights. Raises InvalidFlag for
-    a flag the algorithm never emits.
-    """
-    flags = np.asarray(flags)
-    _check_flags(flags, algorithm)
-    width = encoders.FLAG_WIDTH[algorithm]
-    if width == 0 or len(flags) == 0:
-        return 0.0
-    return _flag_power(np.bitwise_count(flags).sum(dtype=np.int64), width * len(flags), model)

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidPair
 
-LEVELS = (-1, 0, 1)
-
 # 3-bit column symbol (X bit is the MSB) -> (line A level, line B level).
 # Pairs are enumerated lexicographically with (0, 0) left out, so the
 # single unused ninth pair never appears in modulated data.

@@ -33,7 +33,6 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 import numpy as np
 
 from . import bulk
-from .core import Pam3Frame
 from .encoders import MAX_FLAG, Algorithm
 from .errors import EmptyInput, InvalidPair, ParseError
 
@@ -89,17 +88,13 @@ class TraceRecord:
             raise ValueError("payload must hold at least one byte")
 
 
-def _frame_of_row(row: np.ndarray) -> Pam3Frame:
-    return Pam3Frame(*row.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class FrameStream:
     """Modulated frames of one trace plus the zero padding of the last group.
 
-    masks is the (2, n) uint16 line masks of bulk. The stream keeps the
-    array it is given and makes it read-only. levels derives the (n, 2, 8)
-    int8 levels on each access; iteration yields Pam3Frames.
+    masks is the (2, n) uint16 line masks of bulk, the one form of the
+    frames; bulk.levels_of_masks gives their (n, 2, 8) int8 levels. The
+    stream keeps the array it is given and makes it read-only.
     """
 
     masks: np.ndarray
@@ -120,29 +115,6 @@ class FrameStream:
 
     def __len__(self) -> int:
         return self.masks.shape[1]
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Read-only (n, 2, 8) int8 levels of the frames."""
-        levels = bulk.levels_of_masks(self.masks)
-        levels.setflags(write=False)
-        return levels
-
-    def __iter__(self) -> Iterator[Pam3Frame]:
-        return map(_frame_of_row, self.levels)
-
-    def frame(self, index: int) -> Pam3Frame:
-        return _frame_of_row(bulk.levels_of_masks(self.masks[:, [index]])[0])
-
-    def payload_bytes(self) -> bytes:
-        """Demodulate back to the original payload, padding stripped."""
-        words = bulk.demodulate_block(self.masks).reshape(-1)
-        return words[: len(words) - self.pad_bytes].tobytes()
-
-    @classmethod
-    def from_frames(cls, frames: Iterable[Pam3Frame], pad_bytes: int = 0) -> "FrameStream":
-        levels = np.array([(f.line_a, f.line_b) for f in frames], dtype=np.int8)
-        return cls(bulk.masks_of_levels(levels.reshape(-1, 2, 8)), pad_bytes)
 
 
 def _line_count(data: bytes) -> int:

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
+from pam3codec import bulk
 from pam3codec.analysis import (
     TraceStats,
     analyze_trace,
@@ -12,10 +14,17 @@ from pam3codec.analysis import (
     signal_distribution,
     write_report,
 )
+from pam3codec.core import Pam3Frame, Word24, count_symbols, modulate
 from pam3codec.encoders import Algorithm
 from pam3codec.errors import EmptyStream, ZeroBaseline
 from pam3codec.power import switching_power, termination_power
-from pam3codec.traceio import OP_FILTERS, TraceRecord, frame_records, generate_random_trace
+from pam3codec.traceio import (
+    OP_FILTERS,
+    FrameStream,
+    TraceRecord,
+    frame_records,
+    generate_random_trace,
+)
 
 
 def _trace(payload: bytes):
@@ -48,7 +57,7 @@ def test_sort_dominates_on_random_trace():
 def test_baseline_matches_power_module():
     stats = analyze_trace(RANDOM, [Algorithm.NONE])
     report = stats.per_algorithm[Algorithm.NONE]
-    frames = list(RANDOM)
+    frames = [Pam3Frame(*row.tolist()) for row in bulk.levels_of_masks(RANDOM.masks)]
     assert report.term_power_encoded == pytest.approx(
         sum(termination_power(f) for f in frames), rel=1e-12
     )
@@ -142,16 +151,30 @@ def test_distribution_random():
 
 
 def test_distribution_order_independent():
-    import numpy as np
-
-    from pam3codec import bulk
-    from pam3codec.traceio import FrameStream
-
     rng = np.random.default_rng(0)
     permuted = FrameStream(
-        bulk.masks_of_levels(RANDOM.levels[rng.permutation(len(RANDOM))]), RANDOM.pad_bytes
+        bulk.masks_of_levels(bulk.levels_of_masks(RANDOM.masks)[rng.permutation(len(RANDOM))]), RANDOM.pad_bytes
     )
     assert signal_distribution(permuted) == signal_distribution(RANDOM)
+
+
+@given(st.binary(min_size=1, max_size=300), st.lists(st.integers(0, 100), max_size=6))
+@example(b"\x00\x12\xff\x80", [0, 1, 1, 2])  # empty chunks, a padded last frame
+def test_distribution_of_chunks_matches_scalar_counts(payload, cuts):
+    """The popcount distribution of any split into chunks is the share of
+    each level in the scalar counts of every frame, padding included."""
+    whole = _trace(payload)
+    bounds = [0, *sorted(min(cut, len(whole)) for cut in cuts), len(whole)]
+    chunks = [FrameStream(np.ascontiguousarray(whole.masks[:, start:stop]), 0)
+              for start, stop in zip(bounds, bounds[1:])]
+    chunks[-1] = FrameStream(chunks[-1].masks, whole.pad_bytes)
+    padded = payload + bytes(whole.pad_bytes)
+    counts = [count_symbols(modulate(Word24(*padded[i:i + 3]))).as_tuple()
+              for i in range(0, len(padded), 3)]
+    expected = tuple(100.0 * sum(column) / (16 * len(counts)) for column in zip(*counts))
+    assert signal_distribution(chunks) == expected
+    if expected[2] < 100.0:  # else the baseline termination power is zero
+        assert analyze_trace(chunks).distribution_percent == expected
 
 
 def test_distribution_sums_to_100():

@@ -9,7 +9,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from pam3codec import bulk, traceio
-from pam3codec.core import Word24, modulate
+from pam3codec.core import Pam3Frame, Word24, modulate
 from pam3codec.encoders import MAX_FLAG, Algorithm
 from pam3codec.errors import EmptyInput, ParseError
 from pam3codec.traceio import (
@@ -267,11 +267,21 @@ def test_trace_record_validation():
 
 # ------------------------------------------------------------ framing
 
+def _frames(stream: FrameStream) -> list[Pam3Frame]:
+    return [Pam3Frame(*row.tolist()) for row in bulk.levels_of_masks(stream.masks)]
+
+
+def _payload(stream: FrameStream) -> bytes:
+    """The payload a stream was framed from, its padding stripped."""
+    words = bulk.demodulate_block(stream.masks).reshape(-1)
+    return words[: len(words) - stream.pad_bytes].tobytes()
+
+
 def test_frame_records_single_zero_group():
     stream = frame_records([TraceRecord("W", 0, b"\x00\x00\x00")])
     assert len(stream) == 1
     assert stream.pad_bytes == 0
-    assert all(pair == (-1, -1) for pair in stream.frame(0).pairs())
+    assert all(pair == (-1, -1) for pair in _frames(stream)[0].pairs())
 
 
 def test_frame_records_pads_partial_group():
@@ -282,7 +292,7 @@ def test_frame_records_pads_partial_group():
 
 def test_frame_records_column_001():
     stream = frame_records([TraceRecord("W", 0, b"\x00\x00\xff")])
-    frame = stream.frame(0)
+    (frame,) = _frames(stream)
     assert frame.line_a == (-1,) * 8
     assert frame.line_b == (0,) * 8
 
@@ -291,28 +301,26 @@ def test_frame_records_empty():
     stream = frame_records([])
     assert len(stream) == 0
     assert stream.pad_bytes == 0
-    assert stream.payload_bytes() == b""
+    assert _payload(stream) == b""
 
 
 def test_frame_records_concatenates_in_order():
     recs = [TraceRecord("W", 0, b"\x11\x22"), TraceRecord("R", 4, b"\x33\x44")]
     stream = frame_records(recs)
-    assert stream.frame(0) == modulate(Word24(0x11, 0x22, 0x33))
+    assert _frames(stream)[0] == modulate(Word24(0x11, 0x22, 0x33))
     assert stream.pad_bytes == 2
 
 
 @given(st.binary(min_size=1, max_size=400))
 def test_frame_records_payload_roundtrip(payload):
     stream = frame_records([TraceRecord("W", 0, payload)])
-    assert stream.payload_bytes() == payload
+    assert _payload(stream) == payload
     assert len(stream) == math.ceil(len(payload) / 3)
-
-
-def test_frame_stream_iterates_frames():
-    stream = frame_records([TraceRecord("W", 0, b"\x00\x00\xff\xff\xff\xff")])
-    frames = list(stream)
-    assert len(frames) == 2
-    assert frames[1].line_a == (1,) * 8
+    assert stream.masks.shape == (2, len(stream)) and stream.masks.dtype == np.uint16
+    assert not stream.masks.flags.writeable
+    padded = payload + bytes(stream.pad_bytes)
+    assert _frames(stream) == [modulate(Word24(*padded[i:i + 3]))
+                               for i in range(0, len(padded), 3)]
 
 
 def test_frame_stream_validation():
@@ -344,22 +352,6 @@ def test_frame_stream_keeps_caller_masks():
         masks[1, 1] = 1
 
 
-def test_frame_stream_levels_read_only():
-    payload = generate_random_trace(30, seed=4)[0].payload
-    stream = frame_records([TraceRecord("W", 0, payload)])
-    assert len(stream) == 10 and stream.masks.shape == (2, 10)
-    levels = stream.levels
-    assert levels.shape == (10, 2, 8) and levels.dtype == np.int8
-    assert np.array_equal(levels, bulk.levels_of_masks(stream.masks))
-    assert levels is not stream.levels  # derived on each access, never stored
-    assert [stream.frame(i) for i in range(10)] == list(stream) == [
-        modulate(Word24(*payload[i:i + 3])) for i in range(0, 30, 3)
-    ]
-    assert stream.frame(-1) == stream.frame(9)
-    with pytest.raises(ValueError):
-        levels[0, 0, 0] = 1
-
-
 def test_text_readers_keep_the_filtered_records():
     records = [TraceRecord("W", 0, b"\x11\x22"), TraceRecord("R", 4, b"\x33\x44")]
     text = format_text_trace(records).encode("ascii")
@@ -370,13 +362,6 @@ def test_text_readers_keep_the_filtered_records():
             assert np.array_equal(np.concatenate([s.masks for s in streams], axis=1),
                                   expected.masks)
             assert streams[-1].pad_bytes == expected.pad_bytes
-
-
-def test_frame_stream_from_frames_matches_bulk():
-    frames = [modulate(Word24(1, 2, 3)), modulate(Word24(250, 90, 7))]
-    stream = FrameStream.from_frames(frames, pad_bytes=1)
-    assert list(stream) == frames
-    assert stream.pad_bytes == 1
 
 
 # ------------------------------------------------------ encoded text
@@ -541,7 +526,7 @@ def test_generate_random_trace_one_byte_pads_two():
 
 def test_generate_random_trace_distribution():
     stream = frame_records(generate_random_trace(30_000, seed=7))
-    counts = bulk.count_block(stream.levels).sum(axis=0)
+    counts = bulk.count_block(bulk.levels_of_masks(stream.masks)).sum(axis=0)
     fractions = 100.0 * counts / counts.sum()
     assert abs(fractions[0] - 37.5) < 1.0
     assert abs(fractions[1] - 25.0) < 1.0
