@@ -11,6 +11,7 @@ The symbol distribution needs only the popcounts of the -1 and +1 masks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -21,7 +22,7 @@ from .core import SymbolCounts
 from .encoders import CANONICAL_ORDER, Algorithm
 from .errors import EmptyStream
 from .power import DEFAULT_MODEL, PowerModel, PowerReport, compare_powers
-from .traceio import OP_FILTERS, FrameStream
+from .traceio import OP_FILTERS, FrameStream, kept_ops
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def analyze_trace(
     """
     requested = set(CANONICAL_ORDER if algorithms is None else map(Algorithm, algorithms))
     requested.add(Algorithm.NONE)
-    if op_filter not in OP_FILTERS:
-        raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
+    kept_ops(op_filter)  # ValueError for an unknown op filter
     if not isinstance(include_flag_power, bool):
         raise TypeError(f"include_flag_power must be a bool, got {include_flag_power!r}")
     stats = bulk.StreamStats()
@@ -123,11 +123,12 @@ def _fmt(value: Optional[float]) -> str:
 def _report_format(fmt: str) -> str:
     """fmt in lower case; ValueError unless it is csv or json."""
     fmt = fmt.lower()
-    if fmt not in ("csv", "json"):
+    if fmt not in REPORT_FORMATS:
         raise ValueError(f"report format must be csv or json, got {fmt!r}")
     return fmt
 
 
+REPORT_FORMATS = ("csv", "json")
 # The report schema: every field's name and kind, by section. The meta
 # fields sit at the top level of the JSON object and in the CSV meta row;
 # the per_algorithm fields repeat in every algorithm's row.
@@ -149,9 +150,9 @@ class _Kind(NamedTuple):
 _KINDS = {
     # type, not isinstance: bool is an int
     "count": _Kind(lambda v: type(v) is int and v >= 0, str, int),
-    "number": _Kind(lambda v: type(v) in (int, float), _fmt, float),
+    "number": _Kind(lambda v: type(v) in (int, float) and math.isfinite(v), _fmt, float),
     # None: the ratio is undefined
-    "ratio": _Kind(lambda v: v is None or type(v) in (int, float), _fmt,
+    "ratio": _Kind(lambda v: v is None or type(v) in (int, float) and math.isfinite(v), _fmt,
                    lambda text: float(text) if text else None),
     "bool": _Kind(lambda v: type(v) is bool, json.dumps,
                   {"true": True, "false": False}.__getitem__),

@@ -11,7 +11,10 @@ count_block, termination_total and switching_total take (n, 2, 8) int8
 levels, which masks_of_levels and levels_of_masks convert. Every encoding
 is one rule from a frame's level counts to a flag, encoders.flag_of_counts,
 and one table from flag to level bijection, encoders.FLAG_IMAGES; the
-count-key and flag tables here are derived from the two at import.
+count-key and flag tables here are derived from the two at import. Every
+termination total, flag wires included, is PowerModel.termination of
+summed counts, and check_flags is the one check of a flag array, for the
+decoder here and for the encoded-text writer in traceio.
 """
 
 from __future__ import annotations
@@ -109,10 +112,17 @@ def _line_bytes(masks: np.ndarray) -> np.ndarray:
     return masks.view(np.uint8).reshape(2, -1, 2).transpose(0, 2, 1)
 
 
-def _check_flags(flags: np.ndarray, algorithm: Algorithm) -> None:
+def check_flags(flags, frames: int, algorithm: Algorithm) -> np.ndarray:
+    """flags as a (frames,) uint8 array, checked before the cast: ValueError
+    unless they are 1-D integers, one per frame (an empty list for no
+    frames); InvalidFlag unless each is one the algorithm emits."""
+    flags = np.asarray(flags)
+    if flags.shape != (frames,) or (flags.size and not np.issubdtype(flags.dtype, np.integer)):
+        raise ValueError("flags must be 1-D integers with one entry per frame")
     limit = encoders.MAX_FLAG[algorithm]
     if flags.size and (flags.min() < 0 or flags.max() > limit):
         raise InvalidFlag(f"{algorithm.value} flag must be 0..{limit}")
+    return flags.astype(np.uint8, copy=False)
 
 
 def _count_keys(masks: np.ndarray) -> np.ndarray:
@@ -201,11 +211,8 @@ def encode_block(
 def decode_block(
     masks: np.ndarray, flags: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
-    """Undo encode_block; raises InvalidFlag for a flag the algorithm never emits."""
-    flags = np.asarray(flags)
-    if flags.shape != masks.shape[1:]:
-        raise ValueError("flags must be 1-D with one entry per frame")
-    _check_flags(flags, algorithm)
+    """Undo encode_block; flags are checked by check_flags."""
+    flags = check_flags(flags, masks.shape[1], algorithm)
     return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
 
 
@@ -275,7 +282,7 @@ class StreamStats:
         return self.frames_per_key @ encoded
 
     def termination_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
-        return float(_termination_power(self.counts(algorithm), model))
+        return float(model.termination(self.counts(algorithm)))
 
     def flag_termination_total(
         self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
@@ -283,7 +290,8 @@ class StreamStats:
         """Termination power of the flag wires, driven as binary lines: a 0
         bit at level -1 and a 1 bit at level +1."""
         ones = self.frames_per_key @ np.bitwise_count(_FLAG_OF_KEY[algorithm])
-        return _flag_power(ones, encoders.FLAG_WIDTH[algorithm] * self.frame_count, model)
+        zeros = encoders.FLAG_WIDTH[algorithm] * self.frame_count - ones
+        return float(model.termination((zeros, 0, ones)))
 
     def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
         images = _IMAGES[_PERM_OF_KEY[algorithm]].astype(np.int64)
@@ -294,20 +302,6 @@ class StreamStats:
         return model.switch_unit_energy * steps
 
 
-def _termination_power(cnt, model: PowerModel):
-    """Termination power of (..., 3) counts of (-1, 0, +1)."""
-    return (
-        cnt[..., 0] * model.term_weight_neg
-        + cnt[..., 1] * model.term_weight_zero
-        + cnt[..., 2] * model.term_weight_pos
-    )
-
-
-def _flag_power(ones, total_bits: int, model: PowerModel) -> float:
-    zeros = total_bits - ones
-    return float(zeros * model.term_weight_neg + ones * model.term_weight_pos)
-
-
 def termination_total(
     levels: np.ndarray, model: PowerModel = DEFAULT_MODEL
 ) -> float:
@@ -316,7 +310,7 @@ def termination_total(
     Summing integer counts first keeps the total independent of frame
     order and of float accumulation order.
     """
-    return float(_termination_power(count_block(levels).sum(axis=0), model))
+    return float(model.termination(count_block(levels).sum(axis=0)))
 
 
 def switching_total(levels: np.ndarray, model: PowerModel = DEFAULT_MODEL) -> float:

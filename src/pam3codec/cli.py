@@ -24,10 +24,10 @@ import tempfile
 from contextlib import contextmanager, nullcontext
 from typing import BinaryIO, Iterator
 
-from .analysis import analyze_trace, signal_distribution, write_distribution, write_report
+from .analysis import (REPORT_FORMATS, analyze_trace, signal_distribution, write_distribution,
+                       write_report)
 from .encoders import Algorithm
 from .errors import Pam3Error
-from .power import DEFAULT_MODEL
 from .traceio import (
     OP_FILTERS,
     TRACE_FORMATS,
@@ -45,8 +45,7 @@ from .traceio import (
 # chunks of this size, whatever the size of its input.
 _READ_SIZE = 1 << 18
 
-_ALG_CHOICES = {"none": Algorithm.NONE, "dbi": Algorithm.DBI,
-                "mf": Algorithm.MF, "sort": Algorithm.SORT}
+_ALG_CHOICES = {alg.value.lower(): alg for alg in Algorithm}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,18 +55,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_type(minimum: int):
+    """The argparse type of an integer option of at least minimum, 1 or 0."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < minimum:
+            kind = "positive" if minimum else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,20 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="power report for one or all algorithms")
     p.add_argument("--alg", choices=sorted(_ALG_CHOICES) + ["all"], default="all")
-    p.add_argument("--report", choices=("csv", "json"), default="csv")
+    p.add_argument("--report", choices=REPORT_FORMATS, default="csv")
     p.add_argument("--include-flag-power", action="store_true",
                    help="charge flag wires as binary lines in termination power")
     add_trace_opts(p)
     add_io(p)
 
     p = sub.add_parser("distribution", help="symbol distribution percentages")
-    p.add_argument("--report", choices=("csv", "json"), default="csv")
+    p.add_argument("--report", choices=REPORT_FORMATS, default="csv")
     add_trace_opts(p)
     add_io(p)
 
     p = sub.add_parser("gen-random", help="write a raw trace of random bytes")
-    p.add_argument("--bytes", type=_positive_int, required=True, dest="byte_count")
-    p.add_argument("--seed", type=_non_negative_int, required=True)
+    p.add_argument("--bytes", type=_int_type(1), required=True, dest="byte_count")
+    p.add_argument("--seed", type=_int_type(0), required=True)
     p.add_argument("--output", "-o", default="-", help="output path, - for stdout (binary)")
 
     return parser
@@ -200,13 +199,9 @@ def _cmd_decode(args) -> int:
 def _cmd_analyze(args) -> int:
     algorithms = None if args.alg == "all" else [_ALG_CHOICES[args.alg]]
     with _open_input(args.input) as f:
-        stats = analyze_trace(
-            _frames(f, args),
-            algorithms,
-            DEFAULT_MODEL,
-            include_flag_power=args.include_flag_power,
-            op_filter=args.op_filter,
-        )
+        stats = analyze_trace(_frames(f, args), algorithms,
+                              include_flag_power=args.include_flag_power,
+                              op_filter=args.op_filter)
     _write_binary(args.output, write_report(stats, args.report).encode("ascii"))
     return 0
 

@@ -35,7 +35,7 @@ class Algorithm(Enum):
     SORT = "SORT"
 
 
-CANONICAL_ORDER = (Algorithm.NONE, Algorithm.DBI, Algorithm.MF, Algorithm.SORT)
+CANONICAL_ORDER = tuple(Algorithm)
 
 # The six bijections of {-1, 0, +1} as image triples (image of -1, image
 # of 0, image of +1), indexed in lexicographic order of the triple. The

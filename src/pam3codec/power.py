@@ -1,10 +1,12 @@
 """Termination and switching power models for PAM-3 lines.
 
 Termination power is static and per driven level: -1 costs vdd_squared/100,
-0 costs vdd_squared/200, +1 costs nothing. Switching energy is dynamic:
-each level step on a physical line costs switch_unit_energy times the
-squared level delta. Absolute numbers are normalized (vdd_squared = 1.0 by
-default); only ratios are meaningful.
+0 costs vdd_squared/200, +1 costs nothing. PowerModel.termination is the
+one weighted sum of level counts, which the scalar, bulk and flag-wire
+totals all call. Switching energy is dynamic: each level step on a
+physical line costs switch_unit_energy times the squared level delta.
+Absolute numbers are normalized (vdd_squared = 1.0 by default); only
+ratios are meaningful.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ class PowerModel:
     def term_weight_pos(self) -> float:
         return 0.0
 
+    def termination(self, counts):
+        """Termination power of level counts (neg, zero, pos)."""
+        neg, zero, pos = counts
+        return (neg * self.term_weight_neg + zero * self.term_weight_zero
+                + pos * self.term_weight_pos)
+
 
 DEFAULT_MODEL = PowerModel()
 
@@ -62,12 +70,7 @@ class PowerReport:
 
 def termination_power(frame: Pam3Frame, model: PowerModel = DEFAULT_MODEL) -> float:
     """Static termination power of one frame, from its level counts."""
-    c = count_symbols(frame)
-    return (
-        c.neg * model.term_weight_neg
-        + c.zero * model.term_weight_zero
-        + c.pos * model.term_weight_pos
-    )
+    return model.termination(count_symbols(frame).as_tuple())
 
 
 def termination_ratio(encoded_total: float, baseline_total: float) -> float:

@@ -54,7 +54,8 @@ _ADDRESS_TOKEN = (3, 18)  # 0x plus 1..16 digits, below 2**64
 # Encoded frame text. format_encoded_rows writes every frame as one 26-byte
 # row of _FRAME_ROW (flags are at most 5, so always one digit), which
 # lets _EncodedReader read a canonical chunk as an (n, 26) byte array.
-_HEADER_RE = re.compile(rb"# alg (NONE|DBI|MF|SORT)\n# pad ([012])\n")
+_HEADER_RE = re.compile(
+    rb"# alg (%s)\n# pad ([012])\n" % "|".join(alg.value for alg in Algorithm).encode())
 _FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
 _SYMBOL_COLUMNS = np.r_[2:10, 13:21]  # line A, then line B
 _FIXED_COLUMNS = np.array([0, 1, 10, 11, 12, 21, 22, 23, 25])
@@ -228,7 +229,7 @@ def format_text_trace(records: Iterable[TraceRecord]) -> str:
     )
 
 
-def _kept_ops(op_filter: str) -> str:
+def kept_ops(op_filter: str) -> str:
     """The ops of the records an op filter keeps: all, read or write."""
     if op_filter not in OP_FILTERS:
         raise ValueError(f"op_filter must be one of {OP_FILTERS}, got {op_filter!r}")
@@ -247,7 +248,7 @@ def parse_text_columns(data: bytes, op_filter: str) -> tuple[np.ndarray, int] | 
     or an error) gives None: parse_text_trace reads every other form with
     the same rules and raises the line-numbered ParseError.
     """
-    kept = list(_kept_ops(op_filter).encode("ascii"))
+    kept = list(kept_ops(op_filter).encode("ascii"))
     buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero(buf <= 32)
     if not len(seps) or len(seps) % 3 or seps[-1] != len(buf) - 1:
@@ -291,12 +292,8 @@ def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
 
 def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) -> bytes:
     """The frame lines of encoded frame text, one 26-byte row per frame of
-    (2, n) encoded line masks and their (n,) flags."""
-    flags = np.asarray(flags, dtype=np.uint8)
-    if flags.shape != masks.shape[1:]:
-        raise ValueError("flags must be 1-D with one entry per frame")
-    if flags.size and flags.max() > MAX_FLAG[alg]:
-        raise ValueError(f"{alg.value} flags must be 0..{MAX_FLAG[alg]}")
+    (2, n) encoded line masks and their (n,) flags, as bulk.check_flags takes."""
+    flags = bulk.check_flags(flags, masks.shape[1], alg)
     rows = np.tile(_FRAME_ROW, (len(flags), 1))
     neg, pos = (mask.view(np.uint8) for mask in masks)  # line A, line B of every frame
     symbols = _NEG_SYMBOLS[neg]
@@ -521,7 +518,7 @@ def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"fmt must be one of {TRACE_FORMATS}, got {fmt!r}")
-    kept = _kept_ops(op_filter)  # before the first read
+    kept = kept_ops(op_filter)  # before the first read
     if fmt == "raw":
         return _framed(_raw_payloads(file, size, WRITE in kept))
     return _framed(_read_text(file, size, partial(_text_payload, op_filter=op_filter)))
@@ -551,7 +548,7 @@ def _text_payload(chunk: bytes, lines_before: int, op_filter: str) -> tuple[np.n
         records = parse_text_trace(chunk)
     except ParseError as exc:
         raise ParseError(exc.reason, lines_before + exc.line_number) from None
-    kept = _kept_ops(op_filter)
+    kept = kept_ops(op_filter)
     payload = b"".join(r.payload for r in records if r.op in kept)
     return np.frombuffer(payload, dtype=np.uint8), _line_count(chunk)
 

@@ -46,7 +46,7 @@ def flag_termination_total(flags, algorithm, model=DEFAULT_MODEL) -> float:
     zero bits cost power under the default weights. Raises InvalidFlag for
     a flag the algorithm never emits."""
     flags = np.asarray(flags)
-    bulk._check_flags(flags, algorithm)
+    bulk.check_flags(flags, len(flags), algorithm)
     width = FLAG_WIDTH[algorithm]
     if width == 0 or len(flags) == 0:
         return 0.0

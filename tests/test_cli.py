@@ -67,13 +67,19 @@ def test_gen_random_rejects_zero_bytes():
     assert exc.value.code == 1
 
 
-def test_gen_random_rejects_negative_seed(capsys):
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", "-1", "must be non-negative, got -1"),
+    ("--bytes", "1x", "must be an integer, got '1x'"),
+    ("--seed", "1.5", "must be an integer, got '1.5'"),
+], ids=["seed--1", "bytes-1x", "seed-1.5"])
+def test_gen_random_rejects_negative_seed(capsys, option, value, message):
+    options = {"--bytes": "10", "--seed": "1", option: value}
     with pytest.raises(SystemExit) as exc:
-        _run("gen-random", "--bytes", "10", "--seed", "-1")
+        _run("gen-random", *(arg for item in options.items() for arg in item))
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error:" in line] == [
-        "pam3codec gen-random: error: argument --seed: must be non-negative, got -1"]
+        f"pam3codec gen-random: error: argument {option}: {message}"]
     assert "Traceback" not in err
 
 

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from pam3codec import bulk, traceio
 from pam3codec.core import Pam3Frame, Word24, modulate
 from pam3codec.encoders import MAX_FLAG, Algorithm
-from pam3codec.errors import EmptyInput, ParseError
+from pam3codec.errors import EmptyInput, InvalidFlag, ParseError
 from pam3codec.traceio import (
     OP_FILTERS,
     FrameStream,
@@ -405,6 +405,38 @@ def test_format_encoded_rejects_out_of_range_flag():
     with pytest.raises(ValueError):
         format_encoded_rows(Algorithm.MF, bulk.masks_of_levels(np.ones((1, 2, 8), np.int8)),
                             np.array([3]))
+
+
+# The encoded-text writer and the decoder take flags through one check:
+# SORT flags of one frame, each with the error both raise.
+FLAG_CHECKERS = {
+    "format_encoded_rows": lambda masks, flags: format_encoded_rows(Algorithm.SORT, masks, flags),
+    "decode_block": lambda masks, flags: bulk.decode_block(masks, flags, Algorithm.SORT),
+}
+
+
+@pytest.mark.parametrize("checker", FLAG_CHECKERS)
+@pytest.mark.parametrize("flags, error", [
+    (np.array([261]), InvalidFlag),  # a uint8 cast would make it 5
+    (np.array([-251]), InvalidFlag),  # so would this
+    (np.array([2.9]), ValueError),  # and this 2
+    (np.array([True]), ValueError),
+    ([300], InvalidFlag),  # no uint8 holds it
+    ([-1], InvalidFlag),
+    ([6], InvalidFlag),
+], ids=["261", "-251", "2.9", "True", "list-300", "list-minus-1", "list-6"])
+def test_writer_and_decoder_reject_the_same_flags(checker, flags, error):
+    one_frame = bulk.modulate_block(np.zeros((1, 3), np.uint8))
+    with pytest.raises(error) as exc:
+        FLAG_CHECKERS[checker](one_frame, flags)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_flag_check_passes_largest_flag_and_no_frames():
+    one_frame, no_frames = (bulk.modulate_block(np.zeros((n, 3), np.uint8)) for n in (1, 0))
+    assert format_encoded_rows(Algorithm.SORT, one_frame, [5]).endswith(b" F:5\n")
+    assert format_encoded_rows(Algorithm.SORT, no_frames, []) == b""
+    assert bulk.decode_block(no_frames, [], Algorithm.SORT).shape == (2, 0)
 
 
 @st.composite
