@@ -147,12 +147,21 @@ class _Kind(NamedTuple):
     value: Callable  # the value of a CSV cell's text; ValueError or KeyError if none
 
 
+def _finite(v) -> bool:
+    """Whether v is an int or float with a finite float value; an int past
+    the float range has none."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 _KINDS = {
     # type, not isinstance: bool is an int
     "count": _Kind(lambda v: type(v) is int and v >= 0, str, int),
-    "number": _Kind(lambda v: type(v) in (int, float) and math.isfinite(v), _fmt, float),
+    "number": _Kind(_finite, _fmt, float),
     # None: the ratio is undefined
-    "ratio": _Kind(lambda v: v is None or type(v) in (int, float) and math.isfinite(v), _fmt,
+    "ratio": _Kind(lambda v: v is None or _finite(v), _fmt,
                    lambda text: float(text) if text else None),
     "bool": _Kind(lambda v: type(v) is bool, json.dumps,
                   {"true": True, "false": False}.__getitem__),

@@ -16,6 +16,8 @@ run leaves stdout empty and the output path as it was.
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import os
 import shutil
 import stat
@@ -118,7 +120,11 @@ def _frames(f, args) -> Iterator[FrameStream]:
 
 
 def _open_input(path: str):
-    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+    if path != "-":
+        return open(path, "rb")
+    if sys.stdin is None:
+        raise OSError(errno.EBADF, "stdin is closed")  # the process started without it
+    return nullcontext(sys.stdin.buffer)
 
 
 def _spool(path: str):
@@ -167,6 +173,8 @@ def _replacing(path: str, mode: int | None) -> Iterator[BinaryIO]:
 
 @contextmanager
 def _copying(path: str) -> Iterator[BinaryIO]:
+    if path == "-" and sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
     with tempfile.TemporaryFile() as spool:
         yield spool
         spool.seek(0)
@@ -238,5 +246,18 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry: main() on sys.argv, then exit with its code.
+
+    Everything imported so far lives until the process ends, so it is
+    frozen: the collections at interpreter exit then skip numpy's and this
+    package's objects, which took as long as a small command's own work.
+    Shutdown is otherwise as usual: stdout and stderr are flushed and
+    atexit handlers run. In-process callers use main(), which never freezes.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

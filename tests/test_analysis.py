@@ -328,9 +328,11 @@ BAD_VALUES = {
     "count": [(DELETE, None), (1.5, "1.5"), ("7", "x7"), (None, ""),
               (True, "true"), (False, "false"), (-3, "-3")],
     "number": [(DELETE, None), ("1.5", "x"), (None, ""), (True, "true"), ([], "[]"),
-               (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (math.inf, "1e999")],
+               (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (math.inf, "1e999"),
+               (10**400, "1" + "0" * 400)],
     "ratio": [(DELETE, None), ("1.5", "x"), (True, "true"), ({}, "{}"),
-              (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (math.inf, "1e999")],
+              (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (math.inf, "1e999"),
+              (10**400, "1" + "0" * 400)],
     "bool": [(DELETE, None), ("yes", "banana"), (1, "1"), (None, ""), ("true", "True")],
     "op filter": [(DELETE, None), ("bogus", "bogus"), (3, "3"), (None, ""), ("ALL", "ALL")],
 }

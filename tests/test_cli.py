@@ -25,6 +25,7 @@ from pam3codec.traceio import (
 from test_traceio import decoded, encoded_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ZERO_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "zero.trace")
 
 
 def _run(*argv) -> int:
@@ -398,13 +399,17 @@ def test_stdout_report(capsys, tmp_path):
 
 
 def _main_captured(argv, stdin: bytes = b""):
-    """(exit code, stdout bytes, stderr text) of main(argv) reading stdin."""
+    """(exit code, stdout bytes, stderr text) of main(argv) reading stdin,
+    also when argparse exits."""
     out, err = io.BytesIO(), io.StringIO()
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
     sys.stdout, sys.stderr = io.TextIOWrapper(out, encoding="ascii", write_through=True), err
     try:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
         sys.stdout.flush()
     finally:
         sys.stdout.detach()
@@ -461,6 +466,52 @@ def test_cli_fuzz_exit_codes(argv, data):
     # the same input through stdin and stdout gives the same verdict
     piped = _main_captured(argv, data)
     assert piped == (code, written if code == 0 else b"", err)
+
+
+@pytest.mark.parametrize("stream, argv", [
+    ("stdin", ["analyze"]),
+    ("stdout", ["gen-random", "--bytes", "10", "--seed", "1"]),
+])
+def test_closed_standard_stream_exits_2(capsys, monkeypatch, stream, argv):
+    """A process started with stdin or stdout closed has None for it."""
+    monkeypatch.setattr(sys, stream, None)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"pam3codec: error: [Errno 9] {stream} is closed\n")
+
+
+def _python(*args, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+
+
+def test_import_does_not_freeze():
+    proc = _python("-c", "import gc, pam3codec.cli; print(gc.get_freeze_count())")
+    assert proc.stdout == b"0\n", proc.stderr
+
+
+def test_module_entry_freezes_before_main():
+    """In a child, since a freeze would last for the rest of this process;
+    run_module runs pam3codec/__main__.py as `python -m pam3codec` does."""
+    probe = ("import gc, runpy, pam3codec.cli as cli\n"
+             "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+             "runpy.run_module('pam3codec', run_name='__main__')\n")
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("entry", ["pam3codec", "pam3codec.cli"])
+@pytest.mark.parametrize("argv, stdin, expected", [
+    (["encode", "--alg", "sort", "-i", ZERO_TRACE], b"", 0),
+    (["analyze", "--alg", "bogus"], b"", 1),
+    (["decode"], b"# alg SORT\n# pad 0\nnot a frame\n", 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_process_entry_matches_main(entry, argv, stdin, expected):
+    code, out, err = _main_captured(argv, stdin)
+    assert code == expected
+    proc = _python("-m", entry, *argv, stdin=stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("ascii")) == (code, out, err)
 
 
 def test_readme_library_example_runs(capsys):
