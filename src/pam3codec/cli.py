@@ -56,6 +56,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse drops a failed write; help that cannot reach stdout is an error
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
 
 def _int_type(minimum: int):
     """The argparse type of an integer option of at least minimum, 1 or 0."""
@@ -90,9 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=sorted(_ALG_CHOICES), required=True)
     add_trace_opts(p)
     add_io(p)
+    p.set_defaults(run=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode frame+flag text back to payload bytes")
     add_io(p, binary_out=True)
+    p.set_defaults(run=_cmd_decode)
 
     p = sub.add_parser("analyze", help="power report for one or all algorithms")
     p.add_argument("--alg", choices=sorted(_ALG_CHOICES) + ["all"], default="all")
@@ -101,16 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="charge flag wires as binary lines in termination power")
     add_trace_opts(p)
     add_io(p)
+    p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("distribution", help="symbol distribution percentages")
     p.add_argument("--report", choices=REPORT_FORMATS, default="csv")
     add_trace_opts(p)
     add_io(p)
+    p.set_defaults(run=_cmd_distribution)
 
     p = sub.add_parser("gen-random", help="write a raw trace of random bytes")
     p.add_argument("--bytes", type=_int_type(1), required=True, dest="byte_count")
     p.add_argument("--seed", type=_int_type(0), required=True)
     p.add_argument("--output", "-o", default="-", help="output path, - for stdout (binary)")
+    p.set_defaults(run=_cmd_gen_random)
 
     return parser
 
@@ -227,20 +240,10 @@ def _cmd_gen_random(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "analyze": _cmd_analyze,
-    "distribution": _cmd_distribution,
-    "gen-random": _cmd_gen_random,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (Pam3Error, OSError) as exc:
         print(f"pam3codec: error: {exc}", file=sys.stderr)
         return 2

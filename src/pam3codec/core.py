@@ -7,6 +7,7 @@ per physical line, giving two lines of 8 symbols per word group.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidPair
@@ -38,7 +39,7 @@ class Word24:
 
     def __post_init__(self):
         for name, value in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if not 0 <= value <= 0xFF:
+            if not 0 <= operator.index(value) <= 0xFF:
                 raise ValueError(f"{name} must be an 8-bit value, got {value!r}")
 
 

@@ -20,6 +20,7 @@ one frame; bulk derives its count-key tables from them at import.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,7 +62,8 @@ FLAG_IMAGES = {
     Algorithm.SORT: PERMUTATION_IMAGES,
 }
 
-# Largest flag value each algorithm emits; its decoder rejects anything above.
+# Largest flag value each algorithm emits: EncodedFrame and bulk.check_flags
+# refuse anything above. FLAG_WIDTH is the number of flag wires it takes.
 MAX_FLAG = {alg: len(images) - 1 for alg, images in FLAG_IMAGES.items()}
 FLAG_WIDTH = {alg: limit.bit_length() for alg, limit in MAX_FLAG.items()}
 
@@ -73,7 +75,7 @@ class PermutationCode:
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index <= 5:
+        if not 0 <= operator.index(self.index) <= 5:
             raise ValueError(f"permutation index must be 0..5, got {self.index}")
 
     @property
@@ -112,11 +114,9 @@ class EncodedFrame:
     flag: int
 
     def __post_init__(self):
-        width = FLAG_WIDTH[self.algorithm]
-        if not 0 <= self.flag < (1 << width):
-            raise InvalidFlag(
-                f"flag {self.flag} does not fit {width} bit(s) for {self.algorithm.value}"
-            )
+        limit = MAX_FLAG[self.algorithm]
+        if not 0 <= operator.index(self.flag) <= limit:
+            raise InvalidFlag(f"{self.algorithm.value} flag must be 0..{limit}, got {self.flag}")
 
 
 def _map_frame(frame: Pam3Frame, images: tuple[int, int, int]) -> Pam3Frame:
@@ -153,12 +153,8 @@ def encode(frame: Pam3Frame, algorithm: Algorithm) -> EncodedFrame:
 
 def decode(encoded: EncodedFrame) -> Pam3Frame:
     """Decode any EncodedFrame through the inverse of its flag's bijection."""
-    images = FLAG_IMAGES[encoded.algorithm]
-    if encoded.flag >= len(images):
-        raise InvalidFlag(
-            f"{encoded.algorithm.value} flag must be 0..{len(images) - 1}, got {encoded.flag}"
-        )
-    inverse = PermutationCode.from_images(images[encoded.flag]).inverse()
+    images = FLAG_IMAGES[encoded.algorithm][encoded.flag]
+    inverse = PermutationCode.from_images(images).inverse()
     return _map_frame(encoded.frame, inverse.images)
 
 

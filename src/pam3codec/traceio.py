@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import binascii
 import io
+import operator
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -83,7 +84,7 @@ class TraceRecord:
     def __post_init__(self):
         if self.op not in (READ, WRITE):
             raise ValueError(f"op must be {READ!r} or {WRITE!r}, got {self.op!r}")
-        if not 0 <= self.address < (1 << 64):
+        if not 0 <= operator.index(self.address) < (1 << 64):
             raise ValueError(f"address must fit 64 bits, got {self.address!r}")
         if len(self.payload) < 1:
             raise ValueError("payload must hold at least one byte")

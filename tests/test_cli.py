@@ -1,4 +1,5 @@
 import ast
+import errno
 import importlib
 import io
 import json
@@ -478,6 +479,37 @@ def test_closed_standard_stream_exits_2(capsys, monkeypatch, stream, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"pam3codec: error: [Errno 9] {stream} is closed\n")
+
+
+class _FullStream(io.StringIO):
+    """A text stream on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_to_full_stdout_exits_2(capsys, monkeypatch, argv):
+    """argparse drops a failed write of its messages; help that cannot
+    reach stdout is an error like any other failed output."""
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main(argv) == 2
+    message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"pam3codec: error: {message}\n"
+
+
+def test_help_and_usage_fallbacks_are_kept(capsys, monkeypatch):
+    """Help with stdout closed goes to stderr, and a usage error to a full
+    stderr still exits 1: only a failed write to stdout is reported."""
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().err.startswith("usage: pam3codec")
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    with pytest.raises(SystemExit) as exit_info:
+        main([])
+    assert exit_info.value.code == 1
 
 
 def _python(*args, stdin: bytes = b"") -> subprocess.CompletedProcess:

@@ -134,6 +134,8 @@ def test_word24_validation():
         Word24(256, 0, 0)
     with pytest.raises(ValueError):
         Word24(0, -1, 0)
+    with pytest.raises(TypeError):
+        Word24(1.0, 0, 0)
 
 
 def test_frame_validation():

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from pam3codec import bulk
 from pam3codec.core import Pam3Frame, count_symbols
 from pam3codec.encoders import (
     FLAG_WIDTH,
@@ -230,6 +232,8 @@ def test_permutation_inverse(index):
 def test_permutation_validation():
     with pytest.raises(ValueError):
         PermutationCode(6)
+    with pytest.raises(TypeError):
+        PermutationCode(1.0)
     with pytest.raises(ValueError):
         PermutationCode.from_images((1, 1, 0))
 
@@ -303,8 +307,21 @@ def test_none_encoding_is_identity():
     [(Algorithm.NONE, 1), (Algorithm.DBI, 2), (Algorithm.MF, 4), (Algorithm.SORT, 8)],
 )
 def test_encoded_frame_flag_width(algorithm, flag):
+    """flag is the first value past the algorithm's flag width. Below it,
+    EncodedFrame accepts a flag exactly when bulk.check_flags does: MF 3
+    and SORT 6 and 7 fit the width but no encoder emits them."""
     with pytest.raises(InvalidFlag):
         EncodedFrame(ALL_POS, algorithm, flag)
+    for value in range(1 << FLAG_WIDTH[algorithm]):
+        try:
+            bulk.check_flags(np.array([value]), 1, algorithm)
+        except InvalidFlag:
+            with pytest.raises(InvalidFlag):
+                EncodedFrame(ALL_POS, algorithm, value)
+        else:
+            assert EncodedFrame(ALL_POS, algorithm, value).flag == value
+    with pytest.raises(TypeError):
+        EncodedFrame(ALL_POS, algorithm, 1.0)
 
 
 @pytest.mark.parametrize("algorithm", ["SORT", "sort", None])

@@ -261,6 +261,8 @@ def test_trace_record_validation():
         TraceRecord("W", -1, b"\x00")
     with pytest.raises(ValueError):
         TraceRecord("W", 1 << 64, b"\x00")
+    with pytest.raises(TypeError):
+        TraceRecord("W", 1.0, b"x")
     with pytest.raises(ValueError):
         TraceRecord("W", 0, b"")
 
