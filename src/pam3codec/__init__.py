@@ -4,7 +4,13 @@ Three frame encodings (DBI, MF, SORT) lower the termination power of
 PAM-3 DRAM bus data; this package implements them, the binary-to-PAM-3
 modulation they sit on, a normalized power model, and a trace analysis
 pipeline with CSV/JSON reporting.
+
+Anything imported here is public: __all__ lists every name in this
+namespace that is not a submodule and does not start with an underscore,
+so a helper imported here takes a leading underscore.
 """
+
+from types import ModuleType as _ModuleType
 
 from .analysis import TraceStats, analyze_trace, read_report, signal_distribution, write_report
 from .core import (
@@ -59,49 +65,5 @@ from .traceio import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algorithm",
-    "DEFAULT_MODEL",
-    "EmptyInput",
-    "EmptyStream",
-    "EncodedFrame",
-    "FrameStream",
-    "InvalidFlag",
-    "InvalidPair",
-    "Pam3Error",
-    "Pam3Frame",
-    "ParseError",
-    "PermutationCode",
-    "PowerModel",
-    "PowerReport",
-    "SymbolCounts",
-    "TraceRecord",
-    "TraceStats",
-    "Word24",
-    "WrongAlgorithm",
-    "ZeroBaseline",
-    "analyze_trace",
-    "brute_force_best_permutation",
-    "count_symbols",
-    "decode",
-    "decode_dbi",
-    "decode_mf",
-    "decode_sort",
-    "demodulate",
-    "encode",
-    "encode_dbi",
-    "encode_mf",
-    "encode_sort",
-    "format_text_trace",
-    "frame_records",
-    "generate_random_trace",
-    "modulate",
-    "parse_raw_trace",
-    "parse_text_trace",
-    "read_report",
-    "signal_distribution",
-    "switching_power",
-    "termination_power",
-    "termination_ratio",
-    "write_report",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -204,49 +204,49 @@ def _write_binary(path: str, data: bytes):
         out.write(data)
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args):
     with _open_input(args.input) as f, _spool(args.output) as out:
         write_encoded(out, _ALG_CHOICES[args.alg], _frames(f, args))
-    return 0
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args):
     with _open_input(args.input) as f, _spool(args.output) as out:
         for piece in read_encoded(f, _READ_SIZE):
             out.write(piece)
-    return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     algorithms = None if args.alg == "all" else [_ALG_CHOICES[args.alg]]
     with _open_input(args.input) as f:
         stats = analyze_trace(_frames(f, args), algorithms,
                               include_flag_power=args.include_flag_power,
                               op_filter=args.op_filter)
     _write_binary(args.output, write_report(stats, args.report).encode("ascii"))
-    return 0
 
 
-def _cmd_distribution(args) -> int:
+def _cmd_distribution(args):
     with _open_input(args.input) as f:
         distribution = signal_distribution(_frames(f, args))
     _write_binary(args.output, write_distribution(distribution, args.report).encode("ascii"))
-    return 0
 
 
-def _cmd_gen_random(args) -> int:
+def _cmd_gen_random(args):
     records = generate_random_trace(args.byte_count, args.seed)
     _write_binary(args.output, records[0].payload)
-    return 0
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        args.run(args)
+        return 0
     except (Pam3Error, OSError) as exc:
-        print(f"pam3codec: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
+
+
+def _error(exc: Exception) -> int:
+    print(f"pam3codec: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def run() -> None:
@@ -255,11 +255,23 @@ def run() -> None:
     Everything imported so far lives until the process ends, so it is
     frozen: the collections at interpreter exit then skip numpy's and this
     package's objects, which took as long as a small command's own work.
-    Shutdown is otherwise as usual: stdout and stderr are flushed and
-    atexit handlers run. In-process callers use main(), which never freezes.
+    stdout is flushed here, not at interpreter exit: a flush that fails
+    exits 2 with one error line (main()'s, or this one if main() returned
+    0), and fd 1 then points at os.devnull, so the exit flush of the bytes
+    still buffered cannot fail again. atexit handlers run as usual.
+    In-process callers use main(), which never freezes.
     """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
+        if code == 0:
+            code = _error(exc)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

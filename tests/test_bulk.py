@@ -13,6 +13,7 @@ from pam3codec.core import PAIR_OF_SYMBOL, Pam3Frame, Word24, count_symbols, mod
 from pam3codec.encoders import (
     FLAG_WIDTH,
     Algorithm,
+    brute_force_best_permutation,
     decode,
     encode,
 )
@@ -195,13 +196,32 @@ def _frame_of_counts(neg: int, zero: int) -> Pam3Frame:
     return Pam3Frame(levels[:8], levels[8:])
 
 
+# every reachable (neg, zero) count of a 16-symbol frame; pos is the rest
+COUNT_PAIRS = [(neg, zero) for neg in range(17) for zero in range(17 - neg)]
+MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
+
+
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_flag_tables_match_scalar_on_every_count_triple(algorithm):
-    triples = [(neg, zero) for neg in range(17) for zero in range(17 - neg)]
-    assert len(triples) == 153
-    for neg, zero in triples:
+    assert len(COUNT_PAIRS) == 153
+    for neg, zero in COUNT_PAIRS:
         scalar = encode(_frame_of_counts(neg, zero), algorithm)
         assert bulk._FLAG_OF_KEY[algorithm][neg * 17 + zero] == scalar.flag, (neg, zero)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_sort_is_optimal_on_every_count_triple(model):
+    """Termination power depends only on a frame's counts, so these 153
+    frames prove both paper invariants on every frame: SORT is optimal over
+    the six bijections, and so no worse than MF or DBI. A PowerModel only
+    scales the weights, never reorders them, so the second model checks
+    that scaling leaves SORT's choice optimal, not a different weight order."""
+    for neg, zero in COUNT_PAIRS:
+        frame = _frame_of_counts(neg, zero)
+        power = {alg: termination_power(encode(frame, alg).frame, model)
+                 for alg in (Algorithm.SORT, Algorithm.MF, Algorithm.DBI)}
+        assert power[Algorithm.SORT] == brute_force_best_permutation(frame, model)[1], (neg, zero)
+        assert power[Algorithm.SORT] <= min(power[Algorithm.MF], power[Algorithm.DBI]), (neg, zero)
 
 
 def test_perm_of_flag_table():
@@ -210,9 +230,6 @@ def test_perm_of_flag_table():
                 Algorithm.SORT: [0, 1, 2, 3, 4, 5]}
     assert {alg: perms.tolist() for alg, perms in bulk._PERM_OF_FLAG.items()} == expected
     assert all(perms.dtype == np.uint8 for perms in bulk._PERM_OF_FLAG.values())
-
-
-MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
 
 
 @given(level_blocks, st.sampled_from(list(Algorithm)), st.sampled_from(MODELS))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import pam3codec
 from pam3codec import cli
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
@@ -512,9 +513,10 @@ def test_help_and_usage_fallbacks_are_kept(capsys, monkeypatch):
     assert exit_info.value.code == 1
 
 
-def _python(*args, stdin: bytes = b"") -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+def _python(*args, stdin: bytes = b"", stdout=subprocess.PIPE,
+            env=os.environ) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=SRC), timeout=120)
 
 
 def test_import_does_not_freeze():
@@ -546,11 +548,46 @@ def test_process_entry_matches_main(entry, argv, stdin, expected):
     assert (proc.returncode, proc.stdout, proc.stderr.decode("ascii")) == (code, out, err)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["gen-random", "--bytes", "10", "--seed", "1"],
+    ["--help"],
+    ["analyze", "-i", ZERO_TRACE],
+], ids=["gen-random", "help", "analyze"])
+def test_stdout_that_fails_at_exit_exits_2(argv):
+    """With stdout buffered, as it is unless PYTHONUNBUFFERED is set, the
+    bytes of a failed write stay in its buffer for the flush at interpreter
+    exit; that flush must not fail again (exit 120 and a second message)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = _python("-m", "pam3codec", *argv, stdout=full, env=env)
+    message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (proc.returncode, proc.stderr.decode("ascii")) == (2, f"pam3codec: error: {message}\n")
+
+
+def test_process_entry_without_stdout_exits_2():
+    probe = ("import sys, pam3codec.cli as cli\n"
+             "sys.stdout = None\n"
+             f"sys.argv = ['pam3codec', 'analyze', '-i', {ZERO_TRACE!r}]\n"
+             "cli.run()\n")
+    proc = _python("-c", probe)
+    assert (proc.returncode, proc.stderr) == (2, b"pam3codec: error: [Errno 9] stdout is closed\n")
+
+
 def test_readme_library_example_runs(capsys):
     with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
         (block,) = re.findall(r"\n## Library\n\n```python\n(.*?)```\n", f.read(), re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert "SORT" in capsys.readouterr().out
+
+
+def test_public_names_are_the_package_imports():
+    """pam3codec.__all__ holds what __init__ imports from its submodules,
+    sorted: no submodule, nothing private, no name that is not there."""
+    names = pam3codec.__all__
+    assert len(names) == 44 and names == sorted(names)
+    for name in names:
+        assert not isinstance(getattr(pam3codec, name), type(pam3codec)), name
 
 
 def test_benchmark_sites_exist():
