@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bulk
 from .core import SymbolCounts
-from .encoders import CANONICAL_ORDER, Algorithm
+from .encoders import Algorithm
 from .errors import EmptyStream
 from .power import DEFAULT_MODEL, PowerModel, PowerReport, compare_powers
 from .traceio import OP_FILTERS, FrameStream, kept_ops
@@ -80,7 +80,7 @@ def analyze_trace(
     zero switching baseline just leaves the switching ratios undefined
     (None).
     """
-    requested = set(CANONICAL_ORDER if algorithms is None else map(Algorithm, algorithms))
+    requested = set(Algorithm if algorithms is None else map(Algorithm, algorithms))
     requested.add(Algorithm.NONE)
     kept_ops(op_filter)  # ValueError for an unknown op filter
     if not isinstance(include_flag_power, bool):
@@ -92,7 +92,7 @@ def analyze_trace(
         raise EmptyStream("analysis needs at least one frame")
 
     powers = {}
-    for alg in CANONICAL_ORDER:
+    for alg in Algorithm:
         if alg not in requested:
             continue
         term = stats.termination_total(alg, model)

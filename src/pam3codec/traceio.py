@@ -52,16 +52,13 @@ _LINE_SEPARATORS = np.frombuffer(b"  \n", dtype=np.uint8)
 _TOKEN_BYTES = b"0123456789abcdefABCDEF \n"
 _ADDRESS_TOKEN = (3, 18)  # 0x plus 1..16 digits, below 2**64
 
-# Encoded frame text. format_encoded_rows writes every frame as one 26-byte
-# row of _FRAME_ROW (flags are at most 5, so always one digit), which
-# lets _EncodedReader read a canonical chunk as an (n, 26) byte array.
-_HEADER_RE = re.compile(
-    rb"# alg (%s)\n# pad ([012])\n" % "|".join(alg.value for alg in Algorithm).encode())
-_FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
-_SYMBOL_COLUMNS = np.r_[2:10, 13:21]  # line A, then line B
-_FIXED_COLUMNS = np.array([0, 1, 10, 11, 12, 21, 22, 23, 25])
-_FLAG_COLUMN = 24
+# Encoded frame text: format_encoded_rows writes each frame as a 26-byte row of
+# _FRAME_ROW, whose 0 bytes are the 16 symbols (line A, then B) and the one-digit flag,
+# and _EncodedReader reads a canonical chunk as an (n, 26) byte array.
 _NEG, _ZERO, _POS = b"-0+"  # the symbol bytes of the levels
+_FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
+_SYMBOL_COLUMNS, (_FLAG_COLUMN,) = np.split(np.flatnonzero(_FRAME_ROW == _ZERO), [16])
+_FIXED_COLUMNS = np.flatnonzero(_FRAME_ROW != _ZERO)
 # By mask byte, a line's 8 symbol bytes as one uint64 from its -1 mask ('-'
 # or '0'), and what its +1 mask takes off a '0' to make it '+'.
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
@@ -291,6 +288,10 @@ def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
     return f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii")
 
 
+# The 12 headers format_encoded_header writes, the ones _EncodedReader.rows reads.
+_HEADERS = {format_encoded_header(alg, pad): (alg, pad) for alg in Algorithm for pad in (0, 1, 2)}
+
+
 def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) -> bytes:
     """The frame lines of encoded frame text, one 26-byte row per frame of
     (2, n) encoded line masks and their (n,) flags, as bulk.check_flags takes."""
@@ -330,17 +331,23 @@ def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
 
     Errors come in the order of a read of the whole text: a non-ASCII byte,
     the first structural ParseError in line order, a missing header, a pad
-    count without frames, the first out-of-range flag, and last the first
-    frame that decodes to the unused pair, a ParseError on the input line
-    of that frame.
+    count without frames, and then the two content errors held back here
+    until the text ends: the first flag out of the algorithm's range, and
+    last the first frame that decodes to the unused pair. Each is a
+    ParseError on the input line of its frame.
     """
     reader = _EncodedReader()
     piece = b""  # the last piece decoded, held back
-    unused_pair = None  # the first frame that decodes to the unused pair
+    bad_flag = unused_pair = None  # the first frame with each content error
     for masks, flags, frame_lines in _read_text(file, size, reader.read):
-        if (not len(flags) or unused_pair or reader.bad_flag_line
-                or reader.alg is None or reader.pad is None):
-            continue  # nothing to decode, or the text is in error already
+        if not len(flags) or bad_flag or reader.alg is None or reader.pad is None:
+            continue  # nothing to decode, or an error of the text comes first
+        limit = MAX_FLAG[reader.alg]
+        if flags.max() > limit:
+            bad_flag = ParseError(f"{reader.alg.value} flag must be 0..{limit}",
+                                  frame_lines[np.argmax(flags > limit)])
+        if bad_flag or unused_pair:
+            continue
         first_frame = reader.frames - len(flags)
         try:
             words = bulk.demodulate_block(bulk.decode_block(masks, flags, reader.alg), first_frame)
@@ -351,25 +358,24 @@ def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
             yield piece
         piece = words.tobytes()
     _, pad = reader.end()
-    if unused_pair:
-        raise unused_pair
+    if bad_flag or unused_pair:
+        raise bad_flag or unused_pair
     yield piece[: len(piece) - pad]
 
 
 class _EncodedReader:
     """Encoded frame text read in chunks of whole lines, in line order.
 
-    read gives the frames of one chunk and raises a structural ParseError
-    at once; end raises, in this order, what only the end of the text
-    settles: a missing header, a pad count without frames and the first
-    out-of-range flag, held back as bad_flag_line.
+    read gives the frames of one chunk, with any one-digit flag, and
+    raises a structural ParseError at once; end raises, in this order,
+    what only the end of the text settles: a missing header and a pad
+    count without frames. The flag range is read_encoded's to check.
     """
 
     def __init__(self):
         self.alg = self.pad = None
         self.pad_line = 0
         self.frames = 0  # frame lines read so far
-        self.bad_flag_line = 0
 
     def read(self, chunk: bytes, lines_before: int):
         """((masks, flags, frame_lines), lines) of a chunk whose first line
@@ -377,10 +383,11 @@ class _EncodedReader:
         of its frames, the input line of every frame, and the number of
         lines in the chunk.
 
-        A chunk in the exact layout format_encoded_rows writes is read as one
-        byte array (rows); any other (blank lines, comments, CRLF,
-        whitespace around a line, leading zeros in a flag, or an error) by
-        the line reader (lines), which raises the line-numbered ParseError.
+        A chunk in the exact layout the writer writes, one of its 12
+        headers and 26-byte rows, is read as one byte array (rows); any
+        other (blank lines, comments, CRLF, whitespace around a line,
+        leading zeros in a flag, or an error) by the line reader (lines),
+        which raises the line-numbered ParseError.
         """
         return self.rows(chunk, lines_before) or self.lines(chunk, lines_before)
 
@@ -390,10 +397,10 @@ class _EncodedReader:
         else None."""
         alg, pad, start = self.alg, self.pad, 0
         if alg is None or pad is None:
-            header = _HEADER_RE.match(chunk)
-            if header is None or alg is not None or pad is not None or self.frames:
+            header = chunk[: chunk.find(b"\n", chunk.find(b"\n") + 1) + 1]  # two lines
+            if header not in _HEADERS or alg is not None or pad is not None or self.frames:
                 return None
-            alg, pad, start = Algorithm(header[1].decode("ascii")), int(header[2]), header.end()
+            (alg, pad), start = _HEADERS[header], len(header)
         if (len(chunk) - start) % len(_FRAME_ROW):
             return None
         rows = np.frombuffer(chunk, dtype=np.uint8, offset=start).reshape(-1, len(_FRAME_ROW))
@@ -401,7 +408,7 @@ class _EncodedReader:
             return None
         masks = _masks_of_symbols(np.take(rows, _SYMBOL_COLUMNS, axis=1))
         flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
-        if masks is None or (len(rows) and flags.max() > MAX_FLAG[alg]):
+        if masks is None or (len(rows) and flags.max() > 9):
             return None
         lines = len(rows)
         if start:
@@ -431,9 +438,6 @@ class _EncodedReader:
             flags.append(min(int(m[3][:3]), 255))
             frame_lines.append(line_number)
             self.frames += 1
-            # a frame before the algorithm is an error of a header, which comes first
-            if not self.bad_flag_line and self.alg is not None and flags[-1] > MAX_FLAG[self.alg]:
-                self.bad_flag_line = line_number
         symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
         masks = _masks_of_symbols(symbols.reshape(-1, 16))
         return (masks, np.array(flags, np.uint8), frame_lines), _line_count(chunk)
@@ -468,9 +472,6 @@ class _EncodedReader:
             raise ParseError("missing '# alg' or '# pad' header", 1)
         if self.pad and not self.frames:
             raise ParseError(f"pad count {self.pad} without frames", self.pad_line)
-        if self.bad_flag_line:
-            raise ParseError(f"{self.alg.value} flag must be 0..{MAX_FLAG[self.alg]}",
-                             self.bad_flag_line)
         return self.alg, self.pad
 
 

@@ -536,6 +536,52 @@ def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame):
         decoded(bytes(data))
 
 
+def seven_frames(alg: Algorithm, pad: int = 0) -> bytes:
+    """The encoded frame text write_encoded writes of 7 frames."""
+    masks = bulk.modulate_block(np.arange(21, dtype=np.uint8).reshape(7, 3))
+    return encoded_text(alg, FrameStream(masks, pad))
+
+
+@pytest.mark.parametrize("alg, flag", [(Algorithm.MF, b"3"), (Algorithm.SORT, b"6")])
+@pytest.mark.parametrize("bad_frame", [1, 5], ids=["header-chunk", "later-chunk"])
+@pytest.mark.parametrize("unused_pair", [False, True], ids=["flag-only", "after-unused-pair"])
+def test_decode_names_line_of_out_of_range_flag_from_one_read(
+        monkeypatch, alg, flag, bad_frame, unused_pair):
+    data = bytearray(seven_frames(alg))
+    header = len(format_encoded_header(alg, 0))
+    data[header + 26 * bad_frame + 24] = flag[0]
+    if unused_pair:  # frame 0 decodes to the unused pair, but the flag error ranks first
+        data[header + 2] = data[header + 13] = data[header + 24] = ord("0")
+    monkeypatch.setattr(traceio._EncodedReader, "lines", lambda *_: pytest.fail("re-read"))
+    message = rf"^line {bad_frame + 3}: {alg.value} flag must be 0\.\.{MAX_FLAG[alg]}$"
+    with pytest.raises(ParseError, match=message):
+        # the header chunk holds frames 0 and 1, each later chunk two more
+        b"".join(traceio.read_encoded(io.BytesIO(bytes(data)), header + 2 * 26))
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_rows_reads_every_header_the_writer_writes(alg, pad):
+    data = seven_frames(alg, pad)
+    fast = _one_chunk(traceio._EncodedReader.rows)(data)
+    assert isinstance(fast, tuple) and fast[:2] == (alg, pad)
+    assert _same(fast, _one_chunk(traceio._EncodedReader.lines)(data))
+
+
+@pytest.mark.parametrize("header", [
+    b"# alg sort\n# pad 0\n",
+    b"# alg SORT \n# pad 0\n",
+    b"# alg SORT\n# pad 3\n",
+    b"# pad 0\n# alg SORT\n",
+    b"# alg SORT\r\n# pad 0\r\n",
+], ids=["lower-case", "trailing-space", "pad-3", "swapped", "crlf"])
+def test_near_miss_headers_go_to_the_line_reader(header):
+    data = header + seven_frames(Algorithm.SORT)[len(format_encoded_header(Algorithm.SORT, 0)):]
+    assert _one_chunk(traceio._EncodedReader.rows)(data) is None
+    reference = _read(_one_chunk(traceio._EncodedReader.lines), data)
+    assert _same(_read(_one_chunk(traceio._EncodedReader.read), data), reference)
+
+
 # ------------------------------------------------------- random traces
 
 def test_generate_random_trace_deterministic():
