@@ -29,6 +29,10 @@ from .power import DEFAULT_MODEL, PowerModel
 _NOT_LSB = np.uint16(0xFEFE)  # clears what a left shift carries between the two bytes
 
 _IMAGES = np.array(encoders.PERMUTATION_IMAGES, dtype=np.int8)  # (6, 3)
+# A change a -> b != a on a line is one edge of a and one of b (_level_edges),
+# and (a - b)**2 = (3a**2 - 1) + (3b**2 - 1): an edge of a level costs
+# 3v**2 - 1 steps, v its image under the bijection, _EDGE_COST[perm, level + 1].
+_EDGE_COST = 3 * _IMAGES.astype(np.int64) ** 2 - 1
 _INVERSE = np.array(
     [encoders.PermutationCode(i).inverse().index for i in range(6)], dtype=np.uint8
 )
@@ -80,11 +84,6 @@ _BOUNDARY_LEVELS = {
     for alg, perms in zip(_PERM_OF_KEY, _CLASS_PERMS.T)
 }
 
-# The adjacent-pair types a bijection can make cost differently, as level
-# indices: {-1, 0}, {0, +1} and {-1, +1}.
-_PAIR_FROM = np.array([0, 1, 0])
-_PAIR_TO = np.array([1, 2, 2])
-
 # Frames that StreamStats.update folds at once. _fold makes intp temporaries
 # of ~8 bytes per frame, so a fixed block keeps them small and in cache
 # whatever the size of the chunk.
@@ -131,10 +130,12 @@ def _count_keys(masks: np.ndarray) -> np.ndarray:
     return cnt_neg * 17 + (16 - cnt_neg - np.bitwise_count(masks[1]))
 
 
-def _adjacent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per frame, the adjacent positions of a line holding p and q in
-    either order, summed over both lines."""
-    return np.bitwise_count((p << 1) & _NOT_LSB & q) + np.bitwise_count((q << 1) & _NOT_LSB & p)
+def _level_edges(masks: np.ndarray) -> np.ndarray:
+    """(3, n) edges of levels -1, 0, +1 per frame: the adjacent positions of
+    a line where exactly one holds the level, summed over both lines. The
+    edges of 0 are those of neg | pos, so no zero mask is built."""
+    neg, pos = masks
+    return np.bitwise_count(np.stack([(m << 1) ^ m for m in (neg, neg | pos, pos)]) & _NOT_LSB)
 
 
 def _permute(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -224,24 +225,23 @@ class StreamStats:
     An encoding maps all 16 levels of a frame through one bijection picked
     by the frame's count key, so the encoded level counts follow from the
     number of frames per key, and the switching within frames from the
-    adjacent-pair counts per key. The switching across frame boundaries
-    follows from a 21 x 21 histogram of (last state of frame i, first state
-    of frame i + 1) over both lines, in the boundary states of
-    _STATE_BASE. Between folded blocks, and so between chunks, only the
-    last frame's two end states carry over. Every total is an exact integer
-    before the model weights apply, with the same float expressions as
-    termination_total and switching_total, and is the same however the
-    stream was split into chunks.
+    level-edge counts per key: an edge of a level is two adjacent positions
+    on a line of which exactly one holds that level. The switching across
+    frame boundaries follows from a 21 x 21 histogram of (last state of
+    frame i, first state of frame i + 1) over both lines, in the boundary
+    states of _STATE_BASE. Between folded blocks, and so between chunks,
+    only the last frame's two end states carry over. Every total is an
+    exact integer before the model weights apply, with the same float
+    expressions as termination_total and switching_total, and is the same
+    however the stream was split into chunks.
     """
 
-    def __init__(self, masks: np.ndarray | None = None):
+    def __init__(self):
         self.frame_count = 0
         self.frames_per_key = np.zeros(_KEYS, dtype=np.int64)
-        self.pairs_per_key = np.zeros((3, _KEYS), dtype=np.int64)  # _PAIR_FROM/_PAIR_TO types
+        self.edges_per_key = np.zeros((3, _KEYS), dtype=np.int64)  # levels -1, 0, +1
         self.boundaries = np.zeros((_STATES, _STATES), dtype=np.int64)
         self._last = None  # the end states of the last frame folded, by line
-        if masks is not None:
-            self.update(masks)
 
     def update(self, masks: np.ndarray) -> None:
         """Fold the (2, n) line masks of the frames after those folded so far,
@@ -253,12 +253,11 @@ class StreamStats:
     def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
         self.frame_count += len(key)
         self.frames_per_key += np.bincount(key, minlength=_KEYS)
-        neg, pos = masks
-        zero = ~(neg | pos)
-        for pairs, (p, q) in zip(self.pairs_per_key, ((neg, zero), (zero, pos), (neg, pos))):
+        for edges, per_frame in zip(self.edges_per_key, _level_edges(masks)):
             # the float64 sums are exact: a block's _FOLD_FRAMES frames hold
-            # at most 14 pairs of a type each, far below 2**53
-            pairs += np.bincount(key, weights=_adjacent(p, q), minlength=_KEYS).astype(np.int64)
+            # at most 14 edges of a level each, far below 2**53
+            edges += np.bincount(key, weights=per_frame, minlength=_KEYS).astype(np.int64)
+        neg, pos = masks
         # (n, 2) uint8 boundary states of positions 0 (bit 7) and 7 (bit 0),
         # line A then B; no byte borrows, as a position is not both -1 and +1
         base = _STATE_BASE[key]
@@ -294,9 +293,7 @@ class StreamStats:
         return float(model.termination((zeros, 0, ones)))
 
     def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
-        images = _IMAGES[_PERM_OF_KEY[algorithm]].astype(np.int64)
-        cost = (images[:, _PAIR_FROM] - images[:, _PAIR_TO]) ** 2  # (_KEYS, 3)
-        steps = int((self.pairs_per_key * cost.T).sum())
+        steps = int((self.edges_per_key * _EDGE_COST[_PERM_OF_KEY[algorithm]].T).sum())
         levels = _BOUNDARY_LEVELS[algorithm]
         steps += int(np.vdot(self.boundaries, (levels[:, None] - levels) ** 2))
         return model.switch_unit_energy * steps

@@ -1,5 +1,6 @@
 """Pins the vectorized array pipeline to the scalar reference operations."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from pam3codec import bulk
 from pam3codec.core import PAIR_OF_SYMBOL, Pam3Frame, Word24, count_symbols, modulate
 from pam3codec.encoders import (
     FLAG_WIDTH,
+    PERMUTATION_IMAGES,
     Algorithm,
     brute_force_best_permutation,
     decode,
@@ -39,6 +41,13 @@ level_blocks = arrays(
 
 def _frame(row) -> Pam3Frame:
     return Pam3Frame(tuple(int(v) for v in row[0]), tuple(int(v) for v in row[1]))
+
+
+def _folded(masks, cls=bulk.StreamStats):
+    """A cls() with masks folded in by its update."""
+    stats = cls()
+    stats.update(masks)
+    return stats
 
 
 def flag_termination_total(flags, algorithm, model=DEFAULT_MODEL) -> float:
@@ -237,7 +246,7 @@ def test_perm_of_flag_table():
 @example(np.array([[[1] * 8, [-1] * 8], [[-1] * 8, [1] * 8]], dtype=np.int8),
          Algorithm.SORT, MODELS[1])
 def test_stream_stats_match_encoded_copy(levels, algorithm, model):
-    stats = bulk.StreamStats(bulk.masks_of_levels(levels))
+    stats = _folded(bulk.masks_of_levels(levels))
     enc_masks, flags = bulk.encode_block(bulk.masks_of_levels(levels), algorithm)
     enc_levels = bulk.levels_of_masks(enc_masks)
     assert (stats.counts(algorithm) == bulk.count_block(enc_levels).sum(axis=0)).all()
@@ -257,18 +266,38 @@ def test_stream_stats_match_encoded_copy(levels, algorithm, model):
     assert [e.flag for e in encoded] == flags.tolist()
 
 
+def test_level_edges_price_every_line_under_every_bijection():
+    """On all 3**8 contents of one line, the other line at 0: each level's
+    edge count, and each bijection's switching steps priced per edge end,
+    (a - b)**2 = (3a**2 - 1) + (3b**2 - 1) for any a != b."""
+    lines = np.array(list(itertools.product((-1, 0, 1), repeat=8)), dtype=np.int8)
+    masks = np.zeros((2, len(lines)), dtype=np.uint16)
+    a_bytes = masks.view(np.uint8)[:, 0::2]  # line A's byte of every frame
+    a_bytes[0], a_bytes[1] = (np.packbits(lines == lv, axis=1)[:, 0] for lv in (-1, 1))
+    levels = bulk.levels_of_masks(masks)
+    assert np.array_equal(levels[:, 0], lines) and not levels[:, 1].any()
+    edges = bulk._level_edges(masks).astype(np.int64)
+    for count, lv in zip(edges, (-1, 0, 1)):
+        held = lines == lv
+        assert np.array_equal(count, (held[:, 1:] != held[:, :-1]).sum(axis=1)), lv
+    for perm, images in enumerate(PERMUTATION_IMAGES):
+        mapped = np.array(images, dtype=np.int64)[lines + 1]
+        steps = (np.diff(mapped, axis=1) ** 2).sum(axis=1)
+        assert np.array_equal(bulk._EDGE_COST[perm] @ edges, steps), images
+
+
 def _check_fold_any_split(levels, cuts, whole):
     """Folding levels in the chunks that cuts make, or as one chunk, gives
     the stats of whole."""
     masks = bulk.masks_of_levels(levels)
-    one_chunk, split = bulk.StreamStats(masks), bulk.StreamStats()
+    one_chunk, split = _folded(masks), bulk.StreamStats()
     bounds = [0, *sorted(min(cut, len(levels)) for cut in cuts), len(levels)]
     for start, stop in zip(bounds, bounds[1:]):
         split.update(np.ascontiguousarray(masks[:, start:stop]))
     for stats in (one_chunk, split):
         assert stats.frame_count == whole.frame_count == len(levels)
         assert np.array_equal(stats.frames_per_key, whole.frames_per_key)
-        assert np.array_equal(stats.pairs_per_key, whole.pairs_per_key)
+        assert np.array_equal(stats.edges_per_key, whole.edges_per_key)
         assert np.array_equal(stats.boundaries, whole.boundaries)
     assert whole.boundaries.sum() == 2 * (len(levels) - 1)
     for algorithm in Algorithm:
@@ -279,15 +308,15 @@ def _check_fold_any_split(levels, cuts, whole):
 @given(level_blocks, st.lists(st.integers(0, 40), max_size=6))
 @example(np.ones((3, 2, 8), dtype=np.int8), [0, 1, 1, 3])  # empty chunks at both ends
 def test_stream_stats_fold_any_split(levels, cuts):
-    _check_fold_any_split(levels, cuts, bulk.StreamStats(bulk.masks_of_levels(levels)))
+    _check_fold_any_split(levels, cuts, _folded(bulk.masks_of_levels(levels)))
 
 
 class _RecordedFolds(bulk.StreamStats):
     """StreamStats that records the frames of each fold."""
 
-    def __init__(self, masks):
+    def __init__(self):
         self.folds = []
-        super().__init__(masks)
+        super().__init__()
 
     def _fold(self, masks, key):
         self.folds.append(len(key))
@@ -302,9 +331,9 @@ def test_stream_stats_fold_any_split_in_blocks(block, levels, cuts):
     a few frames, every split still gives the stats of one fold."""
     masks = bulk.masks_of_levels(levels)
     assert len(levels) <= bulk._FOLD_FRAMES
-    whole = bulk.StreamStats(masks)  # one fold
+    whole = _folded(masks)  # one fold
     with mock.patch.object(bulk, "_FOLD_FRAMES", block):
-        assert _RecordedFolds(masks).folds == [
+        assert _folded(masks, _RecordedFolds).folds == [
             min(block, len(levels) - start) for start in range(0, len(levels), block)
         ]
         _check_fold_any_split(levels, cuts, whole)
