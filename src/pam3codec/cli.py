@@ -65,8 +65,9 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-def _int_type(minimum: int):
-    """The argparse type of an integer option of at least minimum, 1 or 0."""
+def _int_type(minimum: int, maximum: float = float("inf")):
+    """The argparse type of an integer option of at least minimum, 1 or 0,
+    and at most maximum."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -75,6 +76,8 @@ def _int_type(minimum: int):
         if value < minimum:
             kind = "positive" if minimum else "non-negative"
             raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
     return parse
 
@@ -120,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_distribution)
 
     p = sub.add_parser("gen-random", help="write a raw trace of random bytes")
-    p.add_argument("--bytes", type=_int_type(1), required=True, dest="byte_count")
+    p.add_argument("--bytes", type=_int_type(1, sys.maxsize), required=True, dest="byte_count")
     p.add_argument("--seed", type=_int_type(0), required=True)
     p.add_argument("--output", "-o", default="-", help="output path, - for stdout (binary)")
     p.set_defaults(run=_cmd_gen_random)
@@ -240,7 +243,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         args.run(args)
         return 0
-    except (Pam3Error, OSError) as exc:
+    except (Pam3Error, OSError, MemoryError) as exc:
         return _error(exc)
 
 

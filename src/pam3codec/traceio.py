@@ -54,7 +54,7 @@ _ADDRESS_TOKEN = (3, 18)  # 0x plus 1..16 digits, below 2**64
 
 # Encoded frame text: format_encoded_rows writes each frame as a 26-byte row of
 # _FRAME_ROW, whose 0 bytes are the 16 symbols (line A, then B) and the one-digit flag,
-# and _EncodedReader reads a canonical chunk as an (n, 26) byte array.
+# and _EncodedReader.rows reads a canonical chunk as an (n, 26) byte array.
 _NEG, _ZERO, _POS = b"-0+"  # the symbol bytes of the levels
 _FRAME_ROW = np.frombuffer(b"A:00000000 B:00000000 F:0\n", dtype=np.uint8)
 _SYMBOL_COLUMNS, (_FLAG_COLUMN,) = np.split(np.flatnonzero(_FRAME_ROW == _ZERO), [16])
@@ -154,22 +154,25 @@ def text_chunks(file: BinaryIO, size: int) -> Iterator[bytes]:
         yield chunk
 
 
-def _read_text(file: BinaryIO, size: int, read: Callable) -> Iterator:
-    """The result of read(chunk, lines before it) for each chunk that
-    text_chunks yields; read returns (result, lines in the chunk), so a
-    chunk's lines are counted only by the reader that reads them.
+def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callable) -> Iterator:
+    """The result of reading each chunk that text_chunks yields: bulk_read's,
+    or line_read's where bulk_read returns None for a chunk off the
+    canonical layout. Each takes (chunk, lines before it) and returns
+    (result, lines in the chunk), so a chunk's lines are counted only by
+    the reader that reads them; line_read reads any chunk and alone raises
+    the line-numbered ParseError.
 
     A non-ASCII byte is a ParseError on its line of the whole file, raised
-    before its chunk is read. After a ParseError from read the rest of the
-    file is still read, so that a non-ASCII byte anywhere in it is the
-    error raised.
+    before its chunk is read. After a ParseError from line_read the rest
+    of the file is still read, so that a non-ASCII byte anywhere in it is
+    the error raised.
     """
     chunks = text_chunks(file, size)
     lines = 0
     for chunk in chunks:
         _check_ascii(chunk, lines)
         try:
-            result, chunk_lines = read(chunk, lines)
+            result, chunk_lines = bulk_read(chunk, lines) or line_read(chunk, lines)
         except ParseError:
             lines += _line_count(chunk)  # the reader did not count them
             for chunk in chunks:
@@ -339,7 +342,7 @@ def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
     reader = _EncodedReader()
     piece = b""  # the last piece decoded, held back
     bad_flag = unused_pair = None  # the first frame with each content error
-    for masks, flags, frame_lines in _read_text(file, size, reader.read):
+    for masks, flags, frame_lines in _read_text(file, size, reader.rows, reader.lines):
         if not len(flags) or bad_flag or reader.alg is None or reader.pad is None:
             continue  # nothing to decode, or an error of the text comes first
         limit = MAX_FLAG[reader.alg]
@@ -366,10 +369,15 @@ def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
 class _EncodedReader:
     """Encoded frame text read in chunks of whole lines, in line order.
 
-    read gives the frames of one chunk, with any one-digit flag, and
-    raises a structural ParseError at once; end raises, in this order,
-    what only the end of the text settles: a missing header and a pad
-    count without frames. The flag range is read_encoded's to check.
+    rows and lines each take (chunk, lines before it) and return
+    ((masks, flags, frame_lines), lines in the chunk): the (2, n) uint16
+    masks and (n,) uint8 flags of its frames, with any one-digit flag, and
+    the input line of every frame. rows reads a chunk in the writer's exact
+    layout as one byte array and returns None for any other; lines reads
+    any ASCII chunk, the reference for rows, and raises a structural
+    ParseError at once. end raises, in this order, what only the end of
+    the text settles: a missing header and a pad count without frames.
+    The flag range is read_encoded's to check.
     """
 
     def __init__(self):
@@ -377,24 +385,9 @@ class _EncodedReader:
         self.pad_line = 0
         self.frames = 0  # frame lines read so far
 
-    def read(self, chunk: bytes, lines_before: int):
-        """((masks, flags, frame_lines), lines) of a chunk whose first line
-        is line lines_before + 1: masks (2, n) uint16 and flags (n,) uint8
-        of its frames, the input line of every frame, and the number of
-        lines in the chunk.
-
-        A chunk in the exact layout the writer writes, one of its 12
-        headers and 26-byte rows, is read as one byte array (rows); any
-        other (blank lines, comments, CRLF, whitespace around a line,
-        leading zeros in a flag, or an error) by the line reader (lines),
-        which raises the line-numbered ParseError.
-        """
-        return self.rows(chunk, lines_before) or self.lines(chunk, lines_before)
-
     def rows(self, chunk: bytes, lines_before: int):
-        """read of a chunk of canonical 26-byte rows after the header, or of
-        the two header lines and then rows before any header or frame line;
-        else None."""
+        """Reads a chunk of canonical 26-byte rows after the header, or of the
+        two header lines and then rows before any header or frame line."""
         alg, pad, start = self.alg, self.pad, 0
         if alg is None or pad is None:
             header = chunk[: chunk.find(b"\n", chunk.find(b"\n") + 1) + 1]  # two lines
@@ -419,7 +412,6 @@ class _EncodedReader:
         return (masks, flags, range(end - len(rows), end)), lines
 
     def lines(self, chunk: bytes, lines_before: int):
-        """read of an ASCII chunk line by line, the reference for rows."""
         symbols, flags, frame_lines = [], [], []
         lines = io.TextIOWrapper(io.BytesIO(chunk), encoding="ascii", newline=None)
         for line_number, line in enumerate(lines, start=lines_before + 1):
@@ -523,7 +515,8 @@ def read_trace(file: BinaryIO, fmt: str, op_filter: str, size: int) -> Iterator[
     kept = kept_ops(op_filter)  # before the first read
     if fmt == "raw":
         return _framed(_raw_payloads(file, size, WRITE in kept))
-    return _framed(_read_text(file, size, partial(_text_payload, op_filter=op_filter)))
+    return _framed(_read_text(file, size, lambda chunk, _: parse_text_columns(chunk, op_filter),
+                              partial(_text_payload, op_filter=op_filter)))
 
 
 def _raw_payloads(file: BinaryIO, size: int, kept: bool) -> Iterator[np.ndarray]:
@@ -540,12 +533,9 @@ def _raw_payloads(file: BinaryIO, size: int, kept: bool) -> Iterator[np.ndarray]
 
 
 def _text_payload(chunk: bytes, lines_before: int, op_filter: str) -> tuple[np.ndarray, int]:
-    """(payload, lines) of a chunk of whole lines of a text trace: the
-    payload an op filter keeps, read in bulk in the canonical layout and
-    by the line reader otherwise; an error names its line of the whole file."""
-    read = parse_text_columns(chunk, op_filter)
-    if read is not None:
-        return read
+    """(payload, lines) of a chunk of whole lines of a text trace read by
+    the line reader: the payload an op filter keeps; an error names its
+    line of the whole file."""
     try:
         records = parse_text_trace(chunk)
     except ParseError as exc:

@@ -246,6 +246,36 @@ def test_truncated_csv_report_raises_value_error(keep, section):
         read_report("".join(lines[:keep]), "csv")
 
 
+def test_csv_report_must_start_with_its_header():
+    lines = write_report(analyze_trace(RANDOM), "csv").splitlines(keepends=True)
+    for text in ("".join(lines[1:]), "x\n" + "".join(lines), lines[0].upper() + "".join(lines[1:])):
+        with pytest.raises(ValueError, match="^not a pam3codec CSV report$"):
+            read_report(text, "csv")
+
+
+def test_csv_algorithm_row_with_a_cell_too_many_raises():
+    lines = write_report(analyze_trace(RANDOM), "csv").splitlines()
+    assert lines[4].startswith("SORT,")
+    lines[4] += ",0.0000"
+    with pytest.raises(ValueError, match="^CSV report SORT row has 5 fields, not 4$"):
+        read_report("\n".join(lines) + "\n", "csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_without_the_none_row_raises(fmt):
+    text = write_report(analyze_trace(RANDOM), fmt)
+    if fmt == "csv":
+        lines = text.splitlines(keepends=True)
+        assert lines[1].startswith("NONE,")
+        text = "".join(lines[:1] + lines[2:])
+    else:
+        obj = json.loads(text)
+        del obj["per_algorithm"]["NONE"]
+        text = json.dumps(obj)
+    with pytest.raises(ValueError, match="^report lacks the NONE baseline row$"):
+        read_report(text, fmt)
+
+
 @pytest.mark.parametrize("text, field", [
     ("{}", "totals"),
     ("[]", "totals"),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import pam3codec
-from pam3codec import cli
+from pam3codec import cli, traceio
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
 from pam3codec.traceio import (
@@ -83,6 +83,19 @@ def test_gen_random_rejects_negative_seed(capsys, option, value, message):
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"pam3codec gen-random: error: argument {option}: {message}"]
+    assert "Traceback" not in err
+
+
+def test_gen_random_of_more_bytes_than_fit_exits_with_one_line():
+    # 2**62 bytes is beyond every x86-64 address space, so numpy fails
+    # before it allocates; a count above sys.maxsize is a usage error
+    code, out, err = _main_captured(["gen-random", "--bytes", str(1 << 62), "--seed", "1"])
+    assert (code, out) == (2, b"")
+    assert re.fullmatch(r"pam3codec: error: Unable to allocate .*\n", err)
+    code, out, err = _main_captured(["gen-random", "--bytes", str(10**20), "--seed", "1"])
+    assert (code, out) == (1, b"")
+    assert err.splitlines()[-1] == (f"pam3codec gen-random: error: argument --bytes: "
+                                    f"must be at most {sys.maxsize}, got {10**20}")
     assert "Traceback" not in err
 
 
@@ -221,6 +234,29 @@ def test_decode_reports_bad_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+ROW = b"A:++++++++ B:++++++++ F:0\n"
+BAD_LINE = "pam3codec: error: line 3: expected 'A:<8 symbols> B:<8 symbols> F:<flag>'\n"
+
+
+@pytest.mark.parametrize("row, error", [
+    (b"A:++++++++\tB:++++++++ F:0\n", BAD_LINE),  # 26 bytes, a fixed byte off the layout
+    (b"a:++++++++ B:++++++++ F:0\n", BAD_LINE),
+    (None, "pam3codec: error: line 2: bad pad count 'x'\n"),
+], ids=["tab", "lower-case-a", "pad-x"])
+@pytest.mark.parametrize("size", [19, 1 << 20], ids=["header-chunk", "one-chunk"])
+def test_decode_rejects_off_layout_rows_and_bad_pad(row, error, size):
+    header = b"# alg NONE\n# pad 0\n"  # 19 bytes: a chunk of its own at size 19
+    if row is None:
+        data = header.replace(b"pad 0", b"pad x") + ROW
+    else:
+        data = header + row
+        reader = traceio._EncodedReader()
+        assert reader.rows(data, 0) is None
+        assert reader.rows(header, 0) is not None and reader.rows(row, 2) is None
+    with mock.patch.object(cli, "_READ_SIZE", size):
+        assert _main_captured(["decode"], data) == (2, b"", error)
+
+
 def test_decode_requires_headers(tmp_path, capsys):
     enc = tmp_path / "bad.enc"
     enc.write_text("A:++++++++ B:++++++++ F:0\n")
@@ -313,9 +349,6 @@ def test_encode_and_decode_in_place(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["copy", "data"]
 
 
-ROW = b"A:++++++++ B:++++++++ F:0\n"
-
-
 @pytest.mark.parametrize("argv, data", [
     (["encode", "--alg", "sort"], b"W 0x0 00ff00\n" * 50 + b"W 0x0 0g\n"),
     (["encode", "--alg", "sort", "--format", "raw"], b""),
@@ -346,6 +379,15 @@ def test_output_file_mode(tmp_path):
     out.chmod(0o604)
     assert _run("decode", "-i", str(out), "-o", str(out)) == 0
     assert out.stat().st_mode & 0o777 == 0o604 and out.read_bytes() == bytes.fromhex("00ff00")
+
+
+def test_output_in_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "out"
+    code, stdout, err = _main_captured(["analyze", "-i", ZERO_TRACE, "-o", str(out)])
+    assert (code, stdout) == (2, b"")
+    # the error names the output, not the spool file beside it
+    assert err == f"pam3codec: error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_output_file_in_read_only_directory(tmp_path, monkeypatch):

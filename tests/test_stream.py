@@ -246,12 +246,36 @@ def _big_raw_trace(path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("command", [
+LINE_ENDS = {"LF": b"\n", "CRLF": b"\r\n"}
+
+
+def _big_text_trace(path: Path, line_end: str) -> Path:
+    """An 11 MB text trace: zero.trace's comment line, then its canonical
+    lines 900 times, read in bulk with LF line ends and by the line reader
+    with CRLF."""
+    comment, body = ZERO_TRACE.split(b"\n", 1)
+    path.write_bytes((comment + b"\n" + body * 900).replace(b"\n", LINE_ENDS[line_end]))
+    return path
+
+
+MEMORY_COMMANDS = [
     ["analyze", "--alg", "all"], ["distribution"], ["encode", "--alg", "sort"], ["decode"],
+]
+
+
+@pytest.mark.parametrize("command, line_end", [
+    pytest.param(command, line_end, id=f"command{i}" + (f"-{line_end}" if line_end else ""))
+    for line_end in (None, *LINE_ENDS)  # None: a raw trace
+    for i, command in enumerate(MEMORY_COMMANDS)
+    if not (line_end and command == ["decode"])
 ])
-def test_memory_does_not_grow_with_the_trace(tmp_path, command):
-    trace = _big_raw_trace(tmp_path / "big.raw")
-    argv = [*command, "--format", "raw", "-i", str(trace)]
+def test_memory_does_not_grow_with_the_trace(tmp_path, command, line_end):
+    if line_end:
+        trace = _big_text_trace(tmp_path / "big.trace", line_end)
+        argv = [*command, "--format", "text", "-i", str(trace)]
+    else:
+        trace = _big_raw_trace(tmp_path / "big.raw")
+        argv = [*command, "--format", "raw", "-i", str(trace)]
     if command == ["decode"]:  # the encoded text of the trace, 104 MB
         encoded = tmp_path / "big.enc"
         assert cli.main(["encode", "--alg", "sort", *argv[1:], "-o", str(encoded)]) == 0
