@@ -18,7 +18,8 @@ symbols written as -, 0, +.
 Files of any size are read and written a chunk at a time by read_trace
 (a trace, as one FrameStream per chunk), write_encoded (encoded frame
 text, whose one-digit pad count is patched at the end) and read_encoded
-(encoded frame text back to payload bytes).
+(encoded frame text back to payload bytes). Lines may end with LF, CRLF
+or CR; text_chunks makes each line end LF, so every reader sees only LF.
 """
 
 from __future__ import annotations
@@ -116,27 +117,24 @@ class FrameStream:
         return self.masks.shape[1]
 
 
-def _line_count(data: bytes) -> int:
-    """The line ends in data: LF, CRLF and lone CR."""
-    lines = data.count(b"\n")
-    if b"\r" in data:
-        lines += data.count(b"\r") - data.count(b"\r\n")
-    return lines
+def _lf(data: bytes) -> bytes:
+    """data with every line end, CRLF and lone CR too, as one LF."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _check_ascii(data: bytes, lines_before: int = 0) -> None:
     """A non-ASCII byte is a ParseError on its line, counted after lines_before."""
     if not data.isascii():
         start = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
-        raise ParseError("non-ASCII byte", lines_before + _line_count(data[:start]) + 1)
+        raise ParseError("non-ASCII byte", lines_before + data.count(b"\n", 0, start) + 1)
 
 
 def text_chunks(file: BinaryIO, size: int) -> Iterator[bytes]:
     """A text file read size bytes at a time, as chunks of whole lines.
 
-    The chunks join to the file's bytes. A chunk ends after the last LF or
-    CR of a read, but not after a CR that ends the read, since an LF may
-    follow it, so chunks split lines as parse_text_trace does. A chunk
+    A chunk ends after the last LF or CR of a read, but not after a CR that
+    ends the read, since an LF may follow it, so chunks split lines as
+    parse_text_trace does. Every CRLF and CR of a chunk is made LF. A chunk
     holds the rest of the read before and at most size bytes more, unless
     a line is longer than size.
     """
@@ -147,11 +145,11 @@ def text_chunks(file: BinaryIO, size: int) -> Iterator[bytes]:
         if not cut:
             pending.append(block)
             continue
-        yield b"".join([*pending, block[:cut]])
+        yield _lf(b"".join([*pending, block[:cut]]))
         pending = [block[cut:]]
     chunk = b"".join(pending)  # a last line without a line end
     if chunk:
-        yield chunk
+        yield _lf(chunk)
 
 
 def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callable) -> Iterator:
@@ -174,10 +172,10 @@ def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callab
         try:
             result, chunk_lines = bulk_read(chunk, lines) or line_read(chunk, lines)
         except ParseError:
-            lines += _line_count(chunk)  # the reader did not count them
+            lines += chunk.count(b"\n")  # the reader did not count them
             for chunk in chunks:
                 _check_ascii(chunk, lines)
-                lines += _line_count(chunk)
+                lines += chunk.count(b"\n")
             raise
         lines += chunk_lines
         yield result
@@ -186,10 +184,10 @@ def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callab
 def parse_text_trace(source) -> list[TraceRecord]:
     """Parse a text trace from bytes, a string or an iterable of lines.
 
-    Bytes must be ASCII. Bytes and a string may end lines with LF, CRLF
-    or CR.
+    Bytes must be ASCII. Bytes and a string may end lines with LF, CRLF or CR.
     """
     if isinstance(source, (bytes, bytearray)):
+        source = _lf(source)
         _check_ascii(source)
         source = io.TextIOWrapper(io.BytesIO(source), encoding="ascii", newline=None)
     elif isinstance(source, str):
@@ -245,9 +243,9 @@ def parse_text_columns(data: bytes, op_filter: str) -> tuple[np.ndarray, int] | 
     The canonical layout is `R|W 0x<1..16 hex digits> <even-length hex>\n`
     on every line, as format_text_trace writes it; it is checked and read
     with whole-buffer byte operations. Anything else (comments, blank
-    lines, CR or CRLF, no final newline, another address form or spacing,
-    or an error) gives None: parse_text_trace reads every other form with
-    the same rules and raises the line-numbered ParseError.
+    lines, a CR, no final newline, another address form or spacing, or an
+    error) gives None: parse_text_trace reads every other form with the
+    same rules and raises the line-numbered ParseError.
     """
     kept = list(kept_ops(op_filter).encode("ascii"))
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -432,7 +430,7 @@ class _EncodedReader:
             self.frames += 1
         symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
         masks = _masks_of_symbols(symbols.reshape(-1, 16))
-        return (masks, np.array(flags, np.uint8), frame_lines), _line_count(chunk)
+        return (masks, np.array(flags, np.uint8), frame_lines), chunk.count(b"\n")
 
     def _header(self, stripped: str, line_number: int) -> None:
         """Take a `# alg` or `# pad` header line; any other `#` line is a comment."""
@@ -542,7 +540,7 @@ def _text_payload(chunk: bytes, lines_before: int, op_filter: str) -> tuple[np.n
         raise ParseError(exc.reason, lines_before + exc.line_number) from None
     kept = kept_ops(op_filter)
     payload = b"".join(r.payload for r in records if r.op in kept)
-    return np.frombuffer(payload, dtype=np.uint8), _line_count(chunk)
+    return np.frombuffer(payload, dtype=np.uint8), chunk.count(b"\n")
 
 
 def _framed(payloads: Iterable[np.ndarray]) -> Iterator[FrameStream]:

@@ -207,7 +207,8 @@ def test_errors_name_the_line_of_the_whole_file(data, size):
     assert _run(["analyze"], data, size) == expected
 
 
-def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch):
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch, line_end):
     calls = []
 
     def counted(data):
@@ -215,12 +216,19 @@ def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch):
         return parse_text_trace(data)
 
     monkeypatch.setattr(traceio, "parse_text_trace", counted)
-    size = 512
-    assert len(ZERO_TRACE) > 20 * size and ZERO_TRACE.startswith(b"#")
-    out = _run(["analyze"], ZERO_TRACE, size)
-    assert len(calls) == 1 and calls[0].startswith(b"# ")
-    assert out == _run(["analyze"], ZERO_TRACE, ONE_CHUNK) == (
-        0, (GOLDEN / "zero_all.csv").read_bytes())
+    trace = ZERO_TRACE.replace(b"\n", line_end)
+    assert trace.startswith(b"#")
+    for size in (512, 540):
+        assert len(trace) > 20 * size
+        # at 540 bytes, and not at 512, some reads of the CRLF trace end
+        # with the CR of a line and the next read starts with its LF
+        split = any(trace[end - 1:end + 1] == b"\r\n" for end in range(size, len(trace), size))
+        assert split == (size == 540 and line_end == b"\r\n")
+        calls.clear()
+        out = _run(["analyze"], trace, size)
+        assert len(calls) == 1 and calls[0].startswith(b"# ")
+        assert out == _run(["analyze"], trace, ONE_CHUNK) == (
+            0, (GOLDEN / "zero_all.csv").read_bytes())
 
 
 TRACED_PEAK_BOUND = 8e6  # bytes; a few chunks, whatever the size of the trace
@@ -251,8 +259,8 @@ LINE_ENDS = {"LF": b"\n", "CRLF": b"\r\n"}
 
 def _big_text_trace(path: Path, line_end: str) -> Path:
     """An 11 MB text trace: zero.trace's comment line, then its canonical
-    lines 900 times, read in bulk with LF line ends and by the line reader
-    with CRLF."""
+    lines 900 times, with LF or CRLF line ends; the comment's chunk goes to
+    the line reader and every other chunk is read in bulk."""
     comment, body = ZERO_TRACE.split(b"\n", 1)
     path.write_bytes((comment + b"\n" + body * 900).replace(b"\n", LINE_ENDS[line_end]))
     return path

@@ -517,6 +517,7 @@ def _same(a, b):
 
 @given(encoded_texts())
 @example((b"# alg NONE\n# pad 0\nA:++x+++++ B:++++++++ F:0\n", False))
+@example((b"# alg NONE\n# pad 0\nA:++++++++_B:++++++++ F:0\n", False))  # a fixed column
 @example((b"# alg SORT\n# pad 0\nA:++++++++ B:-+++++++ F:0\n", True))
 @example((b"# alg MF\n# pad 0\nA:++++++++ B:++++++++ F:3\n", False))
 @example((b"# alg DBI\n# pad 1\n", False))
@@ -537,8 +538,12 @@ def test_parse_encoded_matches_line_parser(case):
         assert dispatched[4] == reference[4]
 
 
-@pytest.mark.parametrize("bad_frame", [0, 3, 6])
-def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame):
+@pytest.mark.parametrize("bad_frame, line_end", [
+    pytest.param(bad_frame, line_end, id=f"{bad_frame}{name}")
+    for name, line_end in (("", b"\n"), ("-CRLF", b"\r\n"), ("-CR", b"\r"))
+    for bad_frame in (0, 3, 6)
+])
+def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame, line_end):
     masks = bulk.modulate_block(np.arange(21, dtype=np.uint8).reshape(7, 3))
     rows = format_encoded_rows(Algorithm.NONE, masks, np.zeros(7, np.uint8))
     data = bytearray(format_encoded_header(Algorithm.NONE, 0) + rows)
@@ -546,7 +551,7 @@ def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame):
     data[row + 2] = data[row + 13] = ord("0")  # column 0 of lines A and B
     monkeypatch.setattr(traceio._EncodedReader, "lines", lambda *_: pytest.fail("re-read"))
     with pytest.raises(ParseError, match=rf"^line {bad_frame + 3}: frame {bad_frame}, column 0 "):
-        decoded(bytes(data))
+        decoded(bytes(data).replace(b"\n", line_end))
 
 
 def seven_frames(alg: Algorithm, pad: int = 0) -> bytes:
