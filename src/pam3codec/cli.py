@@ -6,11 +6,11 @@ without temporary files. Exit codes: 0 success, 1 usage error, 2 input or
 parse error.
 
 Inputs are read in blocks of _READ_SIZE bytes by traceio's chunked
-readers and writer (read_trace, read_encoded, write_encoded), so every
-subcommand but gen-random holds a few blocks at a time, whatever the size
-of its input. Outputs go through a spool (_spool), a seekable temporary
-file that becomes the output only when the command succeeds: a failed
-run leaves stdout empty and the output path as it was.
+readers and writer (read_trace, read_encoded, write_encoded), and
+gen-random writes random_blocks, so every subcommand holds a few blocks
+at a time, whatever their size. Outputs go through a spool (_spool), a
+seekable temporary file that becomes the output only when the command
+succeeds: a failed run leaves stdout empty and the output path as it was.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .traceio import (
     TRACE_FORMATS,
     FrameStream,
     frame_records,  # not called; perfbench/layers.py wraps this site
-    generate_random_trace,
     parse_raw_trace,  # not called; perfbench/layers.py wraps this site
     parse_text_trace,  # not called; perfbench/layers.py wraps this site
+    random_blocks,
     read_encoded,
     read_trace,
     write_encoded,
@@ -234,8 +234,12 @@ def _cmd_distribution(args):
 
 
 def _cmd_gen_random(args):
-    records = generate_random_trace(args.byte_count, args.seed)
-    _write_binary(args.output, records[0].payload)
+    with _spool(args.output) as out:
+        room = os.fstatvfs(out.fileno())  # refuse, before writing, what cannot fit
+        if args.byte_count > room.f_bavail * room.f_frsize:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), args.output)
+        for block in random_blocks(args.byte_count, args.seed):
+            out.write(block)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,8 @@ Files of any size are read and written a chunk at a time by read_trace
 (a trace, as one FrameStream per chunk), write_encoded (encoded frame
 text, whose one-digit pad count is patched at the end) and read_encoded
 (encoded frame text back to payload bytes). Lines may end with LF, CRLF
-or CR; text_chunks makes each line end LF, so every reader sees only LF.
+or CR; text_chunks makes each line end LF, so every reader sees only LF,
+and the # lines that open a chunk go to the line reader, not a bulk one.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ _FRAME_LINE_RE = re.compile(r"A:([-0+]{8}) B:([-0+]{8}) F:0*(\d+)\Z")
 # Frames per group of rows that write_encoded formats at once; formatting
 # costs about 100 bytes per frame in temporaries.
 _FORMAT_FRAMES = 8192
+_RANDOM_BLOCK = 1 << 16  # bytes per draw; a multiple of 4, so the draws equal one draw
 
 
 @dataclass(frozen=True)
@@ -153,32 +155,37 @@ def text_chunks(file: BinaryIO, size: int) -> Iterator[bytes]:
 
 
 def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callable) -> Iterator:
-    """The result of reading each chunk that text_chunks yields: bulk_read's,
-    or line_read's where bulk_read returns None for a chunk off the
-    canonical layout. Each takes (chunk, lines before it) and returns
-    (result, lines in the chunk), so a chunk's lines are counted only by
-    the reader that reads them; line_read reads any chunk and alone raises
-    the line-numbered ParseError.
+    """The results of reading each chunk that text_chunks yields: the # lines
+    that open it, a trace's comments or encoded text's headers, by
+    line_read, and the rest by bulk_read, or by line_read where bulk_read
+    returns None off the canonical layout. Each takes (piece, lines before
+    it) and returns (result, lines in it), so only the reader of a piece
+    counts its lines; line_read reads any piece and alone raises the
+    line-numbered ParseError.
 
     A non-ASCII byte is a ParseError on its line of the whole file, raised
-    before its chunk is read. After a ParseError from line_read the rest
-    of the file is still read, so that a non-ASCII byte anywhere in it is
-    the error raised.
+    before its chunk is read; after a ParseError from line_read the rest is
+    still read, so that a non-ASCII byte anywhere is the error raised.
     """
     chunks = text_chunks(file, size)
     lines = 0
     for chunk in chunks:
         _check_ascii(chunk, lines)
+        head, start = 0, lines
+        while chunk.startswith(b"#", head):  # a comment or header opens the chunk
+            head = chunk.find(b"\n", head) + 1 or len(chunk)
         try:
-            result, chunk_lines = bulk_read(chunk, lines) or line_read(chunk, lines)
+            for piece, read in ((chunk[:head], line_read), (chunk[head:], bulk_read)):
+                if piece:
+                    result, piece_lines = read(piece, lines) or line_read(piece, lines)
+                    lines += piece_lines
+                    yield result
         except ParseError:
-            lines += chunk.count(b"\n")  # the reader did not count them
+            lines = start + chunk.count(b"\n")  # a failed reader did not count its lines
             for chunk in chunks:
                 _check_ascii(chunk, lines)
                 lines += chunk.count(b"\n")
             raise
-        lines += chunk_lines
-        yield result
 
 
 def parse_text_trace(source) -> list[TraceRecord]:
@@ -289,10 +296,6 @@ def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
     return f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii")
 
 
-# The 12 headers format_encoded_header writes, the ones _EncodedReader.rows reads.
-_HEADERS = {format_encoded_header(alg, pad): (alg, pad) for alg in Algorithm for pad in (0, 1, 2)}
-
-
 def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) -> bytes:
     """The frame lines of encoded frame text, one 26-byte row per frame of
     (2, n) encoded line masks and their (n,) flags, as bulk.check_flags takes."""
@@ -370,44 +373,31 @@ class _EncodedReader:
     rows and lines each take (chunk, lines before it) and return
     ((masks, flags, frame_lines), lines in the chunk): the (2, n) uint16
     masks and (n,) uint8 flags of its frames, with any one-digit flag, and
-    the input line of every frame. rows reads a chunk in the writer's exact
-    layout as one byte array and returns None for any other; lines reads
-    any ASCII chunk, the reference for rows, and raises a structural
-    ParseError at once. end raises, in this order, what only the end of
-    the text settles: a missing header and a pad count without frames.
-    The flag range is read_encoded's to check.
+    the input line of every frame. rows reads a chunk of frame rows in the
+    writer's exact layout as one byte array and returns None for any other,
+    a header too; lines reads any ASCII chunk, the reference for rows, alone
+    takes the headers and raises a structural ParseError at once. end
+    raises, in this order, what only the end of the text settles: a missing
+    header and a pad count without frames. read_encoded checks flag ranges.
     """
 
     def __init__(self):
-        self.alg = self.pad = None
-        self.pad_line = 0
+        self.alg = self.pad = self.pad_line = None  # no header read yet
         self.frames = 0  # frame lines read so far
 
     def rows(self, chunk: bytes, lines_before: int):
-        """Reads a chunk of canonical 26-byte rows after the header, or of the
-        two header lines and then rows before any header or frame line."""
-        alg, pad, start = self.alg, self.pad, 0
-        if alg is None or pad is None:
-            header = chunk[: chunk.find(b"\n", chunk.find(b"\n") + 1) + 1]  # two lines
-            if header not in _HEADERS or alg is not None or pad is not None or self.frames:
-                return None
-            (alg, pad), start = _HEADERS[header], len(header)
-        if (len(chunk) - start) % len(_FRAME_ROW):
+        """Reads a chunk of canonical 26-byte frame rows."""
+        if len(chunk) % len(_FRAME_ROW):
             return None
-        rows = np.frombuffer(chunk, dtype=np.uint8, offset=start).reshape(-1, len(_FRAME_ROW))
+        rows = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, len(_FRAME_ROW))
         if not (rows[:, _FIXED_COLUMNS] == _FRAME_ROW[_FIXED_COLUMNS]).all():
             return None
         masks = _masks_of_symbols(np.take(rows, _SYMBOL_COLUMNS, axis=1))
         flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
         if masks is None or (len(rows) and flags.max() > 9):
             return None
-        lines = len(rows)
-        if start:
-            self.alg, self.pad, self.pad_line = alg, pad, lines_before + 2
-            lines += 2
         self.frames += len(rows)
-        end = lines_before + lines + 1
-        return (masks, flags, range(end - len(rows), end)), lines
+        return (masks, flags, range(lines_before + 1, lines_before + len(rows) + 1)), len(rows)
 
     def lines(self, chunk: bytes, lines_before: int):
         symbols, flags, frame_lines = [], [], []
@@ -561,10 +551,15 @@ def _frame_payload(data: np.ndarray) -> FrameStream:
     return FrameStream(bulk.modulate_block(words), pad_bytes)
 
 
-def generate_random_trace(byte_count: int, seed: int) -> list[TraceRecord]:
-    """One WRITE record of uniform random bytes, deterministic per seed."""
+def random_blocks(byte_count: int, seed: int) -> Iterator[bytes]:
+    """byte_count uniform random bytes, deterministic per seed, _RANDOM_BLOCK at a time."""
     if byte_count < 1:
         raise ValueError(f"byte_count must be positive, got {byte_count}")
     rng = np.random.default_rng(seed)
-    payload = rng.integers(0, 256, size=byte_count, dtype=np.uint8).tobytes()
-    return [TraceRecord(WRITE, 0, payload)]
+    for start in range(0, byte_count, _RANDOM_BLOCK):
+        yield rng.integers(0, 256, min(_RANDOM_BLOCK, byte_count - start), np.uint8).tobytes()
+
+
+def generate_random_trace(byte_count: int, seed: int) -> list[TraceRecord]:
+    """One WRITE record of uniform random bytes, deterministic per seed."""
+    return [TraceRecord(WRITE, 0, b"".join(random_blocks(byte_count, seed)))]

@@ -53,13 +53,24 @@ MUTANTS = [
     Mutant("edge-cost", "bulk.py", "** 2 - 1", "** 2 - 2", BULK),
     Mutant("zero-edges", "bulk.py", "(neg, neg | pos, pos)", "(neg, pos, pos)", BULK),
     # the input boundaries
+    Mutant("boundary-states", "bulk.py", "np.add.at(self.boundaries, (self._last, first[0]), 1)",
+           "pass", BULK),
+    Mutant("boundary-states-stream", "bulk.py",
+           "np.add.at(self.boundaries, (self._last, first[0]), 1)", "pass", STREAM),
     Mutant("check-flags-min", "bulk.py", "flags.min() < 0 or ", "", BULK),
     Mutant("disjoint-masks", "traceio.py", "if (masks[0] & masks[1]).any():", "if False:",
            TRACEIO),
     Mutant("address-digits", "traceio.py", "_ADDRESS_TOKEN = (3, 18)", "_ADDRESS_TOKEN = (3, 19)",
            TRACEIO),
-    Mutant("read-text-ascii", "traceio.py", "        _check_ascii(chunk, lines)\n        try:",
-           "        try:", TRACEIO),
+    Mutant("read-text-ascii", "traceio.py", "        _check_ascii(chunk, lines)\n        head",
+           "        head", TRACEIO),
+    Mutant("op-byte", "traceio.py", "        and (is_read | (ops == ord(WRITE))).all()\n", "",
+           TRACEIO),
+    Mutant("address-x", "traceio.py", '        and (buf[op_end + 2] == ord("x")).all()\n', "",
+           TRACEIO),
+    Mutant("even-payload", "traceio.py", "        and not (lengths & 1).any()\n", "", TRACEIO),
+    Mutant("separator-order", "traceio.py", 'np.frombuffer(b"  \\n"', 'np.frombuffer(b" \\n "',
+           TRACEIO),
     Mutant("fixed-columns", "traceio.py", "if not (rows[:, _FIXED_COLUMNS] ==",
            "if False and (rows[:, _FIXED_COLUMNS] ==", TRACEIO),
     Mutant("fixed-columns-cli", "traceio.py", "if not (rows[:, _FIXED_COLUMNS] ==",
@@ -69,12 +80,21 @@ MUTANTS = [
     Mutant("pad-strip", "traceio.py", "yield piece[: len(piece) - pad]", "yield piece", TRACEIO),
     Mutant("pad-without-frames", "traceio.py", "if self.pad and not self.frames:", "if False:",
            CLI),
+    Mutant("gen-random-room", "cli.py", "if args.byte_count > room.f_bavail * room.f_frsize:",
+           "if False:", CLI),
+    Mutant("random-block", "traceio.py", "_RANDOM_BLOCK = 1 << 16",
+           "_RANDOM_BLOCK = (1 << 16) - 2", STREAM),
     # line ends: text_chunks hands every reader LF-only chunks
     Mutant("lf-lone-cr", "traceio.py", '.replace(b"\\r", b"\\n") if', " if", TRACEIO),
     Mutant("cr-held-back", "traceio.py", 'end = len(block) - block.endswith(b"\\r")',
            "end = len(block)", STREAM),
     Mutant("chunk-without-lf", "traceio.py", 'yield _lf(b"".join([*pending, block[:cut]]))',
            'yield b"".join([*pending, block[:cut]])', STREAM),
+    # # lines: _read_text gives the # lines that open a chunk to the line reader
+    Mutant("comment-head", "traceio.py", 'while chunk.startswith(b"#", head):', "while False:",
+           TRACEIO),
+    Mutant("error-chunk-lines", "traceio.py", 'lines = start + chunk.count(b"\\n")',
+           "lines = start", TRACEIO),
 ]
 
 # A pytest plugin, written beside the mutated copy of src/: it derandomizes

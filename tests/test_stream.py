@@ -226,7 +226,7 @@ def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch, lin
         assert split == (size == 540 and line_end == b"\r\n")
         calls.clear()
         out = _run(["analyze"], trace, size)
-        assert len(calls) == 1 and calls[0].startswith(b"# ")
+        assert calls == [ZERO_TRACE[: ZERO_TRACE.index(b"\n") + 1]]  # the comment line alone
         assert out == _run(["analyze"], trace, ONE_CHUNK) == (
             0, (GOLDEN / "zero_all.csv").read_bytes())
 
@@ -259,8 +259,8 @@ LINE_ENDS = {"LF": b"\n", "CRLF": b"\r\n"}
 
 def _big_text_trace(path: Path, line_end: str) -> Path:
     """An 11 MB text trace: zero.trace's comment line, then its canonical
-    lines 900 times, with LF or CRLF line ends; the comment's chunk goes to
-    the line reader and every other chunk is read in bulk."""
+    lines 900 times, with LF or CRLF line ends; the comment line goes to
+    the line reader and every other line is read in bulk."""
     comment, body = ZERO_TRACE.split(b"\n", 1)
     path.write_bytes((comment + b"\n" + body * 900).replace(b"\n", LINE_ENDS[line_end]))
     return path
@@ -276,9 +276,11 @@ MEMORY_COMMANDS = [
     for line_end in (None, *LINE_ENDS)  # None: a raw trace
     for i, command in enumerate(MEMORY_COMMANDS)
     if not (line_end and command == ["decode"])
-])
+] + [pytest.param(["gen-random", "--bytes", "12000000", "--seed", "5"], None, id="gen-random")])
 def test_memory_does_not_grow_with_the_trace(tmp_path, command, line_end):
-    if line_end:
+    if command[0] == "gen-random":  # it writes _big_raw_trace's bytes
+        trace, argv = _big_raw_trace(tmp_path / "big.raw"), command
+    elif line_end:
         trace = _big_text_trace(tmp_path / "big.trace", line_end)
         argv = [*command, "--format", "text", "-i", str(trace)]
     else:
@@ -292,7 +294,7 @@ def test_memory_does_not_grow_with_the_trace(tmp_path, command, line_end):
     code, peak = _traced(lambda: cli.main([*argv, "-o", str(out)]))
     assert code == 0
     assert peak < TRACED_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
-    if command == ["decode"]:
+    if command[0] in ("decode", "gen-random"):
         assert out.read_bytes() == trace.read_bytes()
 
 

@@ -1,6 +1,8 @@
 import io
 import math
+import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -482,24 +484,34 @@ def _read(reader, data):
         return exc.line_number
 
 
+# The # lines that open a chunk, which _read_text gives the line reader.
+_OPENING_HASH_LINES = re.compile(rb"(?:#[^\n]*\n)*(?:#[^\n]*\Z)?")
+
+
 def _one_chunk(read):
     """(alg, pad, masks, flags, frame_lines, lines) of one way of
     _EncodedReader to read a chunk, on data as one chunk, or None if it
-    does not read it."""
+    does not read it. rows reads the LF form of data after lines has read
+    the # lines that open it, as _read_text gives them."""
     def reader(data):
         traceio._check_ascii(data)
         encoded = traceio._EncodedReader()
-        result = read(encoded, data, 0)
+        head = b""
+        if read is traceio._EncodedReader.rows:
+            data = traceio._lf(data)
+            head = data[: _OPENING_HASH_LINES.match(data).end()]
+            encoded.lines(head, 0)
+        result = read(encoded, data[len(head):], head.count(b"\n"))
         if result is None:
             return None
         frames, lines = result
-        return (*encoded.end(), *frames, lines)
+        return (*encoded.end(), *frames, head.count(b"\n") + lines)
     return reader
 
 
 def _dispatched(data):
     """_one_chunk's tuple of data read whole through _read_text, which
-    picks rows or lines for each chunk, as read_encoded reads it."""
+    picks rows or lines for each piece of a chunk, as read_encoded reads it."""
     encoded = traceio._EncodedReader()
     chunks = traceio._read_text(io.BytesIO(data), len(data) + 1, encoded.rows, encoded.lines)
     masks, flags, frame_lines = zip(*chunks)  # two chunks if data ends with a CR
@@ -528,14 +540,27 @@ def test_parse_encoded_matches_line_parser(case):
     if canonical:
         assert isinstance(fast, tuple)
     if fast is not None:
-        assert _same(fast, reference)
+        lf_reference = _read(_one_chunk(traceio._EncodedReader.lines), traceio._lf(data))
+        assert _same(fast, lf_reference)
         if isinstance(fast, tuple):
-            assert list(fast[4]) == reference[4]  # the input line of every frame
-            assert fast[5] == reference[5]  # the lines of the chunk
+            assert list(fast[4]) == lf_reference[4]  # the input line of every frame
+            assert fast[5] == lf_reference[5]  # the lines of the chunk
     dispatched = _read(_dispatched, data)
     assert _same(dispatched, reference)
     if isinstance(reference, tuple):
         assert dispatched[4] == reference[4]
+
+
+def _header_lines_only(monkeypatch):
+    """Make _EncodedReader.lines fail on a chunk with a line not starting
+    with #, so that every frame line must be read in bulk, and once."""
+    read = traceio._EncodedReader.lines
+
+    def lines(self, chunk, lines_before):
+        if not all(line.startswith(b"#") for line in chunk.splitlines()):
+            pytest.fail(f"a frame line re-read: {chunk!r}")
+        return read(self, chunk, lines_before)
+    monkeypatch.setattr(traceio._EncodedReader, "lines", lines)
 
 
 @pytest.mark.parametrize("bad_frame, line_end", [
@@ -549,7 +574,7 @@ def test_decode_names_line_of_unused_pair_from_one_read(monkeypatch, bad_frame, 
     data = bytearray(format_encoded_header(Algorithm.NONE, 0) + rows)
     row = len(b"# alg NONE\n# pad 0\n") + 26 * bad_frame
     data[row + 2] = data[row + 13] = ord("0")  # column 0 of lines A and B
-    monkeypatch.setattr(traceio._EncodedReader, "lines", lambda *_: pytest.fail("re-read"))
+    _header_lines_only(monkeypatch)
     with pytest.raises(ParseError, match=rf"^line {bad_frame + 3}: frame {bad_frame}, column 0 "):
         decoded(bytes(data).replace(b"\n", line_end))
 
@@ -570,7 +595,7 @@ def test_decode_names_line_of_out_of_range_flag_from_one_read(
     data[header + 26 * bad_frame + 24] = flag[0]
     if unused_pair:  # frame 0 decodes to the unused pair, but the flag error ranks first
         data[header + 2] = data[header + 13] = data[header + 24] = ord("0")
-    monkeypatch.setattr(traceio._EncodedReader, "lines", lambda *_: pytest.fail("re-read"))
+    _header_lines_only(monkeypatch)
     message = rf"^line {bad_frame + 3}: {alg.value} flag must be 0\.\.{MAX_FLAG[alg]}$"
     with pytest.raises(ParseError, match=message):
         # the header chunk holds frames 0 and 1, each later chunk two more
@@ -579,11 +604,15 @@ def test_decode_names_line_of_out_of_range_flag_from_one_read(
 
 @pytest.mark.parametrize("alg", list(Algorithm))
 @pytest.mark.parametrize("pad", [0, 1, 2])
-def test_rows_reads_every_header_the_writer_writes(alg, pad):
+def test_rows_reads_every_header_the_writer_writes(monkeypatch, alg, pad):
+    """The frame rows after each of the 12 headers the writer writes are
+    read in bulk: the line reader takes the headers and nothing else."""
     data = seven_frames(alg, pad)
     fast = _one_chunk(traceio._EncodedReader.rows)(data)
     assert isinstance(fast, tuple) and fast[:2] == (alg, pad)
     assert _same(fast, _one_chunk(traceio._EncodedReader.lines)(data))
+    _header_lines_only(monkeypatch)
+    assert _same(_dispatched(data), fast)
 
 
 @pytest.mark.parametrize("header", [
@@ -595,9 +624,26 @@ def test_rows_reads_every_header_the_writer_writes(alg, pad):
 ], ids=["lower-case", "trailing-space", "pad-3", "swapped", "crlf"])
 def test_near_miss_headers_go_to_the_line_reader(header):
     data = header + seven_frames(Algorithm.SORT)[len(format_encoded_header(Algorithm.SORT, 0)):]
-    assert _one_chunk(traceio._EncodedReader.rows)(data) is None
+    assert traceio._EncodedReader().rows(data, 0) is None
     reference = _read(_one_chunk(traceio._EncodedReader.lines), data)
     assert _same(_read(_dispatched, data), reference)
+
+
+@pytest.mark.parametrize("size", [19, 1 << 20], ids=["small-reads", "one-chunk"])
+@pytest.mark.parametrize("fmt", ["trace", "encoded"])
+def test_non_ascii_byte_after_a_bad_line_names_its_line(fmt, size):
+    """A non-ASCII byte is the error raised, on its line of the whole file,
+    though a bad line comes first, in its chunk or in an earlier one."""
+    if fmt == "trace":
+        lines = [b"R 0x10 00ff"] * 9 + [b"W 0x10 0\x80"]
+        lines[3] = b"X 0x10 00ff"
+        read = partial(traceio.read_trace, fmt="text", op_filter="all", size=size)
+    else:
+        lines = seven_frames(Algorithm.NONE).split(b"\n")[:9] + [b"A:\x80"]
+        lines[3] = b"A:++++ B:++++++++ F:0"
+        read = partial(traceio.read_encoded, size=size)
+    with pytest.raises(ParseError, match=r"^line 10: non-ASCII byte$"):
+        list(read(io.BytesIO(b"\n".join(lines) + b"\n")))
 
 
 # ------------------------------------------------------- random traces
