@@ -21,7 +21,7 @@ from . import bulk
 from .core import SymbolCounts
 from .encoders import Algorithm
 from .errors import EmptyStream
-from .power import DEFAULT_MODEL, PowerModel, PowerReport, compare_powers
+from .power import DEFAULT_MODEL, PowerModel, PowerReport, termination_ratio
 from .traceio import OP_FILTERS, FrameStream, kept_ops
 
 
@@ -100,10 +100,11 @@ def analyze_trace(
             term += stats.flag_termination_total(alg, model)
         powers[alg] = (term, stats.switching_total(alg, model))
     base_term, base_switch = powers[Algorithm.NONE]
-    per_algorithm = {
-        alg: compare_powers(base_term, term, base_switch, switch)
+    per_algorithm = _power_rows({
+        alg: (term, termination_ratio(term, base_term),
+              switch, termination_ratio(switch, base_switch) if base_switch else None)
         for alg, (term, switch) in powers.items()
-    }
+    })
 
     totals = stats.counts()
     return TraceStats(
@@ -114,6 +115,16 @@ def analyze_trace(
         op_filter=op_filter,
         flags_in_power=include_flag_power,
     )
+
+
+def _power_rows(rows: dict) -> dict[Algorithm, PowerReport]:
+    """The PowerReports of rows {alg: (term, term_ratio, switch, switch_ratio)},
+    each with the NONE row's powers as its baselines."""
+    if Algorithm.NONE not in rows:
+        raise ValueError("report lacks the NONE baseline row")
+    base_term, _, base_switch, _ = rows[Algorithm.NONE]
+    return {alg: PowerReport(base_term, term, term_ratio, base_switch, switch, switch_ratio)
+            for alg, (term, term_ratio, switch, switch_ratio) in rows.items()}
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -284,6 +295,12 @@ def _values(fields, section: str, where: str) -> tuple:
         if not _KINDS[kind].valid(value):
             raise ValueError(f"{where} field {name} is malformed: {value!r}")
         values.append(float(value) if kind in ("number", "ratio") and value is not None else value)
+    known = [name for name, _ in _SCHEMA[section]]
+    if section == "meta":  # the other sections sit beside the meta fields
+        known += [other for other in _SCHEMA if other != "meta"]
+    unknown = [name for name in fields if name not in known]
+    if unknown:
+        raise ValueError(f"{where} has an unknown field {unknown[0]!r}")
     return tuple(values)
 
 
@@ -296,15 +313,9 @@ def _stats_of(obj, fmt: str) -> TraceStats:
 
     totals, distribution = (_values(part(section), section, f"{fmt} report {section}")
                             for section in ("totals", "distribution_percent"))
-    rows = {Algorithm(name): _values(row, "per_algorithm", f"{fmt} report {name} row")
-            for name, row in part("per_algorithm").items()}
-    if Algorithm.NONE not in rows:
-        raise ValueError("report lacks the NONE baseline row")
-    base_term, _, base_switch, _ = rows[Algorithm.NONE]
+    per_algorithm = _power_rows({
+        Algorithm(name): _values(row, "per_algorithm", f"{fmt} report {name} row")
+        for name, row in part("per_algorithm").items()})
     frame_count, op_filter, flags_in_power = _values(obj, "meta", f"{fmt} report")
-    per_algorithm = {
-        alg: PowerReport(base_term, term, term_ratio, base_switch, switch, switch_ratio)
-        for alg, (term, term_ratio, switch, switch_ratio) in rows.items()
-    }
     return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
                       op_filter, flags_in_power)

@@ -80,14 +80,6 @@ class PermutationCode:
     def images(self) -> tuple[int, int, int]:
         return PERMUTATION_IMAGES[self.index]
 
-    @property
-    def mapping(self) -> dict[int, int]:
-        img = self.images
-        return {-1: img[0], 0: img[1], 1: img[2]}
-
-    def apply(self, level: int) -> int:
-        return self.images[level + 1]
-
     def inverse(self) -> "PermutationCode":
         img = self.images
         inv = [0, 0, 0]

@@ -106,24 +106,3 @@ def switching_power(
     line_b = [level for frame in frames for level in frame.line_b]
     return model.switch_unit_energy * (line_switching_steps(line_a) + line_switching_steps(line_b))
 
-
-def compare_powers(
-    term_baseline: float,
-    term_encoded: float,
-    switch_baseline: float,
-    switch_encoded: float,
-) -> PowerReport:
-    """Build a PowerReport, propagating ZeroBaseline for termination only."""
-    term_ratio = termination_ratio(term_encoded, term_baseline)
-    if switch_baseline == 0:
-        switch_ratio = None
-    else:
-        switch_ratio = termination_ratio(switch_encoded, switch_baseline)
-    return PowerReport(
-        term_power_baseline=term_baseline,
-        term_power_encoded=term_encoded,
-        term_ratio_percent=term_ratio,
-        switch_power_baseline=switch_baseline,
-        switch_power_encoded=switch_encoded,
-        switch_ratio_percent=switch_ratio,
-    )

@@ -33,7 +33,8 @@ class Mutant(NamedTuple):
     tests: str  # the test file that must fail
 
 
-BULK, CLI, ENCODERS = "tests/test_bulk.py", "tests/test_cli.py", "tests/test_encoders.py"
+ANALYSIS, BULK, CLI = "tests/test_analysis.py", "tests/test_bulk.py", "tests/test_cli.py"
+ENCODERS = "tests/test_encoders.py"
 STREAM, TRACEIO = "tests/test_stream.py", "tests/test_traceio.py"
 
 MUTANTS = [
@@ -52,6 +53,8 @@ MUTANTS = [
     Mutant("not-lsb", "bulk.py", "np.uint16(0xFEFE)", "np.uint16(0xFFFE)", BULK),
     Mutant("edge-cost", "bulk.py", "** 2 - 1", "** 2 - 2", BULK),
     Mutant("zero-edges", "bulk.py", "(neg, neg | pos, pos)", "(neg, pos, pos)", BULK),
+    Mutant("zero-switch-baseline", "analysis.py", "if base_switch else None",
+           "if base_switch else 0.0", ANALYSIS),
     # the input boundaries
     Mutant("boundary-states", "bulk.py", "np.add.at(self.boundaries, (self._last, first[0]), 1)",
            "pass", BULK),
@@ -78,6 +81,8 @@ MUTANTS = [
     Mutant("flag-after-unused-pair", "traceio.py", "if not len(flags) or bad_flag or reader",
            "if not len(flags) or bad_flag or unused_pair or reader", TRACEIO),
     Mutant("pad-strip", "traceio.py", "yield piece[: len(piece) - pad]", "yield piece", TRACEIO),
+    Mutant("held-back-piece", "traceio.py", "        if piece:\n            yield piece\n", "",
+           STREAM),
     Mutant("pad-without-frames", "traceio.py", "if self.pad and not self.frames:", "if False:",
            CLI),
     Mutant("gen-random-room", "cli.py", "if args.byte_count > room.f_bavail * room.f_frsize:",
@@ -90,6 +95,7 @@ MUTANTS = [
            "end = len(block)", STREAM),
     Mutant("chunk-without-lf", "traceio.py", 'yield _lf(b"".join([*pending, block[:cut]]))',
            'yield b"".join([*pending, block[:cut]])', STREAM),
+    Mutant("pending-line", "traceio.py", "pending = [block[cut:]]", "pending = []", STREAM),
     # # lines: _read_text gives the # lines that open a chunk to the line reader
     Mutant("comment-head", "traceio.py", 'while chunk.startswith(b"#", head):', "while False:",
            TRACEIO),

@@ -302,6 +302,10 @@ DELETE = object()
     (("per_algorithm", "SORT", "switch_power"), None, "switch_power"),
     (("per_algorithm", "SORT"), [], "term_power"),
     (("per_algorithm",), None, "per_algorithm"),
+    (("note",), 1, "note"),
+    (("meta",), {}, "meta"),  # the meta fields sit at the top level, not in a section
+    (("totals", "note"), 1, "note"),
+    (("per_algorithm", "SORT", "note"), 1, "note"),
 ])
 def test_json_report_field_errors_name_the_field(path, value, field):
     obj = json.loads(write_report(analyze_trace(RANDOM), "json"))
@@ -333,6 +337,12 @@ def test_csv_and_json_reports_read_back_equal(payload, algorithms, op_filter, fl
     assert (from_csv.frame_count, from_csv.totals) == (stats.frame_count, stats.totals)
     assert (from_csv.op_filter, from_csv.flags_in_power) == (op_filter, flags_in_power)
     assert set(from_csv.per_algorithm) == set(stats.per_algorithm)
+    for read in (stats, from_csv, from_json):  # every row against the NONE row
+        none = read.per_algorithm[Algorithm.NONE]
+        for report in read.per_algorithm.values():
+            assert report.term_power_baseline == none.term_power_encoded
+            assert report.switch_power_baseline == none.switch_power_encoded
+            assert (report.switch_ratio_percent is None) == (report.switch_power_baseline == 0)
 
 
 # Every report field as (section, name, kind); meta fields are at the top
@@ -405,6 +415,13 @@ def test_both_readers_reject_bad_field(section, name, json_value, csv_text):
     assert _names_field(exc, name)
 
 
+def _merged(obj: dict, edit: dict) -> dict:
+    """obj with edit's fields put in, a dict in both merged field by field."""
+    return {**obj, **{key: _merged(obj[key], value) if isinstance(value, dict)
+                      and isinstance(obj.get(key), dict) else value
+                      for key, value in edit.items()}}
+
+
 @pytest.mark.parametrize("fmt, edit", [
     ("csv", "meta,1000,all,banana"),  # was read as False
     ("json", {"frame_count": True}),  # a bool was taken for a count
@@ -413,6 +430,10 @@ def test_both_readers_reject_bad_field(section, name, json_value, csv_text):
     ("json", {"op_filter": "bogus"}),
     ("csv", "meta,-3,all,false"),
     ("json", {"frame_count": -3}),
+    # unknown fields, which the CSV reader rejects as an extra cell
+    ("json", {"note": 1}),
+    ("json", {"per_algorithm": {"SORT": {"note": 1}}}),
+    ("json", {"totals": {"note": 1}}),
 ])
 def test_readers_reject_reports_one_of_them_accepted(fmt, edit):
     stats = analyze_trace(RANDOM)
@@ -421,7 +442,7 @@ def test_readers_reject_reports_one_of_them_accepted(fmt, edit):
         assert lines[-1] == "meta,1000,all,false"
         text = "\n".join(lines[:-1] + [edit]) + "\n"
     else:
-        text = json.dumps({**json.loads(write_report(stats, "json")), **edit})
+        text = json.dumps(_merged(json.loads(write_report(stats, "json")), edit))
     with pytest.raises(ValueError):
         read_report(text, fmt)
 

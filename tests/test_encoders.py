@@ -218,7 +218,7 @@ def test_permutation_canonical_table():
         code = PermutationCode(index)
         assert code.images == images
         assert PermutationCode.from_images(images).index == index
-        assert sorted(code.mapping.values()) == [-1, 0, 1]
+        assert sorted(code.images) == [-1, 0, 1]
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -226,7 +226,7 @@ def test_permutation_inverse(index):
     code = PermutationCode(index)
     inv = code.inverse()
     for level in (-1, 0, 1):
-        assert inv.apply(code.apply(level)) == level
+        assert inv.images[code.images[level + 1] + 1] == level
 
 
 def test_permutation_validation():
@@ -243,7 +243,7 @@ def test_permutation_validation():
 def test_brute_force_all_neg():
     code, best = brute_force_best_permutation(ALL_NEG)
     assert best == 0.0
-    assert code.mapping[-1] == 1
+    assert code.images[0] == 1  # -1 goes to +1
 
 
 def test_brute_force_655():
