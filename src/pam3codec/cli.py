@@ -8,9 +8,10 @@ parse error.
 Inputs are read in blocks of _READ_SIZE bytes by traceio's chunked
 readers and writer (read_trace, read_encoded, write_encoded), and
 gen-random writes random_blocks, so every subcommand holds a few blocks
-at a time, whatever their size. Outputs go through a spool (_spool), a
-seekable temporary file that becomes the output only when the command
-succeeds: a failed run leaves stdout empty and the output path as it was.
+at a time, whatever their size. main() opens the input, then the output's
+spool (_spool), before reading any input: a seekable temporary file that
+becomes the output only when the command succeeds, so a failed run leaves
+stdout empty and the output path as it was.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bytes", type=_int_type(1, sys.maxsize), required=True, dest="byte_count")
     p.add_argument("--seed", type=_int_type(0), required=True)
     p.add_argument("--output", "-o", default="-", help="output path, - for stdout (binary)")
-    p.set_defaults(run=_cmd_gen_random)
+    p.set_defaults(run=_cmd_gen_random, input=None)
 
     return parser
 
@@ -135,7 +136,9 @@ def _frames(f, args) -> Iterator[FrameStream]:
     return read_trace(f, args.format, args.op_filter, _READ_SIZE)
 
 
-def _open_input(path: str):
+def _open_input(path: str | None):
+    if path is None:  # gen-random reads nothing
+        return nullcontext()
     if path != "-":
         return open(path, "rb")
     if sys.stdin is None:
@@ -146,7 +149,7 @@ def _open_input(path: str):
 def _spool(path: str):
     """A seekable file for a command's output that reaches path, - for
     stdout, only if the with block ends without an error, so a failed run
-    writes nothing.
+    writes nothing. main() opens it after the input, before any input is read.
 
     A regular file, or a new one, is spooled to a temporary file in its
     directory and renamed over it at the end. stdout, a regular file in a
@@ -194,58 +197,45 @@ def _copying(path: str) -> Iterator[BinaryIO]:
     with tempfile.TemporaryFile() as spool:
         yield spool
         spool.seek(0)
-        if path == "-":
-            shutil.copyfileobj(spool, sys.stdout.buffer, _READ_SIZE)
-            sys.stdout.buffer.flush()
-        else:
-            with open(path, "wb") as out:
-                shutil.copyfileobj(spool, out, _READ_SIZE)
+        with nullcontext(sys.stdout.buffer) if path == "-" else open(path, "wb") as out:
+            shutil.copyfileobj(spool, out, _READ_SIZE)
+            out.flush()
 
 
-def _write_binary(path: str, data: bytes):
-    with _spool(path) as out:
-        out.write(data)
+def _cmd_encode(args, f, out):
+    write_encoded(out, _ALG_CHOICES[args.alg], _frames(f, args))
 
 
-def _cmd_encode(args):
-    with _open_input(args.input) as f, _spool(args.output) as out:
-        write_encoded(out, _ALG_CHOICES[args.alg], _frames(f, args))
+def _cmd_decode(args, f, out):
+    for piece in read_encoded(f, _READ_SIZE):
+        out.write(piece)
 
 
-def _cmd_decode(args):
-    with _open_input(args.input) as f, _spool(args.output) as out:
-        for piece in read_encoded(f, _READ_SIZE):
-            out.write(piece)
-
-
-def _cmd_analyze(args):
+def _cmd_analyze(args, f, out):
     algorithms = None if args.alg == "all" else [_ALG_CHOICES[args.alg]]
-    with _open_input(args.input) as f:
-        stats = analyze_trace(_frames(f, args), algorithms,
-                              include_flag_power=args.include_flag_power,
-                              op_filter=args.op_filter)
-    _write_binary(args.output, write_report(stats, args.report).encode("ascii"))
+    stats = analyze_trace(_frames(f, args), algorithms,
+                          include_flag_power=args.include_flag_power, op_filter=args.op_filter)
+    out.write(write_report(stats, args.report).encode("ascii"))
 
 
-def _cmd_distribution(args):
-    with _open_input(args.input) as f:
-        distribution = signal_distribution(_frames(f, args))
-    _write_binary(args.output, write_distribution(distribution, args.report).encode("ascii"))
+def _cmd_distribution(args, f, out):
+    distribution = signal_distribution(_frames(f, args))
+    out.write(write_distribution(distribution, args.report).encode("ascii"))
 
 
-def _cmd_gen_random(args):
-    with _spool(args.output) as out:
-        room = os.fstatvfs(out.fileno())  # refuse, before writing, what cannot fit
-        if args.byte_count > room.f_bavail * room.f_frsize:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), args.output)
-        for block in random_blocks(args.byte_count, args.seed):
-            out.write(block)
+def _cmd_gen_random(args, f, out):
+    room = os.fstatvfs(out.fileno())  # refuse, before writing, what cannot fit
+    if args.byte_count > room.f_bavail * room.f_frsize:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), args.output)
+    for block in random_blocks(args.byte_count, args.seed):
+        out.write(block)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.run(args)
+        with _open_input(args.input) as f, _spool(args.output) as out:
+            args.run(args, f, out)
         return 0
     except (Pam3Error, OSError, MemoryError) as exc:
         return _error(exc)

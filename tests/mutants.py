@@ -101,6 +101,9 @@ MUTANTS = [
            TRACEIO),
     Mutant("error-chunk-lines", "traceio.py", 'lines = start + chunk.count(b"\\n")',
            "lines = start", TRACEIO),
+    # main() opens every subcommand's input and spool
+    Mutant("spool-copy-out", "cli.py", "shutil.copyfileobj(spool, out, _READ_SIZE)", "pass", CLI),
+    Mutant("no-input", "cli.py", "if path is None:  # gen-random reads nothing", "if False:", CLI),
 ]
 
 # A pytest plugin, written beside the mutated copy of src/: it derandomizes

@@ -384,9 +384,17 @@ def test_output_file_mode(tmp_path):
     assert out.stat().st_mode & 0o777 == 0o604 and out.read_bytes() == bytes.fromhex("00ff00")
 
 
-def test_output_in_a_missing_directory_exits_2(tmp_path):
+@pytest.mark.parametrize("argv, data", [
+    pytest.param(["encode", "--alg", "sort"], b"W 0x0 0g\n", id="encode"),
+    pytest.param(["decode"], b"# alg SORT\n# pad 0\nA:+\n", id="decode"),
+    pytest.param(["analyze"], b"W 0x0 0g\n", id="analyze"),
+    pytest.param(["distribution"], b"W 0x0 0g\n", id="distribution"),
+])
+def test_output_in_a_missing_directory_exits_2(tmp_path, argv, data):
+    """Every subcommand opens its output before it reads the input, so
+    the output's error wins over the input's."""
     out = tmp_path / "missing" / "out"
-    code, stdout, err = _main_captured(["analyze", "-i", ZERO_TRACE, "-o", str(out)])
+    code, stdout, err = _main_captured([*argv, "-o", str(out)], data)
     assert (code, stdout) == (2, b"")
     # the error names the output, not the spool file beside it
     assert err == f"pam3codec: error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
