@@ -27,13 +27,7 @@ from .encoders import (
     PermutationCode,
     brute_force_best_permutation,
     decode,
-    decode_dbi,
-    decode_mf,
-    decode_sort,
     encode,
-    encode_dbi,
-    encode_mf,
-    encode_sort,
 )
 from .errors import (
     EmptyInput,
@@ -42,7 +36,6 @@ from .errors import (
     InvalidPair,
     Pam3Error,
     ParseError,
-    WrongAlgorithm,
     ZeroBaseline,
 )
 from .power import (

@@ -214,7 +214,8 @@ def read_report(text: str, fmt: str = "csv") -> TraceStats:
     by field against the schema; ValueError names the row or field at fault.
     """
     fmt = _report_format(fmt)
-    return _stats_of(_read_csv(text) if fmt == "csv" else json.loads(text), fmt.upper())
+    obj = _read_csv(text) if fmt == "csv" else json.loads(text, object_pairs_hook=_json_object)
+    return _stats_of(obj, fmt.upper())
 
 
 def write_distribution(percent: tuple[float, float, float], fmt: str = "csv") -> str:
@@ -267,6 +268,8 @@ def _read_csv(text: str) -> dict:
     i = 1
     while i < len(lines) and lines[i]:
         name, *cells = lines[i].split(",")
+        if name in obj["per_algorithm"]:
+            raise ValueError(f"CSV report has a second {name} row, on line {i + 1}")
         obj["per_algorithm"][name] = _csv_fields(cells, "per_algorithm", name)
         i += 1
     for block in _CSV_BLOCKS:
@@ -281,6 +284,16 @@ def _read_csv(text: str) -> dict:
             i += 1
     if i < len(lines):
         raise ValueError(f"CSV report has text after its meta row, on line {i + 1}")
+    return obj
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON report object from its pairs; ValueError names a field it repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON report repeats its {key!r} field")
+        obj[key] = value
     return obj
 
 
@@ -313,9 +326,13 @@ def _stats_of(obj, fmt: str) -> TraceStats:
 
     totals, distribution = (_values(part(section), section, f"{fmt} report {section}")
                             for section in ("totals", "distribution_percent"))
+    rows = part("per_algorithm")
+    unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]
+    if unknown:
+        raise ValueError(f"{fmt} report has an unknown algorithm row {unknown[0]!r}")
     per_algorithm = _power_rows({
         Algorithm(name): _values(row, "per_algorithm", f"{fmt} report {name} row")
-        for name, row in part("per_algorithm").items()})
+        for name, row in rows.items()})
     frame_count, op_filter, flags_in_power = _values(obj, "meta", f"{fmt} report")
     return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
                       op_filter, flags_in_power)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Pam3Frame, count_symbols
-from .errors import InvalidFlag, WrongAlgorithm
+from .errors import InvalidFlag
 from .power import DEFAULT_MODEL, PowerModel, termination_power
 
 
@@ -118,7 +118,12 @@ def _map_frame(frame: Pam3Frame, images: tuple[int, int, int]) -> Pam3Frame:
 
 
 def flag_of_counts(counts: tuple[int, int, int], algorithm: Algorithm) -> int:
-    """The flag algorithm picks for a frame holding counts of (-1, 0, +1)."""
+    """The flag algorithm picks for a frame holding counts of (-1, 0, +1).
+
+    MF's ties prefer +1, then 0, then -1, so a tie involving +1 keeps the
+    identity. SORT ranks the levels by a stable ascending sort of the counts
+    in (-1, 0, +1) order, so ties resolve deterministically.
+    """
     if algorithm is Algorithm.NONE:
         return 0
     if algorithm is Algorithm.DBI:
@@ -148,53 +153,12 @@ def decode(encoded: EncodedFrame) -> Pam3Frame:
     return _map_frame(encoded.frame, inverse.images)
 
 
-def _decode_as(encoded: EncodedFrame, algorithm: Algorithm) -> Pam3Frame:
-    if encoded.algorithm is not algorithm:
-        raise WrongAlgorithm(f"expected {algorithm.value} frame, got {encoded.algorithm.value}")
-    return decode(encoded)
-
-
-def encode_dbi(frame: Pam3Frame) -> EncodedFrame:
-    """Invert the frame when -1 symbols outnumber +1 symbols (flag=1)."""
-    return encode(frame, Algorithm.DBI)
-
-
-def decode_dbi(encoded: EncodedFrame) -> Pam3Frame:
-    return _decode_as(encoded, Algorithm.DBI)
-
-
-def encode_mf(frame: Pam3Frame) -> EncodedFrame:
-    """Swap the most frequent level with +1; the 2-bit flag names it.
-
-    Ties prefer +1, then 0, then -1, so a tie involving +1 degenerates to
-    the identity instead of a pointless swap.
-    """
-    return encode(frame, Algorithm.MF)
-
-
-def decode_mf(encoded: EncodedFrame) -> Pam3Frame:
-    return _decode_as(encoded, Algorithm.MF)
-
-
-def encode_sort(frame: Pam3Frame) -> EncodedFrame:
-    """Remap levels by frequency rank: least frequent to -1, most to +1.
-
-    The rank order comes from a stable ascending sort over the counts of
-    (-1, 0, +1) in that input order, so ties resolve deterministically.
-    """
-    return encode(frame, Algorithm.SORT)
-
-
-def decode_sort(encoded: EncodedFrame) -> Pam3Frame:
-    return _decode_as(encoded, Algorithm.SORT)
-
-
 def brute_force_best_permutation(
     frame: Pam3Frame, model: PowerModel = DEFAULT_MODEL
 ) -> tuple[PermutationCode, float]:
     """Try all 6 level bijections and return one with minimal termination power.
 
-    Deliberately independent of encode_sort: it remaps the frame and
+    Deliberately independent of flag_of_counts: it remaps the frame and
     measures the result for every candidate. Ties go to the lowest index.
     """
     best_code = None

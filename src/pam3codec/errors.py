@@ -17,10 +17,6 @@ class InvalidPair(Pam3Error):
         self.frame_index = frame_index
 
 
-class WrongAlgorithm(Pam3Error):
-    """An encoded frame was handed to the decoder of a different algorithm."""
-
-
 class InvalidFlag(Pam3Error, ValueError):
     """Flag value is out of range for the algorithm's flag width; a ValueError
     too, like the other bad flag arrays that bulk.check_flags rejects."""

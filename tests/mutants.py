@@ -56,6 +56,12 @@ MUTANTS = [
     Mutant("zero-switch-baseline", "analysis.py", "if base_switch else None",
            "if base_switch else 0.0", ANALYSIS),
     # the input boundaries
+    Mutant("csv-repeated-row", "analysis.py", 'if name in obj["per_algorithm"]:', "if False:",
+           ANALYSIS),
+    Mutant("json-repeated-field", "analysis.py", "if key in obj:", "if False:", ANALYSIS),
+    Mutant("unknown-algorithm-row", "analysis.py",
+           "unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]",
+           "unknown = []", ANALYSIS),
     Mutant("boundary-states", "bulk.py", "np.add.at(self.boundaries, (self._last, first[0]), 1)",
            "pass", BULK),
     Mutant("boundary-states-stream", "bulk.py",

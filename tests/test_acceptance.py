@@ -16,9 +16,8 @@ from pam3codec.core import Pam3Frame, Word24, count_symbols, demodulate, modulat
 from pam3codec.encoders import (
     Algorithm,
     brute_force_best_permutation,
-    encode_dbi,
-    encode_mf,
-    encode_sort,
+    decode,
+    encode,
 )
 from pam3codec.errors import ZeroBaseline
 from pam3codec.power import DEFAULT_MODEL, termination_power
@@ -88,17 +87,10 @@ def test_criterion_1_modulation_roundtrip():
 
 @criterion("criterion 2: DBI/MF/SORT roundtrips on 10^5 random frames each")
 def test_criterion_2_encoder_roundtrips():
-    from pam3codec.encoders import decode_dbi, decode_mf, decode_sort
-
     levels = _random_frames(100_000, SEED + 1)
-    pairs = (
-        (encode_dbi, decode_dbi),
-        (encode_mf, decode_mf),
-        (encode_sort, decode_sort),
-    )
     frames = [_frame(row) for row in levels]
-    for encode_fn, decode_fn in pairs:
-        failures = sum(1 for f in frames if decode_fn(encode_fn(f)) != f)
+    for alg in (Algorithm.DBI, Algorithm.MF, Algorithm.SORT):
+        failures = sum(1 for f in frames if decode(encode(f, alg)) != f)
         assert failures == 0
 
 
@@ -108,7 +100,7 @@ def test_criterion_3_sort_optimality():
     for row in levels:
         frame = _frame(row)
         _, best = brute_force_best_permutation(frame)
-        assert termination_power(encode_sort(frame).frame) == best
+        assert termination_power(encode(frame, Algorithm.SORT).frame) == best
 
 
 @criterion("criterion 4: dominance SORT <= {DBI, MF} <= baseline on 10^4 frames")
@@ -124,9 +116,9 @@ def test_criterion_4_dominance():
     for row in levels[::37]:
         frame = _frame(row)
         base = termination_power(frame)
-        s = termination_power(encode_sort(frame).frame)
-        assert s <= termination_power(encode_dbi(frame).frame) <= base
-        assert s <= termination_power(encode_mf(frame).frame) <= base
+        s = termination_power(encode(frame, Algorithm.SORT).frame)
+        assert s <= termination_power(encode(frame, Algorithm.DBI).frame) <= base
+        assert s <= termination_power(encode(frame, Algorithm.MF).frame) <= base
 
 
 @criterion("criterion 5: >= 40% termination reduction on a -1 dominant trace, SORT lowest")
@@ -199,7 +191,7 @@ def test_criterion_9_dbi_postcondition():
     levels = _random_frames(100_000, SEED + 7)
     violations = 0
     for row in levels:
-        c = count_symbols(encode_dbi(_frame(row)).frame)
+        c = count_symbols(encode(_frame(row), Algorithm.DBI).frame)
         if c.neg > c.pos:
             violations += 1
     assert violations == 0

@@ -276,6 +276,52 @@ def test_report_without_the_none_row_raises(fmt):
         read_report(text, fmt)
 
 
+@pytest.mark.parametrize("row", [1, 4])
+def test_csv_report_with_a_repeated_algorithm_row_raises(row):
+    lines = write_report(analyze_trace(RANDOM), "csv").splitlines()
+    name = lines[row].split(",")[0]
+    assert name in ("NONE", "SORT") and lines[5] == ""
+    lines.insert(5, f"{name},1.0000,1.0000,1.0000,1.0000")  # was read in place of the real row
+    with pytest.raises(ValueError, match=f"^CSV report has a second {name} row, on line 6$"):
+        read_report("\n".join(lines) + "\n", "csv")
+
+
+@pytest.mark.parametrize("path", [
+    ("frame_count",),
+    ("totals", "cnt_zero"),
+    ("distribution_percent", "0"),
+    ("per_algorithm", "SORT"),
+    ("per_algorithm", "NONE", "term_power"),
+])
+def test_json_report_with_a_repeated_key_raises(path):
+    obj = json.loads(write_report(analyze_trace(RANDOM), "json"))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    # a second key of the same name, whose value was kept in place of the first
+    value = parent[path[-1]]
+    parent["@"] = {**value, "term_power": 1.0} if isinstance(value, dict) else value + 1
+    text = json.dumps(obj, indent=2).replace('"@"', json.dumps(path[-1]))
+    with pytest.raises(ValueError, match=f"^JSON report repeats its '{path[-1]}' field$"):
+        read_report(text, "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_with_an_unknown_algorithm_row_raises(fmt):
+    text = write_report(analyze_trace(RANDOM), fmt)
+    if fmt == "csv":
+        lines = text.splitlines()
+        assert lines[4].startswith("SORT,")
+        lines.insert(5, "XF" + lines[4][len("SORT"):])
+        text = "\n".join(lines) + "\n"
+    else:
+        obj = json.loads(text)
+        obj["per_algorithm"]["XF"] = obj["per_algorithm"]["SORT"]
+        text = json.dumps(obj)
+    with pytest.raises(ValueError, match=f"^{fmt.upper()} report has an unknown algorithm row 'XF'$"):
+        read_report(text, fmt)
+
+
 @pytest.mark.parametrize("text, field", [
     ("{}", "totals"),
     ("[]", "totals"),

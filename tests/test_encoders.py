@@ -15,15 +15,9 @@ from pam3codec.encoders import (
     PermutationCode,
     brute_force_best_permutation,
     decode,
-    decode_dbi,
-    decode_mf,
-    decode_sort,
     encode,
-    encode_dbi,
-    encode_mf,
-    encode_sort,
 )
-from pam3codec.errors import InvalidFlag, WrongAlgorithm
+from pam3codec.errors import InvalidFlag
 from pam3codec.power import DEFAULT_MODEL, termination_power
 
 levels = st.sampled_from((-1, 0, 1))
@@ -43,41 +37,36 @@ def _counts(frame):
 # ---------------------------------------------------------------- DBI
 
 def test_dbi_inverts_all_neg():
-    enc = encode_dbi(ALL_NEG)
+    enc = encode(ALL_NEG, Algorithm.DBI)
     assert enc.frame == ALL_POS
     assert enc.flag == 1
 
 
 def test_dbi_keeps_all_pos():
-    enc = encode_dbi(ALL_POS)
+    enc = encode(ALL_POS, Algorithm.DBI)
     assert enc.frame == ALL_POS
     assert enc.flag == 0
 
 
 def test_dbi_inverts_655():
-    enc = encode_dbi(FRAME_655)
+    enc = encode(FRAME_655, Algorithm.DBI)
     assert enc.flag == 1
     assert _counts(enc.frame) == (5, 5, 6)
 
 
 def test_dbi_decode_examples():
-    assert decode_dbi(EncodedFrame(ALL_POS, Algorithm.DBI, 1)) == ALL_NEG
-    assert decode_dbi(EncodedFrame(ALL_POS, Algorithm.DBI, 0)) == ALL_POS
-
-
-def test_dbi_decode_wrong_algorithm():
-    with pytest.raises(WrongAlgorithm):
-        decode_dbi(EncodedFrame(ALL_POS, Algorithm.MF, 0))
+    assert decode(EncodedFrame(ALL_POS, Algorithm.DBI, 1)) == ALL_NEG
+    assert decode(EncodedFrame(ALL_POS, Algorithm.DBI, 0)) == ALL_POS
 
 
 @given(frames)
 def test_dbi_roundtrip(frame):
-    assert decode_dbi(encode_dbi(frame)) == frame
+    assert decode(encode(frame, Algorithm.DBI)) == frame
 
 
 @given(frames)
 def test_dbi_postcondition(frame):
-    c = count_symbols(encode_dbi(frame).frame)
+    c = count_symbols(encode(frame, Algorithm.DBI).frame)
     assert c.neg <= c.pos
 
 
@@ -86,19 +75,19 @@ def test_dbi_postcondition(frame):
 def test_mf_swaps_most_frequent():
     frame = Pam3Frame((-1,) * 8, (-1, -1, 0, 0, 0, 0, 1, 1))
     assert _counts(frame) == (10, 4, 2)
-    enc = encode_mf(frame)
+    enc = encode(frame, Algorithm.MF)
     assert _counts(enc.frame) == (2, 4, 10)
     assert enc.flag == 0
 
 
 def test_mf_identity_when_pos_most_frequent():
-    enc = encode_mf(ALL_POS)
+    enc = encode(ALL_POS, Algorithm.MF)
     assert enc.frame == ALL_POS
     assert enc.flag == 2
 
 
 def test_mf_on_655():
-    enc = encode_mf(FRAME_655)
+    enc = encode(FRAME_655, Algorithm.MF)
     assert _counts(enc.frame) == (5, 5, 6)
     assert enc.flag == 0
 
@@ -106,7 +95,7 @@ def test_mf_on_655():
 def test_mf_tie_prefers_pos():
     frame = Pam3Frame((-1,) * 6 + (0,) * 2, (0,) * 2 + (1,) * 6)
     assert _counts(frame) == (6, 4, 6)
-    enc = encode_mf(frame)
+    enc = encode(frame, Algorithm.MF)
     assert enc.flag == 2
     assert enc.frame == frame
 
@@ -114,38 +103,33 @@ def test_mf_tie_prefers_pos():
 def test_mf_tie_prefers_zero_over_neg():
     frame = Pam3Frame((-1,) * 7 + (0,), (0,) * 6 + (1, 1))
     assert _counts(frame) == (7, 7, 2)
-    enc = encode_mf(frame)
+    enc = encode(frame, Algorithm.MF)
     assert enc.flag == 1
     assert _counts(enc.frame) == (7, 2, 7)
 
 
 def test_mf_decode_examples():
     frame = Pam3Frame((-1,) * 8, (-1, -1, 0, 0, 0, 0, 1, 1))
-    enc = encode_mf(frame)
-    assert decode_mf(enc) == frame
+    enc = encode(frame, Algorithm.MF)
+    assert decode(enc) == frame
     # mf = +1 flag is the identity
-    assert decode_mf(EncodedFrame(FRAME_655, Algorithm.MF, 2)) == FRAME_655
+    assert decode(EncodedFrame(FRAME_655, Algorithm.MF, 2)) == FRAME_655
 
 
 def test_mf_decode_invalid_flag():
     with pytest.raises(InvalidFlag, match=r"^MF flag must be 0\.\.2, got 3$"):
-        decode_mf(EncodedFrame(ALL_POS, Algorithm.MF, 3))
-
-
-def test_mf_decode_wrong_algorithm():
-    with pytest.raises(WrongAlgorithm):
-        decode_mf(EncodedFrame(ALL_POS, Algorithm.DBI, 0))
+        decode(EncodedFrame(ALL_POS, Algorithm.MF, 3))
 
 
 @given(frames)
 def test_mf_roundtrip(frame):
-    assert decode_mf(encode_mf(frame)) == frame
+    assert decode(encode(frame, Algorithm.MF)) == frame
 
 
 @given(frames)
 def test_mf_postcondition(frame):
     before = max(_counts(frame))
-    after = count_symbols(encode_mf(frame).frame)
+    after = count_symbols(encode(frame, Algorithm.MF).frame)
     assert after.pos == before
 
 
@@ -155,7 +139,7 @@ def test_sort_maps_by_frequency_rank():
     # -1 least frequent, +1 middle, 0 most frequent
     frame = Pam3Frame((-1, -1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 1))
     assert _counts(frame) == (2, 9, 5)
-    enc = encode_sort(frame)
+    enc = encode(frame, Algorithm.SORT)
     # mapping -1 -> -1, +1 -> 0, 0 -> +1
     assert enc.frame == Pam3Frame((-1, -1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0, 0, 0))
     assert _counts(enc.frame) == (2, 5, 9)
@@ -163,13 +147,13 @@ def test_sort_maps_by_frequency_rank():
 
 
 def test_sort_identity_on_all_pos():
-    enc = encode_sort(ALL_POS)
+    enc = encode(ALL_POS, Algorithm.SORT)
     assert enc.frame == ALL_POS
     assert enc.flag == 0
 
 
 def test_sort_on_655():
-    enc = encode_sort(FRAME_655)
+    enc = encode(FRAME_655, Algorithm.SORT)
     assert enc.flag == 4  # images (+1, -1, 0)
     assert _counts(enc.frame) == (5, 5, 6)
     assert enc.frame == Pam3Frame((1, -1, 0, 1, 1, -1, 0, 0), (-1, -1, 1, 0, 1, 1, 0, -1))
@@ -177,29 +161,24 @@ def test_sort_on_655():
 
 def test_sort_decode_examples():
     frame = Pam3Frame((-1, -1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 1))
-    assert decode_sort(encode_sort(frame)) == frame
-    assert decode_sort(EncodedFrame(FRAME_655, Algorithm.SORT, 0)) == FRAME_655
+    assert decode(encode(frame, Algorithm.SORT)) == frame
+    assert decode(EncodedFrame(FRAME_655, Algorithm.SORT, 0)) == FRAME_655
 
 
 @pytest.mark.parametrize("flag", [6, 7])
 def test_sort_decode_invalid_flag(flag):
     with pytest.raises(InvalidFlag, match=rf"^SORT flag must be 0\.\.5, got {flag}$"):
-        decode_sort(EncodedFrame(ALL_POS, Algorithm.SORT, flag))
-
-
-def test_sort_decode_wrong_algorithm():
-    with pytest.raises(WrongAlgorithm):
-        decode_sort(EncodedFrame(ALL_POS, Algorithm.NONE, 0))
+        decode(EncodedFrame(ALL_POS, Algorithm.SORT, flag))
 
 
 @given(frames)
 def test_sort_roundtrip(frame):
-    assert decode_sort(encode_sort(frame)) == frame
+    assert decode(encode(frame, Algorithm.SORT)) == frame
 
 
 @given(frames)
 def test_sort_postcondition(frame):
-    c = count_symbols(encode_sort(frame).frame)
+    c = count_symbols(encode(frame, Algorithm.SORT).frame)
     assert c.pos >= c.zero >= c.neg
 
 
@@ -274,15 +253,15 @@ def test_brute_force_never_worse_than_identity(frame):
 @given(frames)
 def test_sort_matches_brute_force_exactly(frame):
     _, best = brute_force_best_permutation(frame)
-    assert termination_power(encode_sort(frame).frame) == best
+    assert termination_power(encode(frame, Algorithm.SORT).frame) == best
 
 
 @given(frames)
 def test_dominance_and_non_regression(frame):
     baseline = termination_power(frame)
-    p_dbi = termination_power(encode_dbi(frame).frame)
-    p_mf = termination_power(encode_mf(frame).frame)
-    p_sort = termination_power(encode_sort(frame).frame)
+    p_dbi = termination_power(encode(frame, Algorithm.DBI).frame)
+    p_mf = termination_power(encode(frame, Algorithm.MF).frame)
+    p_sort = termination_power(encode(frame, Algorithm.SORT).frame)
     assert p_sort <= p_dbi <= baseline
     assert p_sort <= p_mf <= baseline
 
