@@ -38,14 +38,7 @@ from .errors import (
     ParseError,
     ZeroBaseline,
 )
-from .power import (
-    DEFAULT_MODEL,
-    PowerModel,
-    PowerReport,
-    switching_power,
-    termination_power,
-    termination_ratio,
-)
+from .power import PowerReport, switching_power, termination_power, termination_ratio
 from .traceio import (
     FrameStream,
     TraceRecord,

@@ -21,7 +21,7 @@ from . import bulk
 from .core import SymbolCounts
 from .encoders import Algorithm
 from .errors import EmptyStream
-from .power import DEFAULT_MODEL, PowerModel, PowerReport, termination_ratio
+from .power import PowerReport, termination_ratio
 from .traceio import OP_FILTERS, FrameStream, kept_ops
 
 
@@ -66,22 +66,28 @@ def signal_distribution(
 def analyze_trace(
     streams: FrameStream | Iterable[FrameStream],
     algorithms: Optional[Iterable[Algorithm]] = None,
-    model: PowerModel = DEFAULT_MODEL,
     *,
     include_flag_power: bool = False,
     op_filter: str = "all",
 ) -> TraceStats:
     """Power totals of the stream under each algorithm against the baseline.
 
-    streams is one FrameStream or the stream's chunks in order. Each of
-    algorithms is an Algorithm or its name. The NONE baseline row is always
-    present. The arguments are checked before any stream is read. Raises
-    ZeroBaseline when the unencoded trace has zero termination power; a
-    zero switching baseline just leaves the switching ratios undefined
-    (None).
+    streams is one FrameStream or the stream's chunks in order. algorithms
+    is an iterable of Algorithms or their names. The NONE baseline row is
+    always present. The arguments are checked before any stream is read.
+    Raises ZeroBaseline when the unencoded trace has zero termination
+    power; a zero switching baseline just leaves the switching ratios
+    undefined (None).
     """
-    requested = set(Algorithm if algorithms is None else map(Algorithm, algorithms))
-    requested.add(Algorithm.NONE)
+    if isinstance(algorithms, (str, Algorithm)):
+        raise TypeError(f"algorithms must be an iterable of algorithms, got {algorithms!r}")
+    requested = {Algorithm.NONE}
+    for alg in Algorithm if algorithms is None else algorithms:
+        try:
+            requested.add(Algorithm(alg))
+        except ValueError:
+            names = ", ".join(a.value for a in Algorithm)
+            raise ValueError(f"unknown algorithm {alg!r}; expected one of {names}") from None
     kept_ops(op_filter)  # ValueError for an unknown op filter
     if not isinstance(include_flag_power, bool):
         raise TypeError(f"include_flag_power must be a bool, got {include_flag_power!r}")
@@ -95,10 +101,10 @@ def analyze_trace(
     for alg in Algorithm:
         if alg not in requested:
             continue
-        term = stats.termination_total(alg, model)
+        term = stats.termination_total(alg)
         if include_flag_power:
-            term += stats.flag_termination_total(alg, model)
-        powers[alg] = (term, stats.switching_total(alg, model))
+            term += stats.flag_termination_total(alg)
+        powers[alg] = (term, stats.switching_total(alg))
     base_term, base_switch = powers[Algorithm.NONE]
     per_algorithm = _power_rows({
         alg: (term, termination_ratio(term, base_term),

@@ -12,8 +12,8 @@ levels, which masks_of_levels and levels_of_masks convert. Every encoding
 is one rule from a frame's level counts to a flag, encoders.flag_of_counts,
 and one table from flag to level bijection, encoders.FLAG_IMAGES; the
 count-key and flag tables here are derived from the two at import. Every
-termination total, flag wires included, is PowerModel.termination of
-summed counts, and check_flags is the one check of a flag array, for the
+termination total, flag wires included, is power.termination of summed
+counts, and check_flags is the one check of a flag array, for the
 decoder here and for the encoded-text writer in traceio.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import encoders
 from .encoders import Algorithm
 from .errors import EmptyStream, InvalidFlag, InvalidPair
-from .power import DEFAULT_MODEL, PowerModel
+from .power import termination
 
 _NOT_LSB = np.uint16(0xFEFE)  # clears what a left shift carries between the two bytes
 
@@ -231,9 +231,9 @@ class StreamStats:
     frame i, first state of frame i + 1) over both lines, in the boundary
     states of _STATE_BASE. Between folded blocks, and so between chunks,
     only the last frame's two end states carry over. Every total is an
-    exact integer before the model weights apply, with the same float
-    expressions as termination_total and switching_total, and is the same
-    however the stream was split into chunks.
+    exact integer until it is weighted or made a float, with the same
+    float expressions as termination_total and switching_total, and is the
+    same however the stream was split into chunks.
     """
 
     def __init__(self):
@@ -280,37 +280,33 @@ class StreamStats:
         encoded[rows, _IMAGES[_PERM_OF_KEY[algorithm]] + 1] = _KEY_COUNTS
         return self.frames_per_key @ encoded
 
-    def termination_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
-        return float(model.termination(self.counts(algorithm)))
+    def termination_total(self, algorithm: Algorithm) -> float:
+        return termination(self.counts(algorithm))
 
-    def flag_termination_total(
-        self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL
-    ) -> float:
+    def flag_termination_total(self, algorithm: Algorithm) -> float:
         """Termination power of the flag wires, driven as binary lines: a 0
         bit at level -1 and a 1 bit at level +1."""
         ones = self.frames_per_key @ np.bitwise_count(_FLAG_OF_KEY[algorithm])
         zeros = encoders.FLAG_WIDTH[algorithm] * self.frame_count - ones
-        return float(model.termination((zeros, 0, ones)))
+        return termination((zeros, 0, ones))
 
-    def switching_total(self, algorithm: Algorithm, model: PowerModel = DEFAULT_MODEL) -> float:
+    def switching_total(self, algorithm: Algorithm) -> float:
         steps = int((self.edges_per_key * _EDGE_COST[_PERM_OF_KEY[algorithm]].T).sum())
         levels = _BOUNDARY_LEVELS[algorithm]
         steps += int(np.vdot(self.boundaries, (levels[:, None] - levels) ** 2))
-        return model.switch_unit_energy * steps
+        return float(steps)
 
 
-def termination_total(
-    levels: np.ndarray, model: PowerModel = DEFAULT_MODEL
-) -> float:
+def termination_total(levels: np.ndarray) -> float:
     """Trace-total termination power from exact summed counts.
 
     Summing integer counts first keeps the total independent of frame
     order and of float accumulation order.
     """
-    return float(model.termination(count_block(levels).sum(axis=0)))
+    return termination(count_block(levels).sum(axis=0))
 
 
-def switching_total(levels: np.ndarray, model: PowerModel = DEFAULT_MODEL) -> float:
+def switching_total(levels: np.ndarray) -> float:
     """Switching energy over the whole stream, both lines, as one float."""
     if len(levels) == 0:
         raise EmptyStream("switching power needs at least one frame")
@@ -319,4 +315,4 @@ def switching_total(levels: np.ndarray, model: PowerModel = DEFAULT_MODEL) -> fl
         seq = levels[:, line, :].reshape(-1).astype(np.int64)
         d = np.diff(seq)
         steps += int((d * d).sum())
-    return model.switch_unit_energy * steps
+    return float(steps)

@@ -26,7 +26,7 @@ from enum import Enum
 
 from .core import Pam3Frame, count_symbols
 from .errors import InvalidFlag
-from .power import DEFAULT_MODEL, PowerModel, termination_power
+from .power import termination_power
 
 
 class Algorithm(Enum):
@@ -153,9 +153,7 @@ def decode(encoded: EncodedFrame) -> Pam3Frame:
     return _map_frame(encoded.frame, inverse.images)
 
 
-def brute_force_best_permutation(
-    frame: Pam3Frame, model: PowerModel = DEFAULT_MODEL
-) -> tuple[PermutationCode, float]:
+def brute_force_best_permutation(frame: Pam3Frame) -> tuple[PermutationCode, float]:
     """Try all 6 level bijections and return one with minimal termination power.
 
     Deliberately independent of flag_of_counts: it remaps the frame and
@@ -165,7 +163,7 @@ def brute_force_best_permutation(
     best_power = None
     for index in range(6):
         code = PermutationCode(index)
-        p = termination_power(_map_frame(frame, code.images), model)
+        p = termination_power(_map_frame(frame, code.images))
         if best_power is None or p < best_power:
             best_code = code
             best_power = p

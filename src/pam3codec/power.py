@@ -1,55 +1,37 @@
-"""Termination and switching power models for PAM-3 lines.
+"""Termination and switching power of PAM-3 lines, in one fixed model.
 
-Termination power is static and per driven level: -1 costs vdd_squared/100,
-0 costs vdd_squared/200, +1 costs nothing. PowerModel.termination is the
-one weighted sum of level counts, which the scalar, bulk and flag-wire
-totals all call. Switching energy is dynamic: each level step on a
-physical line costs switch_unit_energy times the squared level delta.
-Absolute numbers are normalized (vdd_squared = 1.0 by default); only
-ratios are meaningful.
+Termination power is static and per driven level: -1 costs 1/100, 0 costs
+1/200, +1 costs nothing, in units of vdd^2. termination is the one weighted
+sum of level counts, which the scalar, bulk and flag-wire totals all call.
+Switching energy is dynamic: each level step on a physical line costs the
+squared level delta. Absolute numbers are normalized; only ratios are
+meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from .core import Pam3Frame, count_symbols
 from .errors import EmptyStream, ZeroBaseline
 
-
-@dataclass(frozen=True)
-class PowerModel:
-    vdd_squared: float = 1.0
-    switch_unit_energy: float = 1.0
-
-    def __post_init__(self):
-        if self.vdd_squared <= 0:
-            raise ValueError("vdd_squared must be positive")
-        if self.switch_unit_energy < 0:
-            raise ValueError("switch_unit_energy must be non-negative")
-
-    @property
-    def term_weight_neg(self) -> float:
-        return self.vdd_squared / 100
-
-    @property
-    def term_weight_zero(self) -> float:
-        return self.vdd_squared / 200
-
-    @property
-    def term_weight_pos(self) -> float:
-        return 0.0
-
-    def termination(self, counts):
-        """Termination power of level counts (neg, zero, pos)."""
-        neg, zero, pos = counts
-        return (neg * self.term_weight_neg + zero * self.term_weight_zero
-                + pos * self.term_weight_pos)
+TERM_WEIGHT_NEG = 1 / 100
+TERM_WEIGHT_ZERO = 1 / 200
 
 
-DEFAULT_MODEL = PowerModel()
+def termination(counts) -> float:
+    """Termination power of level counts (neg, zero, pos)."""
+    neg, zero, _ = counts
+    return float(neg * TERM_WEIGHT_NEG + zero * TERM_WEIGHT_ZERO)
+
+
+# Not used here; perfbench/checks.py reads these three weights by this name.
+DEFAULT_MODEL = SimpleNamespace(
+    term_weight_neg=TERM_WEIGHT_NEG, term_weight_zero=TERM_WEIGHT_ZERO, switch_unit_energy=1.0
+)
 
 
 @dataclass(frozen=True)
@@ -68,9 +50,9 @@ class PowerReport:
     switch_ratio_percent: Optional[float]
 
 
-def termination_power(frame: Pam3Frame, model: PowerModel = DEFAULT_MODEL) -> float:
+def termination_power(frame: Pam3Frame) -> float:
     """Static termination power of one frame, from its level counts."""
-    return model.termination(count_symbols(frame).as_tuple())
+    return termination(count_symbols(frame).as_tuple())
 
 
 def termination_ratio(encoded_total: float, baseline_total: float) -> float:
@@ -90,9 +72,7 @@ def line_switching_steps(levels: Sequence[int]) -> int:
     return sum((b - a) ** 2 for a, b in pairwise(levels))
 
 
-def switching_power(
-    stream: Iterable[Pam3Frame], model: PowerModel = DEFAULT_MODEL
-) -> float:
+def switching_power(stream: Iterable[Pam3Frame]) -> float:
     """Switching energy of a frame sequence.
 
     Symbols are concatenated per physical line across consecutive frames;
@@ -104,5 +84,5 @@ def switching_power(
         raise EmptyStream("switching power needs at least one frame")
     line_a = [level for frame in frames for level in frame.line_a]
     line_b = [level for frame in frames for level in frame.line_b]
-    return model.switch_unit_energy * (line_switching_steps(line_a) + line_switching_steps(line_b))
+    return float(line_switching_steps(line_a) + line_switching_steps(line_b))
 

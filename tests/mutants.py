@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 ANALYSIS, BULK, CLI = "tests/test_analysis.py", "tests/test_bulk.py", "tests/test_cli.py"
 ENCODERS = "tests/test_encoders.py"
+GOLDEN, POWER = "tests/test_golden_reports.py", "tests/test_power.py"
 STREAM, TRACEIO = "tests/test_stream.py", "tests/test_traceio.py"
 
 MUTANTS = [
@@ -55,6 +56,19 @@ MUTANTS = [
     Mutant("zero-edges", "bulk.py", "(neg, neg | pos, pos)", "(neg, pos, pos)", BULK),
     Mutant("zero-switch-baseline", "analysis.py", "if base_switch else None",
            "if base_switch else 0.0", ANALYSIS),
+    Mutant("term-weight-zero", "power.py", "TERM_WEIGHT_ZERO = 1 / 200",
+           "TERM_WEIGHT_ZERO = 1 / 100", POWER),
+    # a JSON report writes an int total as 19365, not 19365.0
+    Mutant("switching-int", "bulk.py", "        return float(steps)", "        return steps",
+           GOLDEN),
+    # perfbench/checks.py reads power.DEFAULT_MODEL
+    Mutant("default-model-name", "power.py", "DEFAULT_MODEL = SimpleNamespace(",
+           "_DEFAULT_MODEL = SimpleNamespace(", CLI),
+    # the analyze_trace arguments
+    Mutant("lone-algorithm", "analysis.py", "if isinstance(algorithms, (str, Algorithm)):",
+           "if False:", ANALYSIS),
+    Mutant("unknown-algorithm", "analysis.py", "        except ValueError:\n            names",
+           "        except KeyError:\n            names", ANALYSIS),
     # the input boundaries
     Mutant("csv-repeated-row", "analysis.py", 'if name in obj["per_algorithm"]:', "if False:",
            ANALYSIS),
@@ -109,6 +123,9 @@ MUTANTS = [
            "lines = start", TRACEIO),
     # main() opens every subcommand's input and spool
     Mutant("spool-copy-out", "cli.py", "shutil.copyfileobj(spool, out, _READ_SIZE)", "pass", CLI),
+    # start-up: only gen-random needs numpy.random, and numpy loads it when used
+    Mutant("numpy-random-import", "traceio.py", "import numpy as np\n",
+           "import numpy as np\nimport numpy.random\n", CLI),
     Mutant("no-input", "cli.py", "if path is None:  # gen-random reads nothing", "if False:", CLI),
 ]
 

@@ -99,6 +99,19 @@ def test_analyze_trace_checks_arguments_before_reading(error, kwargs):
         analyze_trace(_unread(), **kwargs)
 
 
+@pytest.mark.parametrize("algorithms", ["SORT", Algorithm.SORT], ids=["name", "Algorithm"])
+def test_analyze_trace_takes_no_lone_algorithm(algorithms):
+    with pytest.raises(TypeError, match="must be an iterable of algorithms"):
+        analyze_trace(_unread(), algorithms)
+
+
+@pytest.mark.parametrize("name", ["XF", "sort", 3])
+def test_analyze_trace_names_the_algorithms_it_knows(name):
+    with pytest.raises(ValueError) as error:
+        analyze_trace(_unread(), [Algorithm.MF, name])
+    assert str(error.value) == f"unknown algorithm {name!r}; expected one of NONE, DBI, MF, SORT"
+
+
 def test_constant_trace_switching_undefined():
     stats = analyze_trace(ALL_ZERO)
     for report in stats.per_algorithm.values():

@@ -20,12 +20,7 @@ from pam3codec.encoders import (
     encode,
 )
 from pam3codec.errors import EmptyStream, InvalidFlag, InvalidPair
-from pam3codec.power import (
-    DEFAULT_MODEL,
-    PowerModel,
-    switching_power,
-    termination_power,
-)
+from pam3codec.power import TERM_WEIGHT_NEG, switching_power, termination_power
 
 rng = np.random.default_rng(0xBEEF)
 WORDS = rng.integers(0, 256, (4000, 3), dtype=np.uint8)
@@ -50,19 +45,18 @@ def _folded(masks, cls=bulk.StreamStats):
     return stats
 
 
-def flag_termination_total(flags, algorithm, model=DEFAULT_MODEL) -> float:
+def flag_termination_total(flags, algorithm) -> float:
     """Termination power of per-frame flags on the flag wires, driven as
     binary lines: a 0 bit at level -1, a 1 bit at level +1, so only the
-    zero bits cost power under the default weights. Raises InvalidFlag for
-    a flag the algorithm never emits."""
+    zero bits cost power. Raises InvalidFlag for a flag the algorithm never
+    emits."""
     flags = np.asarray(flags)
     bulk.check_flags(flags, len(flags), algorithm)
     width = FLAG_WIDTH[algorithm]
     if width == 0 or len(flags) == 0:
         return 0.0
     ones = np.bitwise_count(flags).sum(dtype=np.int64)
-    return float((width * len(flags) - ones) * model.term_weight_neg
-                 + ones * model.term_weight_pos)
+    return float((width * len(flags) - ones) * TERM_WEIGHT_NEG)
 
 
 def test_modulate_block_matches_scalar():
@@ -178,8 +172,6 @@ def test_switching_total_matches_scalar():
     subset = LEVELS[:300]
     frames = [_frame(row) for row in subset]
     assert bulk.switching_total(subset) == switching_power(frames)
-    model = PowerModel(switch_unit_energy=2.5)
-    assert bulk.switching_total(subset, model) == switching_power(frames, model)
 
 
 def test_switching_total_empty():
@@ -191,7 +183,7 @@ def test_flag_termination_total():
     # SORT flag 4 is binary 100: one 1 bit at +1 (free), two 0 bits at -1
     flags = np.array([4, 0], dtype=np.uint8)
     total = flag_termination_total(flags, Algorithm.SORT)
-    expected = (2 + 3) * DEFAULT_MODEL.term_weight_neg
+    expected = (2 + 3) * TERM_WEIGHT_NEG
     assert total == pytest.approx(expected)
     assert flag_termination_total(flags[:0], Algorithm.SORT) == 0.0
     none_flags = np.zeros(5, dtype=np.uint8)
@@ -207,7 +199,6 @@ def _frame_of_counts(neg: int, zero: int) -> Pam3Frame:
 
 # every reachable (neg, zero) count of a 16-symbol frame; pos is the rest
 COUNT_PAIRS = [(neg, zero) for neg in range(17) for zero in range(17 - neg)]
-MODELS = (DEFAULT_MODEL, PowerModel(vdd_squared=0.7, switch_unit_energy=2.5))
 
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
@@ -218,18 +209,15 @@ def test_flag_tables_match_scalar_on_every_count_triple(algorithm):
         assert bulk._FLAG_OF_KEY[algorithm][neg * 17 + zero] == scalar.flag, (neg, zero)
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_sort_is_optimal_on_every_count_triple(model):
+def test_sort_is_optimal_on_every_count_triple():
     """Termination power depends only on a frame's counts, so these 153
     frames prove both paper invariants on every frame: SORT is optimal over
-    the six bijections, and so no worse than MF or DBI. A PowerModel only
-    scales the weights, never reorders them, so the second model checks
-    that scaling leaves SORT's choice optimal, not a different weight order."""
+    the six bijections, and so no worse than MF or DBI."""
     for neg, zero in COUNT_PAIRS:
         frame = _frame_of_counts(neg, zero)
-        power = {alg: termination_power(encode(frame, alg).frame, model)
+        power = {alg: termination_power(encode(frame, alg).frame)
                  for alg in (Algorithm.SORT, Algorithm.MF, Algorithm.DBI)}
-        assert power[Algorithm.SORT] == brute_force_best_permutation(frame, model)[1], (neg, zero)
+        assert power[Algorithm.SORT] == brute_force_best_permutation(frame)[1], (neg, zero)
         assert power[Algorithm.SORT] <= min(power[Algorithm.MF], power[Algorithm.DBI]), (neg, zero)
 
 
@@ -241,28 +229,23 @@ def test_perm_of_flag_table():
     assert all(perms.dtype == np.uint8 for perms in bulk._PERM_OF_FLAG.values())
 
 
-@given(level_blocks, st.sampled_from(list(Algorithm)), st.sampled_from(MODELS))
-@example(np.zeros((1, 2, 8), dtype=np.int8), Algorithm.MF, DEFAULT_MODEL)  # (0, 0) pairs only
-@example(np.array([[[1] * 8, [-1] * 8], [[-1] * 8, [1] * 8]], dtype=np.int8),
-         Algorithm.SORT, MODELS[1])
-def test_stream_stats_match_encoded_copy(levels, algorithm, model):
+@given(level_blocks, st.sampled_from(list(Algorithm)))
+@example(np.zeros((1, 2, 8), dtype=np.int8), Algorithm.MF)  # (0, 0) pairs only
+@example(np.array([[[1] * 8, [-1] * 8], [[-1] * 8, [1] * 8]], dtype=np.int8), Algorithm.SORT)
+def test_stream_stats_match_encoded_copy(levels, algorithm):
     stats = _folded(bulk.masks_of_levels(levels))
     enc_masks, flags = bulk.encode_block(bulk.masks_of_levels(levels), algorithm)
     enc_levels = bulk.levels_of_masks(enc_masks)
     assert (stats.counts(algorithm) == bulk.count_block(enc_levels).sum(axis=0)).all()
-    assert stats.termination_total(algorithm, model) == bulk.termination_total(enc_levels, model)
-    assert stats.switching_total(algorithm, model) == bulk.switching_total(enc_levels, model)
-    assert stats.flag_termination_total(algorithm, model) == flag_termination_total(
-        flags, algorithm, model
-    )
+    assert stats.termination_total(algorithm) == bulk.termination_total(enc_levels)
+    assert stats.switching_total(algorithm) == bulk.switching_total(enc_levels)
+    assert stats.flag_termination_total(algorithm) == flag_termination_total(flags, algorithm)
     # the scalar encoders and power functions, frame by frame
     encoded = [encode(_frame(row), algorithm) for row in levels]
-    assert stats.termination_total(algorithm, model) == pytest.approx(
-        sum(termination_power(e.frame, model) for e in encoded), rel=1e-12
+    assert stats.termination_total(algorithm) == pytest.approx(
+        sum(termination_power(e.frame) for e in encoded), rel=1e-12
     )
-    assert stats.switching_total(algorithm, model) == switching_power(
-        [e.frame for e in encoded], model
-    )
+    assert stats.switching_total(algorithm) == switching_power([e.frame for e in encoded])
     assert [e.flag for e in encoded] == flags.tolist()
 
 

@@ -568,13 +568,22 @@ def test_help_and_usage_fallbacks_are_kept(capsys, monkeypatch):
 
 def _python(*args, stdin: bytes = b"", stdout=subprocess.PIPE,
             env=os.environ) -> subprocess.CompletedProcess:
+    """A child Python that imports the pam3codec this process imported."""
+    path = os.path.dirname(os.path.dirname(pam3codec.__file__))
     return subprocess.run([sys.executable, *args], input=stdin, stdout=stdout,
-                          stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=SRC), timeout=120)
+                          stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=path), timeout=120)
 
 
 def test_import_does_not_freeze():
     proc = _python("-c", "import gc, pam3codec.cli; print(gc.get_freeze_count())")
     assert proc.stdout == b"0\n", proc.stderr
+
+
+def test_import_leaves_numpy_random_out():
+    """numpy.random adds ~14 ms and ~5 MiB to every start; only gen-random
+    uses it, and numpy loads it on the first np.random access."""
+    proc = _python("-c", "import sys, pam3codec.cli; print('numpy.random' in sys.modules)")
+    assert proc.stdout == b"False\n", proc.stderr
 
 
 def test_module_entry_freezes_before_main():
@@ -638,7 +647,7 @@ def test_public_names_are_the_package_imports():
     """pam3codec.__all__ holds what __init__ imports from its submodules,
     sorted: no submodule, nothing private, no name that is not there."""
     names = pam3codec.__all__
-    assert len(names) == 37 and names == sorted(names)
+    assert len(names) == 35 and names == sorted(names)
     for name in names:
         assert not isinstance(getattr(pam3codec, name), type(pam3codec)), name
 
@@ -659,3 +668,48 @@ def test_benchmark_sites_exist():
     assert sites
     for module, attr, _ in sites:
         assert hasattr(importlib.import_module(f"pam3codec.{module}"), attr), (module, attr)
+
+
+def _attribute_chain(node) -> list[str]:
+    """[a, b, c] for the expression a.b.c; [] unless it is names and attributes only."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(attrs)] if isinstance(node, ast.Name) else []
+
+
+def test_benchmark_reads_exist():
+    """Every core.X, encoders.X and power.X that perfbench's checks and
+    tests read exists, read as checks.core.X too, or through a name bound
+    to one, as in model = power.DEFAULT_MODEL; model.term_weight_neg.
+
+    Tier-1 runs tests/ only, so a product name that only perfbench reads
+    would otherwise break the benchmark and nothing here.
+    """
+    def product_chain(node, bound: dict) -> list[str]:
+        chain = _attribute_chain(node)
+        chain = chain[1:] if chain[:1] == ["checks"] else chain
+        chain = bound[chain[0]] + chain[1:] if chain and chain[0] in bound else chain
+        return chain if chain and chain[0] in ("core", "encoders", "power") else []
+
+    reads = set()
+    for name in ("checks.py", "test_perfbench.py"):
+        with open(os.path.join(os.path.dirname(SRC), "perfbench", name)) as f:
+            tree = ast.parse(f.read())
+        bound = {}  # name -> the product chain assigned to it
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                chain = product_chain(node.value, {})
+                if chain:
+                    bound[node.targets[0].id] = chain
+        reads |= {tuple(product_chain(node, bound)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)} - {()}
+    assert {("power", "DEFAULT_MODEL", weight) for weight in
+            ("term_weight_neg", "term_weight_zero", "switch_unit_energy")} <= reads
+    for module, *attrs in reads:
+        value = importlib.import_module(f"pam3codec.{module}")
+        for attr in attrs:
+            assert hasattr(value, attr), (module, *attrs)
+            value = getattr(value, attr)

@@ -18,7 +18,7 @@ from pam3codec.encoders import (
     encode,
 )
 from pam3codec.errors import InvalidFlag
-from pam3codec.power import DEFAULT_MODEL, termination_power
+from pam3codec.power import TERM_WEIGHT_NEG, TERM_WEIGHT_ZERO, termination_power
 
 levels = st.sampled_from((-1, 0, 1))
 lines = st.tuples(*([levels] * 8))
@@ -229,11 +229,7 @@ def test_brute_force_655():
     # independent oracle: assign the count triple to the weight triple in
     # every possible way and take the cheapest
     counts = (6, 5, 5)
-    weights = (
-        DEFAULT_MODEL.term_weight_neg,
-        DEFAULT_MODEL.term_weight_zero,
-        DEFAULT_MODEL.term_weight_pos,
-    )
+    weights = (TERM_WEIGHT_NEG, TERM_WEIGHT_ZERO, 0.0)  # +1 costs nothing
     oracle = min(
         sum(c * w for c, w in zip(assignment, weights))
         for assignment in itertools.permutations(counts)

@@ -5,10 +5,10 @@ import hypothesis.strategies as st
 from pam3codec.core import Pam3Frame
 from pam3codec.errors import EmptyStream, ZeroBaseline
 from pam3codec.power import (
-    DEFAULT_MODEL,
-    PowerModel,
+    TERM_WEIGHT_ZERO,
     line_switching_steps,
     switching_power,
+    termination,
     termination_power,
     termination_ratio,
 )
@@ -23,24 +23,10 @@ FRAME_655 = Pam3Frame((-1, 0, 1, -1, -1, 0, 1, 1), (0, 0, -1, 1, -1, -1, 1, 0))
 
 
 def test_model_weights():
-    m = PowerModel()
-    assert m.term_weight_neg == 0.01
-    assert m.term_weight_zero == 0.005
-    assert m.term_weight_pos == 0.0
-    assert m.term_weight_neg == 2 * m.term_weight_zero
-
-
-def test_model_scales_with_vdd_squared():
-    m = PowerModel(vdd_squared=4.0)
-    assert m.term_weight_neg == 0.04
-    assert m.term_weight_zero == 0.02
-
-
-def test_model_validation():
-    with pytest.raises(ValueError):
-        PowerModel(vdd_squared=0.0)
-    with pytest.raises(ValueError):
-        PowerModel(switch_unit_energy=-1.0)
+    assert termination((1, 0, 0)) == 0.01
+    assert termination((0, 1, 0)) == 0.005
+    assert termination((0, 0, 1)) == 0.0
+    assert termination((1, 0, 0)) == 2 * termination((0, 1, 0))
 
 
 def test_termination_power_examples():
@@ -69,7 +55,7 @@ def test_termination_power_monotone_steps():
     f_neg = Pam3Frame((-1,) + (1,) * 7, (1,) * 8)
     f_zero = Pam3Frame((0,) + (1,) * 7, (1,) * 8)
     f_pos = ALL_POS
-    step = DEFAULT_MODEL.term_weight_zero
+    step = TERM_WEIGHT_ZERO
     assert termination_power(f_neg) - termination_power(f_zero) == pytest.approx(step)
     assert termination_power(f_zero) - termination_power(f_pos) == pytest.approx(step)
 
@@ -101,7 +87,6 @@ def test_switching_power_two_frames():
     first = Pam3Frame((-1,) * 8, (1,) * 8)
     second = Pam3Frame((1,) * 8, (1,) * 8)
     assert switching_power([first, second]) == 4.0
-    assert switching_power([first, second], PowerModel(switch_unit_energy=0.5)) == 2.0
 
 
 def test_switching_power_within_frame():
@@ -121,8 +106,3 @@ def test_switching_power_time_reversal(stream):
     ]
     assert switching_power(stream) == switching_power(reversed_stream)
 
-
-@given(st.lists(frames, min_size=1, max_size=6))
-def test_switching_power_scales_with_unit_energy(stream):
-    base = switching_power(stream)
-    assert switching_power(stream, PowerModel(switch_unit_energy=3.0)) == 3.0 * base
