@@ -73,21 +73,17 @@ def analyze_trace(
     """Power totals of the stream under each algorithm against the baseline.
 
     streams is one FrameStream or the stream's chunks in order. algorithms
-    is an iterable of Algorithms or their names. The NONE baseline row is
-    always present. The arguments are checked before any stream is read.
+    is an iterable of Algorithms or their exact names, each taken by
+    Algorithm(x). The NONE baseline row is always present. op_filter only
+    records, in the report's meta, the filter the stream was read with;
+    read_trace filters. The arguments are checked before any stream is read.
     Raises ZeroBaseline when the unencoded trace has zero termination
     power; a zero switching baseline just leaves the switching ratios
     undefined (None).
     """
     if isinstance(algorithms, (str, Algorithm)):
         raise TypeError(f"algorithms must be an iterable of algorithms, got {algorithms!r}")
-    requested = {Algorithm.NONE}
-    for alg in Algorithm if algorithms is None else algorithms:
-        try:
-            requested.add(Algorithm(alg))
-        except ValueError:
-            names = ", ".join(a.value for a in Algorithm)
-            raise ValueError(f"unknown algorithm {alg!r}; expected one of {names}") from None
+    requested = {Algorithm.NONE, *map(Algorithm, Algorithm if algorithms is None else algorithms)}
     kept_ops(op_filter)  # ValueError for an unknown op filter
     if not isinstance(include_flag_power, bool):
         raise TypeError(f"include_flag_power must be a bool, got {include_flag_power!r}")
@@ -252,14 +248,16 @@ def _write_csv(obj: dict) -> str:
 
 def _csv_fields(cells: list[str], section: str, label: str) -> dict:
     """The fields of one CSV row, a short row lacking its last fields. Text
-    its kind cannot read stays text, for the validator to reject."""
+    its kind cannot read, or that is not the text the writer writes for its
+    value, stays text, for the validator to reject."""
     schema = _SCHEMA[section]
     if len(cells) > len(schema):
         raise ValueError(f"CSV report {label} row has {len(cells)} fields, not {len(schema)}")
     fields = {}
     for (name, kind), text in zip(schema, cells):
         try:
-            fields[name] = _KINDS[kind].value(text)
+            value = _KINDS[kind].value(text)
+            fields[name] = value if _KINDS[kind].text(value) == text else text
         except (ValueError, KeyError):
             fields[name] = text
     return fields

@@ -115,6 +115,7 @@ def check_flags(flags, frames: int, algorithm: Algorithm) -> np.ndarray:
     """flags as a (frames,) uint8 array, checked before the cast: ValueError
     unless they are 1-D integers, one per frame (an empty list for no
     frames); InvalidFlag unless each is one the algorithm emits."""
+    algorithm = Algorithm(algorithm)
     flags = np.asarray(flags)
     if flags.shape != (frames,) or (flags.size and not np.issubdtype(flags.dtype, np.integer)):
         raise ValueError("flags must be 1-D integers with one entry per frame")
@@ -205,6 +206,7 @@ def encode_block(
     masks: np.ndarray, algorithm: Algorithm
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode every frame independently; returns (masks, flags)."""
+    algorithm = Algorithm(algorithm)
     flags = _FLAG_OF_KEY[algorithm][_count_keys(masks)]
     return _permute(masks, _PERM_OF_FLAG[algorithm][flags]), flags
 
@@ -213,6 +215,7 @@ def decode_block(
     masks: np.ndarray, flags: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
     """Undo encode_block; flags are checked by check_flags."""
+    algorithm = Algorithm(algorithm)
     flags = check_flags(flags, masks.shape[1], algorithm)
     return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
 

@@ -30,10 +30,17 @@ from .power import termination_power
 
 
 class Algorithm(Enum):
+    """Algorithm(x) takes a member or its exact name; anything else is one ValueError."""
+
     NONE = "NONE"
     DBI = "DBI"
     MF = "MF"
     SORT = "SORT"
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(cls.__members__)
+        raise ValueError(f"unknown algorithm {value!r}; expected one of {names}")
 
 
 # The six bijections of {-1, 0, +1} as image triples (image of -1, image
@@ -104,6 +111,7 @@ class EncodedFrame:
     flag: int
 
     def __post_init__(self):
+        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         limit = MAX_FLAG[self.algorithm]
         if not 0 <= operator.index(self.flag) <= limit:
             raise InvalidFlag(f"{self.algorithm.value} flag must be 0..{limit}, got {self.flag}")
@@ -124,6 +132,7 @@ def flag_of_counts(counts: tuple[int, int, int], algorithm: Algorithm) -> int:
     identity. SORT ranks the levels by a stable ascending sort of the counts
     in (-1, 0, +1) order, so ties resolve deterministically.
     """
+    algorithm = Algorithm(algorithm)
     if algorithm is Algorithm.NONE:
         return 0
     if algorithm is Algorithm.DBI:
@@ -131,17 +140,16 @@ def flag_of_counts(counts: tuple[int, int, int], algorithm: Algorithm) -> int:
     if algorithm is Algorithm.MF:
         best = max(counts)
         return max(i for i in range(3) if counts[i] == best)
-    if algorithm is Algorithm.SORT:
-        order = sorted(range(3), key=lambda i: counts[i])
-        images = [0, 0, 0]
-        for rank, level_index in enumerate(order):
-            images[level_index] = rank - 1
-        return PermutationCode.from_images(tuple(images)).index
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    order = sorted(range(3), key=lambda i: counts[i])  # SORT
+    images = [0, 0, 0]
+    for rank, level_index in enumerate(order):
+        images[level_index] = rank - 1
+    return PermutationCode.from_images(tuple(images)).index
 
 
 def encode(frame: Pam3Frame, algorithm: Algorithm) -> EncodedFrame:
     """Encode with any algorithm; NONE passes the frame through (flag=0)."""
+    algorithm = Algorithm(algorithm)
     flag = flag_of_counts(count_symbols(frame).as_tuple(), algorithm)
     return EncodedFrame(_map_frame(frame, FLAG_IMAGES[algorithm][flag]), algorithm, flag)
 

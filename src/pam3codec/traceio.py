@@ -86,7 +86,7 @@ class TraceRecord:
             raise ValueError(f"op must be {READ!r} or {WRITE!r}, got {self.op!r}")
         if not 0 <= operator.index(self.address) < (1 << 64):
             raise ValueError(f"address must fit 64 bits, got {self.address!r}")
-        if len(self.payload) < 1:
+        if memoryview(self.payload).nbytes < 1:  # TypeError unless bytes-like
             raise ValueError("payload must hold at least one byte")
 
 
@@ -111,6 +111,7 @@ class FrameStream:
             raise ValueError("masks must be a C-contiguous (2, n) uint16 array")
         if (masks[0] & masks[1]).any():
             raise ValueError("a position cannot be both -1 and +1")
+        object.__setattr__(self, "pad_bytes", operator.index(self.pad_bytes))
         if self.pad_bytes not in (0, 1, 2):
             raise ValueError(f"pad_bytes must be 0..2, got {self.pad_bytes}")
         masks.setflags(write=False)
@@ -293,7 +294,7 @@ def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
     """The two header lines of encoded frame text. The pad count is the
     second last byte, so a writer that learns it only after the frames can
     write 0 first and overwrite that one digit."""
-    return f"# alg {alg.value}\n# pad {pad_bytes}\n".encode("ascii")
+    return f"# alg {Algorithm(alg).value}\n# pad {pad_bytes}\n".encode("ascii")
 
 
 def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) -> bytes:

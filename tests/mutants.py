@@ -64,15 +64,24 @@ MUTANTS = [
     # perfbench/checks.py reads power.DEFAULT_MODEL
     Mutant("default-model-name", "power.py", "DEFAULT_MODEL = SimpleNamespace(",
            "_DEFAULT_MODEL = SimpleNamespace(", CLI),
-    # the analyze_trace arguments
+    # the algorithm arguments: Algorithm(x) is the one rule
     Mutant("lone-algorithm", "analysis.py", "if isinstance(algorithms, (str, Algorithm)):",
            "if False:", ANALYSIS),
-    Mutant("unknown-algorithm", "analysis.py", "        except ValueError:\n            names",
-           "        except KeyError:\n            names", ANALYSIS),
+    Mutant("unknown-algorithm", "encoders.py",
+           'raise ValueError(f"unknown algorithm {value!r}; expected one of {names}")',
+           "return None", ENCODERS),
     # the input boundaries
     Mutant("csv-repeated-row", "analysis.py", 'if name in obj["per_algorithm"]:', "if False:",
            ANALYSIS),
     Mutant("json-repeated-field", "analysis.py", "if key in obj:", "if False:", ANALYSIS),
+    Mutant("csv-writers-text", "analysis.py",
+           "fields[name] = value if _KINDS[kind].text(value) == text else text",
+           "fields[name] = value", ANALYSIS),
+    Mutant("pad-index", "traceio.py",
+           'object.__setattr__(self, "pad_bytes", operator.index(self.pad_bytes))', "pass",
+           TRACEIO),
+    Mutant("bytes-payload", "traceio.py", "if memoryview(self.payload).nbytes < 1:",
+           "if len(self.payload) < 1:", TRACEIO),
     Mutant("unknown-algorithm-row", "analysis.py",
            "unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]",
            "unknown = []", ANALYSIS),

@@ -461,16 +461,46 @@ def test_both_readers_reject_bad_field(section, name, json_value, csv_text):
         read_report(json.dumps(obj), "json")
     assert _names_field(exc, name)
 
+    with pytest.raises(ValueError) as exc:
+        read_report(_csv_edited(stats, section, name, lambda _: csv_text), "csv")
+    assert _names_field(exc, name)
+
+
+def _csv_edited(stats, section: str, name: str, edit) -> str:
+    """The CSV report of stats with the text of field name in section's row
+    (SORT's, for an algorithm field) replaced by edit(text), or the row cut
+    short just before the field if edit gives None."""
     label = "SORT" if section == "per_algorithm" else section
     names = [n for s, n, _ in REPORT_FIELDS if s == section]
     lines = write_report(stats, "csv").splitlines()
     row = next(i for i, line in enumerate(lines) if line.startswith(label + ","))
     cells = lines[row].split(",")
     column = 1 + names.index(name)
-    cells[column:] = [] if csv_text is None else [csv_text, *cells[column + 1:]]
+    text = edit(cells[column])
+    cells[column:] = [] if text is None else [text, *cells[column + 1:]]
     lines[row] = ",".join(cells)
-    with pytest.raises(ValueError) as exc:
-        read_report("\n".join(lines) + "\n", "csv")
+    return "\n".join(lines) + "\n"
+
+
+# CSV cells that read as a valid value but are not the text the writer
+# writes for it, as (field, edit of the written text)
+NONCANONICAL_CELLS = [
+    pytest.param("frame_count", lambda t: f"{t[0]}_{t[1:]}", id="frame_count-underscore"),
+    pytest.param("frame_count", lambda t: " " + t, id="frame_count-space"),
+    pytest.param("frame_count", lambda t: "+" + t, id="frame_count-plus"),
+    pytest.param("term_power", lambda t: f"{t[0]}_{t[1:]}", id="term_power-underscore"),
+    *(pytest.param(name, lambda _, cell=cell: cell, id=f"{name}-{label}")
+      for _, name, kind in REPORT_FIELDS if kind in ("number", "ratio")
+      for cell, label in ((" 1.5", "space"), ("1e1", "exponent"))),
+]
+
+
+@pytest.mark.parametrize("name, edit", NONCANONICAL_CELLS)
+def test_csv_reader_takes_only_the_writers_text(name, edit):
+    stats = analyze_trace(RANDOM, op_filter="read", include_flag_power=True)
+    section = next(s for s, n, _ in REPORT_FIELDS if n == name)
+    with pytest.raises(ValueError, match="is malformed") as exc:
+        read_report(_csv_edited(stats, section, name, edit), "csv")
     assert _names_field(exc, name)
 
 

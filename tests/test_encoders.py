@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from pam3codec import bulk
+from pam3codec import bulk, traceio
+from pam3codec.analysis import analyze_trace
 from pam3codec.core import Pam3Frame, count_symbols
 from pam3codec.encoders import (
     FLAG_WIDTH,
@@ -16,6 +18,7 @@ from pam3codec.encoders import (
     brute_force_best_permutation,
     decode,
     encode,
+    flag_of_counts,
 )
 from pam3codec.errors import InvalidFlag
 from pam3codec.power import TERM_WEIGHT_NEG, TERM_WEIGHT_ZERO, termination_power
@@ -299,10 +302,49 @@ def test_encoded_frame_flag_width(algorithm, flag):
         EncodedFrame(ALL_POS, algorithm, 1.0)
 
 
-@pytest.mark.parametrize("algorithm", ["SORT", "sort", None])
+@pytest.mark.parametrize("algorithm", ["sort", None])
 def test_encode_rejects_unknown_algorithm(algorithm):
     with pytest.raises(ValueError, match="unknown algorithm"):
         encode(FRAME_655, algorithm)
+
+
+MASKS = bulk.modulate_block(np.arange(30, dtype=np.uint8).reshape(10, 3))
+SORT_FLAGS = bulk.encode_block(MASKS, Algorithm.SORT)[1]
+
+
+def _written(alg) -> bytes:
+    out = io.BytesIO()
+    traceio.write_encoded(out, alg, [traceio.FrameStream(MASKS.copy(), 0)])
+    return out.getvalue()
+
+
+# Every function that takes an algorithm from its caller, as a call whose
+# results compare equal
+TAKES_ALGORITHM = {
+    "encode": lambda alg: encode(FRAME_655, alg),
+    "EncodedFrame": lambda alg: EncodedFrame(FRAME_655, alg, 5),
+    "flag_of_counts": lambda alg: flag_of_counts((6, 5, 5), alg),
+    "encode_block": lambda alg: [a.tolist() for a in bulk.encode_block(MASKS, alg)],
+    "decode_block": lambda alg: bulk.decode_block(MASKS, SORT_FLAGS, alg).tolist(),
+    "check_flags": lambda alg: bulk.check_flags(SORT_FLAGS, len(SORT_FLAGS), alg).tolist(),
+    "format_encoded_header": lambda alg: traceio.format_encoded_header(alg, 1),
+    "format_encoded_rows": lambda alg: traceio.format_encoded_rows(alg, MASKS, SORT_FLAGS),
+    "write_encoded": _written,
+    "analyze_trace": lambda alg: analyze_trace(traceio.FrameStream(MASKS.copy(), 0), [alg]),
+}
+
+
+@pytest.mark.parametrize("alg", [Algorithm.SORT, "SORT", "sort", "XF", 3, None],
+                         ids=["member", "SORT", "sort", "XF", "3", "None"])
+@pytest.mark.parametrize("function", TAKES_ALGORITHM)
+def test_algorithm_argument_is_a_member_or_its_name(function, alg):
+    call = TAKES_ALGORITHM[function]
+    if alg in (Algorithm.SORT, "SORT"):
+        assert call(alg) == call(Algorithm.SORT)
+        return
+    with pytest.raises(ValueError) as error:
+        call(alg)
+    assert str(error.value) == f"unknown algorithm {alg!r}; expected one of NONE, DBI, MF, SORT"
 
 
 def test_flag_limits_are_the_papers():

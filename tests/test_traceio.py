@@ -267,6 +267,11 @@ def test_trace_record_validation():
         TraceRecord("W", 1.0, b"x")
     with pytest.raises(ValueError):
         TraceRecord("W", 0, b"")
+    with pytest.raises(TypeError):
+        TraceRecord("W", 0, "ab")  # text, not bytes
+    expected = _frames(frame_records([TraceRecord("W", 0, b"ab")]))
+    for payload in (bytearray(b"ab"), memoryview(b"ab")):
+        assert _frames(frame_records([TraceRecord("W", 0, payload)])) == expected
 
 
 # ------------------------------------------------------------ framing
@@ -346,6 +351,10 @@ def test_frame_stream_validation():
         FrameStream(both, 0)
     with pytest.raises(ValueError):
         FrameStream(masks, 3)
+    with pytest.raises(TypeError):
+        FrameStream(masks, 1.0)
+    pad_bytes = FrameStream(masks, np.int64(1)).pad_bytes
+    assert type(pad_bytes) is int and pad_bytes == 1
 
 
 def test_frame_stream_keeps_caller_masks():
