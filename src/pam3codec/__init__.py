@@ -24,7 +24,6 @@ from .core import (
 from .encoders import (
     Algorithm,
     EncodedFrame,
-    PermutationCode,
     brute_force_best_permutation,
     decode,
     encode,

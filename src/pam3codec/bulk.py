@@ -13,8 +13,8 @@ is one rule from a frame's level counts to a flag, encoders.flag_of_counts,
 and one table from flag to level bijection, encoders.FLAG_IMAGES; the
 count-key and flag tables here are derived from the two at import. Every
 termination total, flag wires included, is power.termination of summed
-counts, and check_flags is the one check of a flag array, for the
-decoder here and for the encoded-text writer in traceio.
+counts. check_masks and check_flags are the one check of masks and of
+flags, for the decoder here and for traceio's FrameStream and writer.
 """
 
 from __future__ import annotations
@@ -22,29 +22,29 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoders
-from .encoders import Algorithm
+from .encoders import PERMUTATION_IMAGES, Algorithm, inverse_images
 from .errors import EmptyStream, InvalidFlag, InvalidPair
 from .power import termination
 
 _NOT_LSB = np.uint16(0xFEFE)  # clears what a left shift carries between the two bytes
 
-_IMAGES = np.array(encoders.PERMUTATION_IMAGES, dtype=np.int8)  # (6, 3)
+_IMAGES = np.array(PERMUTATION_IMAGES, dtype=np.int8)  # (6, 3)
 # A change a -> b != a on a line is one edge of a and one of b (_level_edges),
 # and (a - b)**2 = (3a**2 - 1) + (3b**2 - 1): an edge of a level costs
 # 3v**2 - 1 steps, v its image under the bijection, _EDGE_COST[perm, level + 1].
 _EDGE_COST = 3 * _IMAGES.astype(np.int64) ** 2 - 1
-_INVERSE = np.array(
-    [encoders.PermutationCode(i).inverse().index for i in range(6)], dtype=np.uint8
-)
 # Bit perm of _SELECT[d, level + 1] is set when perm maps level to -1 (d = 0)
 # or to +1 (d = 1), so output masks are ORs of the input masks it selects.
 _SELECT = (
     (_IMAGES.T == np.array([-1, 1])[:, None, None]) << np.arange(6)
 ).sum(axis=2).astype(np.uint16)
 
-# The permutation index each flag value stands for, indexed by flag.
-_PERM_OF_FLAG = {
-    alg: np.array([encoders.PermutationCode.from_images(i).index for i in images], np.uint8)
+# The permutation index each flag value stands for, and that of its
+# inverse, indexed by flag.
+_PERM_OF_FLAG = {alg: np.array([PERMUTATION_IMAGES.index(i) for i in images], np.uint8)
+                 for alg, images in encoders.FLAG_IMAGES.items()}
+_INVERSE_OF_FLAG = {
+    alg: np.array([PERMUTATION_IMAGES.index(inverse_images(i)) for i in images], np.uint8)
     for alg, images in encoders.FLAG_IMAGES.items()
 }
 
@@ -109,6 +109,17 @@ def levels_of_masks(masks: np.ndarray) -> np.ndarray:
 def _line_bytes(masks: np.ndarray) -> np.ndarray:
     """(sign, line, n) uint8 view of masks; sign 0 is -1, line 0 is line A."""
     return masks.view(np.uint8).reshape(2, -1, 2).transpose(0, 2, 1)
+
+
+def check_masks(masks) -> None:
+    """ValueError unless masks is a (2, n) uint16 array of disjoint rows."""
+    if not (
+        isinstance(masks, np.ndarray) and masks.dtype == np.uint16
+        and masks.ndim == 2 and len(masks) == 2
+    ):
+        raise ValueError("masks must be a C-contiguous (2, n) uint16 array")
+    if (masks[0] & masks[1]).any():
+        raise ValueError("a position cannot be both -1 and +1")
 
 
 def check_flags(flags, frames: int, algorithm: Algorithm) -> np.ndarray:
@@ -217,7 +228,7 @@ def decode_block(
     """Undo encode_block; flags are checked by check_flags."""
     algorithm = Algorithm(algorithm)
     flags = check_flags(flags, masks.shape[1], algorithm)
-    return _permute(masks, _INVERSE[_PERM_OF_FLAG[algorithm][flags]])
+    return _permute(masks, _INVERSE_OF_FLAG[algorithm][flags])
 
 
 class StreamStats:

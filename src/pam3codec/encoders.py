@@ -14,8 +14,9 @@ the mapping:
 
 Each encoding is written once, as a rule and a table: flag_of_counts picks
 the flag from a frame's counts of (-1, 0, +1), and FLAG_IMAGES[alg][flag]
-is the bijection the flag stands for. encode and decode apply the two to
-one frame; bulk derives its count-key tables from them at import.
+is the bijection the flag stands for, an image triple whose one handle is
+its index into PERMUTATION_IMAGES. encode and decode, via inverse_images,
+apply the two to one frame; bulk derives its tables from them at import.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ PERMUTATION_IMAGES = (
     (1, 0, -1),
 )
 
-_INDEX_OF_IMAGES = {images: i for i, images in enumerate(PERMUTATION_IMAGES)}
-
 # The bijection each flag value stands for: FLAG_IMAGES[alg][flag]. DBI's
 # flag 1 inverts, MF's flag names the level (-1, 0, +1 in turn) it swaps
 # with +1, and a SORT flag indexes PERMUTATION_IMAGES.
@@ -71,35 +70,6 @@ FLAG_IMAGES = {
 # refuse anything above. FLAG_WIDTH is the number of flag wires it takes.
 MAX_FLAG = {alg: len(images) - 1 for alg, images in FLAG_IMAGES.items()}
 FLAG_WIDTH = {alg: limit.bit_length() for alg, limit in MAX_FLAG.items()}
-
-
-@dataclass(frozen=True)
-class PermutationCode:
-    """One of the 3! level bijections plus its canonical 3-bit index."""
-
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= operator.index(self.index) <= 5:
-            raise ValueError(f"permutation index must be 0..5, got {self.index}")
-
-    @property
-    def images(self) -> tuple[int, int, int]:
-        return PERMUTATION_IMAGES[self.index]
-
-    def inverse(self) -> "PermutationCode":
-        img = self.images
-        inv = [0, 0, 0]
-        for src_idx, dst in enumerate(img):
-            inv[dst + 1] = src_idx - 1
-        return PermutationCode.from_images(tuple(inv))
-
-    @classmethod
-    def from_images(cls, images: tuple[int, int, int]) -> "PermutationCode":
-        try:
-            return cls(_INDEX_OF_IMAGES[tuple(images)])
-        except KeyError:
-            raise ValueError(f"{images!r} is not a bijection of (-1, 0, +1)")
 
 
 @dataclass(frozen=True)
@@ -125,6 +95,11 @@ def _map_frame(frame: Pam3Frame, images: tuple[int, int, int]) -> Pam3Frame:
     )
 
 
+def inverse_images(images: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The image triple of the inverse bijection: level v comes from images.index(v)."""
+    return tuple(images.index(v) - 1 for v in (-1, 0, 1))
+
+
 def flag_of_counts(counts: tuple[int, int, int], algorithm: Algorithm) -> int:
     """The flag algorithm picks for a frame holding counts of (-1, 0, +1).
 
@@ -144,7 +119,7 @@ def flag_of_counts(counts: tuple[int, int, int], algorithm: Algorithm) -> int:
     images = [0, 0, 0]
     for rank, level_index in enumerate(order):
         images[level_index] = rank - 1
-    return PermutationCode.from_images(tuple(images)).index
+    return PERMUTATION_IMAGES.index(tuple(images))
 
 
 def encode(frame: Pam3Frame, algorithm: Algorithm) -> EncodedFrame:
@@ -156,23 +131,16 @@ def encode(frame: Pam3Frame, algorithm: Algorithm) -> EncodedFrame:
 
 def decode(encoded: EncodedFrame) -> Pam3Frame:
     """Decode any EncodedFrame through the inverse of its flag's bijection."""
-    images = FLAG_IMAGES[encoded.algorithm][encoded.flag]
-    inverse = PermutationCode.from_images(images).inverse()
-    return _map_frame(encoded.frame, inverse.images)
+    return _map_frame(encoded.frame, inverse_images(FLAG_IMAGES[encoded.algorithm][encoded.flag]))
 
 
-def brute_force_best_permutation(frame: Pam3Frame) -> tuple[PermutationCode, float]:
-    """Try all 6 level bijections and return one with minimal termination power.
+def brute_force_best_permutation(frame: Pam3Frame) -> tuple[int, float]:
+    """(index into PERMUTATION_IMAGES, power) of a level bijection with
+    minimal termination power, trying all six.
 
     Deliberately independent of flag_of_counts: it remaps the frame and
     measures the result for every candidate. Ties go to the lowest index.
     """
-    best_code = None
-    best_power = None
-    for index in range(6):
-        code = PermutationCode(index)
-        p = termination_power(_map_frame(frame, code.images))
-        if best_power is None or p < best_power:
-            best_code = code
-            best_power = p
-    return best_code, best_power
+    powers = [termination_power(_map_frame(frame, images)) for images in PERMUTATION_IMAGES]
+    best = min(powers)
+    return powers.index(best), best

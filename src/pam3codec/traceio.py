@@ -103,18 +103,13 @@ class FrameStream:
     pad_bytes: int
 
     def __post_init__(self):
-        masks = self.masks
-        if not (
-            isinstance(masks, np.ndarray) and masks.dtype == np.uint16
-            and masks.ndim == 2 and len(masks) == 2 and masks.flags.c_contiguous
-        ):
+        bulk.check_masks(self.masks)
+        if not self.masks.flags.c_contiguous:
             raise ValueError("masks must be a C-contiguous (2, n) uint16 array")
-        if (masks[0] & masks[1]).any():
-            raise ValueError("a position cannot be both -1 and +1")
         object.__setattr__(self, "pad_bytes", operator.index(self.pad_bytes))
         if self.pad_bytes not in (0, 1, 2):
             raise ValueError(f"pad_bytes must be 0..2, got {self.pad_bytes}")
-        masks.setflags(write=False)
+        self.masks.setflags(write=False)
 
     def __len__(self) -> int:
         return self.masks.shape[1]
@@ -192,16 +187,20 @@ def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callab
 def parse_text_trace(source) -> list[TraceRecord]:
     """Parse a text trace from bytes, a string or an iterable of lines.
 
-    Bytes must be ASCII. Bytes and a string may end lines with LF, CRLF or CR.
+    A string is read as its UTF-8 bytes. Bytes must be ASCII, checked whole
+    before any line is read, and so must each line of an iterable. Bytes
+    and a string may end lines with LF, CRLF or CR.
     """
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")  # any non-ASCII becomes bytes > 0x7F
     if isinstance(source, (bytes, bytearray)):
         source = _lf(source)
         _check_ascii(source)
         source = io.TextIOWrapper(io.BytesIO(source), encoding="ascii", newline=None)
-    elif isinstance(source, str):
-        source = io.StringIO(source, newline=None)
     records = []
     for line_number, line in enumerate(source, start=1):
+        if not line.isascii():  # str.strip and str.split take non-ASCII spaces
+            raise ParseError("non-ASCII byte", line_number)
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -299,7 +298,9 @@ def format_encoded_header(alg: Algorithm, pad_bytes: int) -> bytes:
 
 def format_encoded_rows(alg: Algorithm, masks: np.ndarray, flags: np.ndarray) -> bytes:
     """The frame lines of encoded frame text, one 26-byte row per frame of
-    (2, n) encoded line masks and their (n,) flags, as bulk.check_flags takes."""
+    (2, n) encoded line masks and their (n,) flags, as bulk.check_masks and
+    bulk.check_flags take them."""
+    bulk.check_masks(masks)
     flags = bulk.check_flags(flags, masks.shape[1], alg)
     rows = np.tile(_FRAME_ROW, (len(flags), 1))
     neg, pos = (mask.view(np.uint8) for mask in masks)  # line A, line B of every frame

@@ -64,6 +64,11 @@ MUTANTS = [
     # perfbench/checks.py reads power.DEFAULT_MODEL
     Mutant("default-model-name", "power.py", "DEFAULT_MODEL = SimpleNamespace(",
            "_DEFAULT_MODEL = SimpleNamespace(", CLI),
+    # a bijection is its index into PERMUTATION_IMAGES
+    Mutant("inverse-images", "encoders.py", "return tuple(images.index(v) - 1 for v in (-1, 0, 1))",
+           "return images", ENCODERS),
+    Mutant("brute-force-tie", "encoders.py", "return powers.index(best), best",
+           "return 5 - powers[::-1].index(best), best", ENCODERS),
     # the algorithm arguments: Algorithm(x) is the one rule
     Mutant("lone-algorithm", "analysis.py", "if isinstance(algorithms, (str, Algorithm)):",
            "if False:", ANALYSIS),
@@ -90,12 +95,17 @@ MUTANTS = [
     Mutant("boundary-states-stream", "bulk.py",
            "np.add.at(self.boundaries, (self._last, first[0]), 1)", "pass", STREAM),
     Mutant("check-flags-min", "bulk.py", "flags.min() < 0 or ", "", BULK),
-    Mutant("disjoint-masks", "traceio.py", "if (masks[0] & masks[1]).any():", "if False:",
+    Mutant("disjoint-masks", "bulk.py", "if (masks[0] & masks[1]).any():", "if False:",
            TRACEIO),
+    Mutant("rows-mask-check", "traceio.py", "    bulk.check_masks(masks)\n    flags =",
+           "    flags =", TRACEIO),
     Mutant("address-digits", "traceio.py", "_ADDRESS_TOKEN = (3, 18)", "_ADDRESS_TOKEN = (3, 19)",
            TRACEIO),
     Mutant("read-text-ascii", "traceio.py", "        _check_ascii(chunk, lines)\n        head",
            "        head", TRACEIO),
+    Mutant("lines-ascii", "traceio.py", "if not line.isascii():", "if False:", TRACEIO),
+    Mutant("str-ascii", "traceio.py", 'source = source.encode("utf-8", "surrogatepass")',
+           "source = io.StringIO(source, newline=None)", TRACEIO),
     Mutant("op-byte", "traceio.py", "        and (is_read | (ops == ord(WRITE))).all()\n", "",
            TRACEIO),
     Mutant("address-x", "traceio.py", '        and (buf[op_end + 2] == ord("x")).all()\n', "",

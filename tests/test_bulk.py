@@ -12,12 +12,14 @@ from hypothesis.extra.numpy import arrays
 from pam3codec import bulk
 from pam3codec.core import PAIR_OF_SYMBOL, Pam3Frame, Word24, count_symbols, modulate
 from pam3codec.encoders import (
+    FLAG_IMAGES,
     FLAG_WIDTH,
     PERMUTATION_IMAGES,
     Algorithm,
     brute_force_best_permutation,
     decode,
     encode,
+    inverse_images,
 )
 from pam3codec.errors import EmptyStream, InvalidFlag, InvalidPair
 from pam3codec.power import TERM_WEIGHT_NEG, switching_power, termination_power
@@ -222,11 +224,17 @@ def test_sort_is_optimal_on_every_count_triple():
 
 
 def test_perm_of_flag_table():
-    """The flag -> bijection table, derived from encoders.FLAG_IMAGES."""
+    """The flag -> bijection and flag -> inverse bijection tables, derived
+    from encoders.FLAG_IMAGES: each entry indexes the scalar image triple."""
     expected = {Algorithm.NONE: [0], Algorithm.DBI: [0, 5], Algorithm.MF: [5, 1, 0],
                 Algorithm.SORT: [0, 1, 2, 3, 4, 5]}
     assert {alg: perms.tolist() for alg, perms in bulk._PERM_OF_FLAG.items()} == expected
-    assert all(perms.dtype == np.uint8 for perms in bulk._PERM_OF_FLAG.values())
+    for table in (bulk._PERM_OF_FLAG, bulk._INVERSE_OF_FLAG):
+        assert all(perms.dtype == np.uint8 for perms in table.values())
+    for alg, flag_images in FLAG_IMAGES.items():
+        assert [PERMUTATION_IMAGES[i] for i in bulk._PERM_OF_FLAG[alg]] == list(flag_images)
+        assert ([PERMUTATION_IMAGES[i] for i in bulk._INVERSE_OF_FLAG[alg]]
+                == [inverse_images(images) for images in flag_images])
 
 
 @given(level_blocks, st.sampled_from(list(Algorithm)))

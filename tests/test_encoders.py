@@ -12,13 +12,14 @@ from pam3codec.core import Pam3Frame, count_symbols
 from pam3codec.encoders import (
     FLAG_WIDTH,
     MAX_FLAG,
+    PERMUTATION_IMAGES,
     Algorithm,
     EncodedFrame,
-    PermutationCode,
     brute_force_best_permutation,
     decode,
     encode,
     flag_of_counts,
+    inverse_images,
 )
 from pam3codec.errors import InvalidFlag
 from pam3codec.power import TERM_WEIGHT_NEG, TERM_WEIGHT_ZERO, termination_power
@@ -146,7 +147,7 @@ def test_sort_maps_by_frequency_rank():
     # mapping -1 -> -1, +1 -> 0, 0 -> +1
     assert enc.frame == Pam3Frame((-1, -1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0, 0, 0))
     assert _counts(enc.frame) == (2, 5, 9)
-    assert enc.flag == PermutationCode.from_images((-1, 1, 0)).index == 1
+    assert enc.flag == PERMUTATION_IMAGES.index((-1, 1, 0)) == 1
 
 
 def test_sort_identity_on_all_pos():
@@ -196,36 +197,27 @@ def test_permutation_canonical_table():
         (1, -1, 0),
         (1, 0, -1),
     ]
+    assert list(PERMUTATION_IMAGES) == expected == sorted(itertools.permutations((-1, 0, 1)))
     for index, images in enumerate(expected):
-        code = PermutationCode(index)
-        assert code.images == images
-        assert PermutationCode.from_images(images).index == index
-        assert sorted(code.images) == [-1, 0, 1]
+        assert PERMUTATION_IMAGES.index(images) == index
 
 
 @pytest.mark.parametrize("index", range(6))
 def test_permutation_inverse(index):
-    code = PermutationCode(index)
-    inv = code.inverse()
+    images = PERMUTATION_IMAGES[index]
+    inverse = inverse_images(images)
+    assert inverse in PERMUTATION_IMAGES
     for level in (-1, 0, 1):
-        assert inv.images[code.images[level + 1] + 1] == level
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        PermutationCode(6)
-    with pytest.raises(TypeError):
-        PermutationCode(1.0)
-    with pytest.raises(ValueError):
-        PermutationCode.from_images((1, 1, 0))
+        assert inverse[images[level + 1] + 1] == level
+        assert images[inverse[level + 1] + 1] == level
 
 
 # -------------------------------------------------------- brute force
 
 def test_brute_force_all_neg():
-    code, best = brute_force_best_permutation(ALL_NEG)
+    index, best = brute_force_best_permutation(ALL_NEG)
     assert best == 0.0
-    assert code.images[0] == 1  # -1 goes to +1
+    assert PERMUTATION_IMAGES[index][0] == 1  # -1 goes to +1
 
 
 def test_brute_force_655():
@@ -238,9 +230,9 @@ def test_brute_force_655():
         for assignment in itertools.permutations(counts)
     )
     assert oracle == pytest.approx(0.075)
-    code, best = brute_force_best_permutation(FRAME_655)
+    index, best = brute_force_best_permutation(FRAME_655)
     assert best == oracle
-    assert code.index == 4  # lowest index among the tied optima
+    assert index == 4  # lowest index among the tied optima
 
 
 @given(frames)

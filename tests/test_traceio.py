@@ -118,6 +118,23 @@ def test_parse_text_trace_str_splits_lines_as_bytes(line_end):
     assert line_numbers == [6, 6]
 
 
+@pytest.mark.parametrize("char", ["\u00a0", "\u3000", "\u2028"], ids=["NBSP", "U+3000", "U+2028"])
+def test_parse_text_trace_rejects_non_ascii_str_as_bytes(char):
+    """str.split and str.strip take these as whitespace, so each would part
+    fields or end a line; a str or a list of lines rejects them as bytes do."""
+    text = f"W 0x0 00\nR{char}0x10 00\nR 0x10 00{char}\n"
+    for source in (text, text.encode("utf-8"), text.splitlines(keepends=True)):
+        with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte$"):
+            parse_text_trace(source)
+    with pytest.raises(ParseError, match=r"^line 1: non-ASCII byte$"):
+        parse_text_trace(f"R 0x10 00{char}")
+    # a string is checked whole first, as bytes are, though an earlier line is bad
+    text = f"W 0x0 0\nR 0x10 00{char}\n"
+    for source in (text, text.encode("utf-8")):
+        with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte$"):
+            parse_text_trace(source)
+
+
 @given(st.lists(records_strategy, min_size=0, max_size=12))
 def test_text_trace_roundtrip(records):
     assert parse_text_trace(format_text_trace(records)) == records
@@ -412,6 +429,21 @@ def test_format_encoded_rejects_flags_not_per_frame():
                          (two_frames, 0)):
         with pytest.raises(ValueError, match="one entry per frame"):
             format_encoded_rows(Algorithm.SORT, masks, flags)
+
+
+def test_format_encoded_checks_masks_as_frame_stream():
+    """Overlapping rows would write a symbol the reader rejects, and int64
+    masks would give a numpy error: each is FrameStream's ValueError."""
+    both = bulk.modulate_block(np.zeros((2, 3), np.uint8))
+    both[:, 1] |= np.uint16(0x8000)  # one position of frame 1 at -1 and at +1
+    overlap = r"^a position cannot be both -1 and \+1$"
+    for masks, message in ((both, overlap), (both.astype(np.int64), "uint16"), (both[0], "uint16")):
+        for check in (FrameStream, lambda m, _: format_encoded_rows(Algorithm.NONE, m, [0, 0])):
+            with pytest.raises(ValueError, match=message):
+                check(masks, 0)
+    # a column slice, as write_encoded formats, passes
+    masks = bulk.modulate_block(np.zeros((4, 3), np.uint8))
+    assert format_encoded_rows(Algorithm.NONE, masks[:, 1:3], [0, 0]).count(b"\n") == 2
 
 
 def test_format_encoded_rejects_out_of_range_flag():
