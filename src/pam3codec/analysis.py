@@ -93,20 +93,19 @@ def analyze_trace(
     if stats.frame_count == 0:
         raise EmptyStream("analysis needs at least one frame")
 
-    powers = {}
+    per_algorithm = {}
     for alg in Algorithm:
         if alg not in requested:
             continue
         term = stats.termination_total(alg)
         if include_flag_power:
             term += stats.flag_termination_total(alg)
-        powers[alg] = (term, stats.switching_total(alg))
-    base_term, base_switch = powers[Algorithm.NONE]
-    per_algorithm = _power_rows({
-        alg: (term, termination_ratio(term, base_term),
-              switch, termination_ratio(switch, base_switch) if base_switch else None)
-        for alg, (term, switch) in powers.items()
-    })
+        switch = stats.switching_total(alg)
+        if alg is Algorithm.NONE:  # NONE comes first: its powers are the baseline
+            base_term, base_switch = term, switch
+        per_algorithm[alg] = PowerReport(
+            term, termination_ratio(term, base_term),
+            switch, termination_ratio(switch, base_switch) if base_switch else None)
 
     totals = stats.counts()
     return TraceStats(
@@ -117,16 +116,6 @@ def analyze_trace(
         op_filter=op_filter,
         flags_in_power=include_flag_power,
     )
-
-
-def _power_rows(rows: dict) -> dict[Algorithm, PowerReport]:
-    """The PowerReports of rows {alg: (term, term_ratio, switch, switch_ratio)},
-    each with the NONE row's powers as its baselines."""
-    if Algorithm.NONE not in rows:
-        raise ValueError("report lacks the NONE baseline row")
-    base_term, _, base_switch, _ = rows[Algorithm.NONE]
-    return {alg: PowerReport(base_term, term, term_ratio, base_switch, switch, switch_ratio)
-            for alg, (term, term_ratio, switch, switch_ratio) in rows.items()}
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -201,10 +190,8 @@ def write_report(stats: TraceStats, fmt: str = "csv") -> str:
         **fields("meta", (stats.frame_count, stats.op_filter, stats.flags_in_power)),
         "totals": fields("totals", stats.totals.as_tuple()),
         "distribution_percent": fields("distribution_percent", stats.distribution_percent),
-        "per_algorithm": {alg.value: fields("per_algorithm", (
-            r.term_power_encoded, r.term_ratio_percent,
-            r.switch_power_encoded, r.switch_ratio_percent,
-        )) for alg, r in stats.per_algorithm.items()},
+        "per_algorithm": {alg.value: fields("per_algorithm", row)
+                          for alg, row in stats.per_algorithm.items()},
     }
     return _write_csv(obj) if _report_format(fmt) == "csv" else json.dumps(obj, indent=2) + "\n"
 
@@ -334,9 +321,11 @@ def _stats_of(obj, fmt: str) -> TraceStats:
     unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]
     if unknown:
         raise ValueError(f"{fmt} report has an unknown algorithm row {unknown[0]!r}")
-    per_algorithm = _power_rows({
-        Algorithm(name): _values(row, "per_algorithm", f"{fmt} report {name} row")
-        for name, row in rows.items()})
+    per_algorithm = {Algorithm(name): PowerReport(*_values(row, "per_algorithm",
+                                                           f"{fmt} report {name} row"))
+                     for name, row in rows.items()}
+    if Algorithm.NONE not in per_algorithm:
+        raise ValueError("report lacks the NONE baseline row")
     frame_count, op_filter, flags_in_power = _values(obj, "meta", f"{fmt} report")
     return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
                       op_filter, flags_in_power)

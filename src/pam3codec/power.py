@@ -10,10 +10,9 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
 from types import SimpleNamespace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Pam3Frame, count_symbols
 from .errors import EmptyStream, ZeroBaseline
@@ -34,18 +33,16 @@ DEFAULT_MODEL = SimpleNamespace(
 )
 
 
-@dataclass(frozen=True)
-class PowerReport:
-    """Encoded-vs-baseline power totals and percent ratios for one encoding.
+class PowerReport(NamedTuple):
+    """One encoding's row of a report: its power totals and their percent
+    ratios to the NONE row's, the baseline.
 
-    switch_ratio_percent is None when the baseline stream never switches
+    switch_ratio_percent is None when the baseline never switches
     (constant trace), where the ratio is undefined.
     """
 
-    term_power_baseline: float
     term_power_encoded: float
     term_ratio_percent: float
-    switch_power_baseline: float
     switch_power_encoded: float
     switch_ratio_percent: Optional[float]
 

@@ -172,7 +172,7 @@ def test_criterion_8_switching_and_reports():
     constant = analyze_trace(frame_records([TraceRecord("W", 0, bytes(300))]))
     for report in constant.per_algorithm.values():
         assert report.switch_power_encoded == 0.0
-        assert report.switch_power_baseline == 0.0
+        assert report.switch_ratio_percent is None  # the NONE row never switches
     stream = FrameStream(bulk.masks_of_levels(_random_frames(10_000, SEED + 6)), 0)
     stats = analyze_trace(stream)
     for report in stats.per_algorithm.values():

@@ -398,10 +398,9 @@ def test_csv_and_json_reports_read_back_equal(payload, algorithms, op_filter, fl
     assert set(from_csv.per_algorithm) == set(stats.per_algorithm)
     for read in (stats, from_csv, from_json):  # every row against the NONE row
         none = read.per_algorithm[Algorithm.NONE]
+        assert none.term_ratio_percent == 100.0
         for report in read.per_algorithm.values():
-            assert report.term_power_baseline == none.term_power_encoded
-            assert report.switch_power_baseline == none.switch_power_encoded
-            assert (report.switch_ratio_percent is None) == (report.switch_power_baseline == 0)
+            assert (report.switch_ratio_percent is None) == (none.switch_power_encoded == 0)
 
 
 # Every report field as (section, name, kind); meta fields are at the top
