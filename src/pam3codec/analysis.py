@@ -200,7 +200,9 @@ def read_report(text: str, fmt: str = "csv") -> TraceStats:
     """Parse a report emitted by write_report back into TraceStats.
 
     Both formats give one report object, which one validator checks field
-    by field against the schema; ValueError names the row or field at fault.
+    by field against the schema, then checks that the NONE row reads as the
+    baseline and that frame_count agrees with the totals; ValueError names
+    the row or field at fault.
     """
     fmt = _report_format(fmt)
     obj = _read_csv(text) if fmt == "csv" else json.loads(text, object_pairs_hook=_json_object)
@@ -309,7 +311,8 @@ def _values(fields, section: str, where: str) -> tuple:
 
 
 def _stats_of(obj, fmt: str) -> TraceStats:
-    """The one validator: TraceStats of a report object, checked against the schema."""
+    """The one validator: TraceStats of a report object, checked against the
+    schema and against itself where read_report says."""
     def part(section: str) -> dict:
         if not isinstance(obj, dict) or not isinstance(obj.get(section), dict):
             raise ValueError(f"{fmt} report lacks its {section} section")
@@ -327,5 +330,16 @@ def _stats_of(obj, fmt: str) -> TraceStats:
     if Algorithm.NONE not in per_algorithm:
         raise ValueError("report lacks the NONE baseline row")
     frame_count, op_filter, flags_in_power = _values(obj, "meta", f"{fmt} report")
+    none = per_algorithm[Algorithm.NONE]
+    # the baseline's ratios to itself; its switching ratio is undefined if it never switches
+    for name, ratio in (("term_ratio_percent", 100.0),
+                        ("switch_ratio_percent", 100.0 if none.switch_power_encoded else None)):
+        found = getattr(none, name)
+        if found != ratio:
+            raise ValueError(f"{fmt} report NONE row field {name} is {_fmt(found) or 'empty'}, "
+                             f"not {_fmt(ratio) or 'empty'}")
+    if 16 * frame_count != sum(totals):
+        raise ValueError(f"{fmt} report field frame_count is {frame_count}, but its totals "
+                         f"sum to {sum(totals)}, not 16 * {frame_count}")
     return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
                       op_filter, flags_in_power)

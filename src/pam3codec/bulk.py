@@ -14,7 +14,8 @@ and one table from flag to level bijection, encoders.FLAG_IMAGES; the
 count-key and flag tables here are derived from the two at import. Every
 termination total, flag wires included, is power.termination of summed
 counts. check_masks and check_flags are the one check of masks and of
-flags, for the decoder here and for traceio's FrameStream and writer.
+flags, for the encoder, decoder and demodulator here and for traceio's
+FrameStream and writer.
 """
 
 from __future__ import annotations
@@ -190,6 +191,7 @@ def demodulate_block(masks: np.ndarray, first_frame: int = 0) -> np.ndarray:
     (+1, -1), (+1, +1). An InvalidPair numbers the frames from first_frame,
     the position of the block's first frame in its stream.
     """
+    check_masks(masks)
     (neg_a, neg_b), (pos_a, pos_b) = _line_bytes(masks)
     zero_a, zero_b = ~(neg_a | pos_a), ~(neg_b | pos_b)
     unused = zero_a & zero_b
@@ -218,6 +220,7 @@ def encode_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode every frame independently; returns (masks, flags)."""
     algorithm = Algorithm(algorithm)
+    check_masks(masks)
     flags = _FLAG_OF_KEY[algorithm][_count_keys(masks)]
     return _permute(masks, _PERM_OF_FLAG[algorithm][flags]), flags
 
@@ -225,8 +228,9 @@ def encode_block(
 def decode_block(
     masks: np.ndarray, flags: np.ndarray, algorithm: Algorithm
 ) -> np.ndarray:
-    """Undo encode_block; flags are checked by check_flags."""
+    """Undo encode_block; masks are checked by check_masks, flags by check_flags."""
     algorithm = Algorithm(algorithm)
+    check_masks(masks)
     flags = check_flags(flags, masks.shape[1], algorithm)
     return _permute(masks, _INVERSE_OF_FLAG[algorithm][flags])
 

@@ -87,6 +87,10 @@ MUTANTS = [
            TRACEIO),
     Mutant("bytes-payload", "traceio.py", "if memoryview(self.payload).nbytes < 1:",
            "if len(self.payload) < 1:", TRACEIO),
+    # a report must agree with itself
+    Mutant("none-row-ratios", "analysis.py", "if found != ratio:", "if False:", ANALYSIS),
+    Mutant("frame-count-totals", "analysis.py", "if 16 * frame_count != sum(totals):",
+           "if False:", ANALYSIS),
     Mutant("unknown-algorithm-row", "analysis.py",
            "unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]",
            "unknown = []", ANALYSIS),
@@ -97,6 +101,8 @@ MUTANTS = [
     Mutant("check-flags-min", "bulk.py", "flags.min() < 0 or ", "", BULK),
     Mutant("disjoint-masks", "bulk.py", "if (masks[0] & masks[1]).any():", "if False:",
            TRACEIO),
+    Mutant("demodulate-mask-check", "bulk.py", "    check_masks(masks)\n    (neg_a, neg_b)",
+           "    (neg_a, neg_b)", BULK),
     Mutant("rows-mask-check", "traceio.py", "    bulk.check_masks(masks)\n    flags =",
            "    flags =", TRACEIO),
     Mutant("address-digits", "traceio.py", "_ADDRESS_TOKEN = (3, 18)", "_ADDRESS_TOKEN = (3, 19)",

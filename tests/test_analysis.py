@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,6 +533,44 @@ def test_readers_reject_reports_one_of_them_accepted(fmt, edit):
     else:
         text = json.dumps(_merged(json.loads(write_report(stats, "json")), edit))
     with pytest.raises(ValueError):
+        read_report(text, fmt)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# Reports whose numbers contradict each other, as edits of the golden
+# zero_all report: (CSV text, its replacement, JSON edit, the error).
+CONTRADICTIONS = {
+    "NONE term ratio": ("NONE,205.0700,100.0000,", "NONE,205.0700,50.0000,",
+                        {"per_algorithm": {"NONE": {"term_ratio_percent": 50.0}}},
+                        "^{} report NONE row field term_ratio_percent is 50.0000, not 100.0000$"),
+    "NONE switch ratio empty": ("19365.0000,100.0000\n", "19365.0000,\n",
+                                {"per_algorithm": {"NONE": {"switch_ratio_percent": None}}},
+                                "^{} report NONE row field switch_ratio_percent is empty, "
+                                "not 100.0000$"),
+    "NONE never switches": ("100.0000,19365.0000,", "100.0000,0.0000,",
+                            {"per_algorithm": {"NONE": {"switch_power": 0.0}}},
+                            "^{} report NONE row field switch_ratio_percent is 100.0000, "
+                            "not empty$"),
+    "frame_count": ("meta,1649,", "meta,7,", {"frame_count": 7},
+                    "^{} report field frame_count is 7, but its totals sum to 26384, "
+                    "not 16 \\* 7$"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", CONTRADICTIONS)
+def test_readers_reject_a_report_that_contradicts_itself(fmt, case):
+    old, new, edit, error = CONTRADICTIONS[case]
+    text = (GOLDEN / f"zero_all.{fmt}").read_text()
+    read_report(text, fmt)
+    if fmt == "csv":
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    else:
+        text = json.dumps(_merged(json.loads(text), edit))
+    with pytest.raises(ValueError, match=error.format(fmt.upper())):
         read_report(text, fmt)
 
 

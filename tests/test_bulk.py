@@ -110,6 +110,19 @@ def test_encode_decode_block_matches_scalar(algorithm):
         assert decode(scalar) == _frame(LEVELS[i])
 
 
+BOTH_SIGNS = np.array([[0xFFFF], [0xFFFF]], np.uint16)  # every position at -1 and at +1
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: bulk.demodulate_block(BOTH_SIGNS), "both -1 and \\+1"),
+    (lambda: bulk.encode_block(BOTH_SIGNS, Algorithm.SORT), "both -1 and \\+1"),
+    (lambda: bulk.decode_block(np.zeros((2, 1), np.int64), [0], "SORT"), "uint16 array"),
+], ids=["demodulate overlap", "encode overlap", "decode int64"])
+def test_block_functions_check_masks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # numpy indexing would wrap a flag of -1 to the last table entry
 BAD_FLAGS = [
     (Algorithm.DBI, 2), (Algorithm.MF, 3), (Algorithm.SORT, 6),
