@@ -201,7 +201,9 @@ def read_report(text: str, fmt: str = "csv") -> TraceStats:
 
     Both formats give one report object, which one validator checks field
     by field against the schema, then checks that the NONE row reads as the
-    baseline and that frame_count agrees with the totals; ValueError names
+    baseline, that each switching ratio is empty exactly when NONE's is,
+    that without flags in power SORT's termination power is at most DBI's
+    and MF's, and that frame_count agrees with the totals; ValueError names
     the row or field at fault.
     """
     fmt = _report_format(fmt)
@@ -338,6 +340,18 @@ def _stats_of(obj, fmt: str) -> TraceStats:
         if found != ratio:
             raise ValueError(f"{fmt} report NONE row field {name} is {_fmt(found) or 'empty'}, "
                              f"not {_fmt(ratio) or 'empty'}")
+    sort = per_algorithm.get(Algorithm.SORT)
+    for alg, row in per_algorithm.items():
+        if (row.switch_ratio_percent is None) != (none.switch_ratio_percent is None):
+            raise ValueError(f"{fmt} report {alg.value} row field switch_ratio_percent is "
+                             f"{_fmt(row.switch_ratio_percent) or 'empty'}, but NONE's is "
+                             f"{_fmt(none.switch_ratio_percent) or 'empty'}")
+        # the paper's invariant; with flags in power SORT drives more flag wires
+        if (sort is not None and alg in (Algorithm.DBI, Algorithm.MF) and not flags_in_power
+                and sort.term_power_encoded > row.term_power_encoded):
+            raise ValueError(f"{fmt} report SORT row field term_power is "
+                             f"{_fmt(sort.term_power_encoded)}, above {alg.value}'s "
+                             f"{_fmt(row.term_power_encoded)}")
     if 16 * frame_count != sum(totals):
         raise ValueError(f"{fmt} report field frame_count is {frame_count}, but its totals "
                          f"sum to {sum(totals)}, not 16 * {frame_count}")

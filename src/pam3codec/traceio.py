@@ -120,11 +120,19 @@ def _lf(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _check_ascii(data: bytes, lines_before: int = 0) -> None:
-    """A non-ASCII byte is a ParseError on its line, counted after lines_before."""
-    if not data.isascii():
-        start = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 0x7F))
-        raise ParseError("non-ASCII byte", lines_before + data.count(b"\n", 0, start) + 1)
+def _lines(source, first: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line of bytes, a string or an
+    iterable of lines, numbered from first. Bytes and a string may end
+    lines with LF, CRLF or CR. A line with a non-ASCII byte or character is
+    a ParseError before str.strip, which takes non-ASCII spaces, sees it."""
+    if isinstance(source, (bytes, bytearray)):
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="latin-1", newline=None)
+    elif isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    for line_number, line in enumerate(source, start=first):
+        if not line.isascii():
+            raise ParseError("non-ASCII byte", line_number)
+        yield line_number, line.strip()
 
 
 def text_chunks(file: BinaryIO, size: int) -> Iterator[bytes]:
@@ -158,50 +166,28 @@ def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callab
     it) and returns (result, lines in it), so only the reader of a piece
     counts its lines; line_read reads any piece and alone raises the
     line-numbered ParseError.
-
-    A non-ASCII byte is a ParseError on its line of the whole file, raised
-    before its chunk is read; after a ParseError from line_read the rest is
-    still read, so that a non-ASCII byte anywhere is the error raised.
     """
-    chunks = text_chunks(file, size)
     lines = 0
-    for chunk in chunks:
-        _check_ascii(chunk, lines)
-        head, start = 0, lines
+    for chunk in text_chunks(file, size):
+        head = 0
         while chunk.startswith(b"#", head):  # a comment or header opens the chunk
             head = chunk.find(b"\n", head) + 1 or len(chunk)
-        try:
-            for piece, read in ((chunk[:head], line_read), (chunk[head:], bulk_read)):
-                if piece:
-                    result, piece_lines = read(piece, lines) or line_read(piece, lines)
-                    lines += piece_lines
-                    yield result
-        except ParseError:
-            lines = start + chunk.count(b"\n")  # a failed reader did not count its lines
-            for chunk in chunks:
-                _check_ascii(chunk, lines)
-                lines += chunk.count(b"\n")
-            raise
+        for piece, read in ((chunk[:head], line_read), (chunk[head:], bulk_read)):
+            if piece:
+                result, piece_lines = read(piece, lines) or line_read(piece, lines)
+                lines += piece_lines
+                yield result
 
 
 def parse_text_trace(source) -> list[TraceRecord]:
     """Parse a text trace from bytes, a string or an iterable of lines.
 
-    A string is read as its UTF-8 bytes. Bytes must be ASCII, checked whole
-    before any line is read, and so must each line of an iterable. Bytes
-    and a string may end lines with LF, CRLF or CR.
+    Lines are read in order, and the first bad line is the ParseError
+    raised: a line with a non-ASCII byte or character is bad, a comment
+    too. Bytes and a string may end lines with LF, CRLF or CR.
     """
-    if isinstance(source, str):
-        source = source.encode("utf-8", "surrogatepass")  # any non-ASCII becomes bytes > 0x7F
-    if isinstance(source, (bytes, bytearray)):
-        source = _lf(source)
-        _check_ascii(source)
-        source = io.TextIOWrapper(io.BytesIO(source), encoding="ascii", newline=None)
     records = []
-    for line_number, line in enumerate(source, start=1):
-        if not line.isascii():  # str.strip and str.split take non-ASCII spaces
-            raise ParseError("non-ASCII byte", line_number)
-        stripped = line.strip()
+    for line_number, stripped in _lines(source):
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split()
@@ -335,12 +321,12 @@ def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
     at a time: one piece per chunk of whole lines with frames. The pad is
     stripped from the last piece, so one piece is held back.
 
-    Errors come in the order of a read of the whole text: a non-ASCII byte,
-    the first structural ParseError in line order, a missing header, a pad
-    count without frames, and then the two content errors held back here
-    until the text ends: the first flag out of the algorithm's range, and
-    last the first frame that decodes to the unused pair. Each is a
-    ParseError on the input line of its frame.
+    Errors come in the order of a read of the whole text: the first
+    structural ParseError in line order, a non-ASCII byte included, a
+    missing header, a pad count without frames, and then the two content
+    errors held back here until the text ends: the first flag out of the
+    algorithm's range, and last the first frame that decodes to the unused
+    pair. Each is a ParseError on the input line of its frame.
     """
     reader = _EncodedReader()
     piece = b""  # the last piece decoded, held back
@@ -377,7 +363,7 @@ class _EncodedReader:
     masks and (n,) uint8 flags of its frames, with any one-digit flag, and
     the input line of every frame. rows reads a chunk of frame rows in the
     writer's exact layout as one byte array and returns None for any other,
-    a header too; lines reads any ASCII chunk, the reference for rows, alone
+    a header too; lines reads any chunk, the reference for rows, alone
     takes the headers and raises a structural ParseError at once. end
     raises, in this order, what only the end of the text settles: a missing
     header and a pad count without frames. read_encoded checks flag ranges.
@@ -403,9 +389,7 @@ class _EncodedReader:
 
     def lines(self, chunk: bytes, lines_before: int):
         symbols, flags, frame_lines = [], [], []
-        lines = io.TextIOWrapper(io.BytesIO(chunk), encoding="ascii", newline=None)
-        for line_number, line in enumerate(lines, start=lines_before + 1):
-            stripped = line.strip()
+        for line_number, stripped in _lines(chunk, lines_before + 1):
             if not stripped:
                 continue
             if stripped.startswith("#"):
@@ -440,13 +424,12 @@ class _EncodedReader:
             except ValueError:
                 raise ParseError(f"unknown algorithm {value!r}", line_number)
             return
-        try:
-            pad = int(value)
-        except ValueError:
+        if not value.isdigit():  # ASCII digits only, as the line is ASCII
             raise ParseError(f"bad pad count {value!r}", line_number)
-        if pad not in (0, 1, 2):
-            raise ParseError(f"pad count must be 0..2, got {pad}", line_number)
-        self.pad, self.pad_line = pad, line_number
+        count = value.lstrip("0") or "0"  # leading zeros, as a flag may have
+        if count not in ("0", "1", "2"):
+            raise ParseError(f"pad count must be 0..2, got {count}", line_number)
+        self.pad, self.pad_line = int(count), line_number
 
     def end(self) -> tuple[Algorithm, int]:
         """(algorithm, pad bytes) of the text once every chunk is read."""

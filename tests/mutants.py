@@ -89,6 +89,12 @@ MUTANTS = [
            "if len(self.payload) < 1:", TRACEIO),
     # a report must agree with itself
     Mutant("none-row-ratios", "analysis.py", "if found != ratio:", "if False:", ANALYSIS),
+    Mutant("switch-ratio-rows", "analysis.py",
+           "if (row.switch_ratio_percent is None) != (none.switch_ratio_percent is None):",
+           "if False:", ANALYSIS),
+    Mutant("sort-term-order", "analysis.py",
+           "and sort.term_power_encoded > row.term_power_encoded):", "and False):", ANALYSIS),
+    Mutant("sort-order-flags", "analysis.py", "and not flags_in_power", "", ANALYSIS),
     Mutant("frame-count-totals", "analysis.py", "if 16 * frame_count != sum(totals):",
            "if False:", ANALYSIS),
     Mutant("unknown-algorithm-row", "analysis.py",
@@ -107,11 +113,10 @@ MUTANTS = [
            "    flags =", TRACEIO),
     Mutant("address-digits", "traceio.py", "_ADDRESS_TOKEN = (3, 18)", "_ADDRESS_TOKEN = (3, 19)",
            TRACEIO),
-    Mutant("read-text-ascii", "traceio.py", "        _check_ascii(chunk, lines)\n        head",
-           "        head", TRACEIO),
     Mutant("lines-ascii", "traceio.py", "if not line.isascii():", "if False:", TRACEIO),
-    Mutant("str-ascii", "traceio.py", 'source = source.encode("utf-8", "surrogatepass")',
-           "source = io.StringIO(source, newline=None)", TRACEIO),
+    Mutant("str-lines", "traceio.py", "source = io.StringIO(source, newline=None)",
+           "source = source.splitlines(keepends=True)", TRACEIO),
+    Mutant("pad-digits", "traceio.py", "if not value.isdigit():", "if False:", TRACEIO),
     Mutant("op-byte", "traceio.py", "        and (is_read | (ops == ord(WRITE))).all()\n", "",
            TRACEIO),
     Mutant("address-x", "traceio.py", '        and (buf[op_end + 2] == ord("x")).all()\n', "",
@@ -144,8 +149,6 @@ MUTANTS = [
     # # lines: _read_text gives the # lines that open a chunk to the line reader
     Mutant("comment-head", "traceio.py", 'while chunk.startswith(b"#", head):', "while False:",
            TRACEIO),
-    Mutant("error-chunk-lines", "traceio.py", 'lines = start + chunk.count(b"\\n")',
-           "lines = start", TRACEIO),
     # main() opens every subcommand's input and spool
     Mutant("spool-copy-out", "cli.py", "shutil.copyfileobj(spool, out, _READ_SIZE)", "pass", CLI),
     # start-up: only gen-random needs numpy.random, and numpy loads it when used

@@ -553,6 +553,21 @@ CONTRADICTIONS = {
                             {"per_algorithm": {"NONE": {"switch_power": 0.0}}},
                             "^{} report NONE row field switch_ratio_percent is 100.0000, "
                             "not empty$"),
+    "DBI switch ratio empty": ("19205.0000,99.1738\n", "19205.0000,\n",
+                               {"per_algorithm": {"DBI": {"switch_ratio_percent": None}}},
+                               "^{} report DBI row field switch_ratio_percent is empty, "
+                               "but NONE's is 100.0000$"),
+    "DBI switch ratio set": ("100.0000,19365.0000,100.0000\n", "100.0000,0.0000,\n",
+                             {"per_algorithm": {"NONE": {"switch_power": 0.0,
+                                                         "switch_ratio_percent": None}}},
+                             "^{} report DBI row field switch_ratio_percent is 99.1738, "
+                             "but NONE's is empty$"),
+    "SORT above DBI": ("SORT,48.0250,", "SORT,999.0000,",
+                       {"per_algorithm": {"SORT": {"term_power": 999.0}}},
+                       "^{} report SORT row field term_power is 999.0000, above DBI's 53.6200$"),
+    "SORT above MF": ("MF,53.8100,", "MF,40.0000,",
+                      {"per_algorithm": {"MF": {"term_power": 40.0}}},
+                      "^{} report SORT row field term_power is 48.0250, above MF's 40.0000$"),
     "frame_count": ("meta,1649,", "meta,7,", {"frame_count": 7},
                     "^{} report field frame_count is 7, but its totals sum to 26384, "
                     "not 16 \\* 7$"),
@@ -572,6 +587,13 @@ def test_readers_reject_a_report_that_contradicts_itself(fmt, case):
         text = json.dumps(_merged(json.loads(text), edit))
     with pytest.raises(ValueError, match=error.format(fmt.upper())):
         read_report(text, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sort_above_dbi_and_mf_reads_with_flags_in_power(fmt):
+    """With flags in power SORT drives three flag wires, so no order holds."""
+    rows = read_report((GOLDEN / f"zero_flags_write.{fmt}").read_text(), fmt).per_algorithm
+    assert rows[Algorithm.SORT].term_power_encoded > rows[Algorithm.DBI].term_power_encoded
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

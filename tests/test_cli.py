@@ -18,6 +18,7 @@ import pam3codec
 from pam3codec import cli, traceio
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
+from pam3codec.errors import ParseError
 from pam3codec.traceio import (
     TraceRecord,
     format_text_trace,
@@ -258,6 +259,23 @@ def test_decode_rejects_off_layout_rows_and_bad_pad(row, error, size):
         assert reader.rows(header, 0) is None and reader.rows(row, 2) is None
     with mock.patch.object(cli, "_READ_SIZE", size):
         assert _main_captured(["decode"], data) == (2, b"", error)
+
+
+@pytest.mark.parametrize("cmd, data, error", [
+    ("analyze", b"R 0x0 00\nX 0x0 00\nW 0x0 0\xff\n", "line 2: op must be R or W, got 'X'\n"),
+    ("decode", b"# alg NONE\n# pad 0\nA:++++ B:++++++++ F:0\n" + ROW[:-1] + b"\xff\n",
+     BAD_LINE[len("pam3codec: error: "):]),
+], ids=["analyze", "decode"])
+@pytest.mark.parametrize("size", [19, 1 << 20], ids=["small-reads", "one-chunk"])
+def test_first_bad_line_wins_over_a_later_non_ascii_byte(cmd, data, error, size):
+    """A non-ASCII byte is one more way a line can be bad, so the first bad
+    line is the error, at every read size and in every form of a trace."""
+    with mock.patch.object(cli, "_READ_SIZE", size):
+        assert _main_captured([cmd], data) == (2, b"", f"pam3codec: error: {error}")
+    if cmd == "analyze":
+        for source in (data, data.decode("latin-1"), data.decode("latin-1").splitlines()):
+            with pytest.raises(ParseError, match=f"^{re.escape(error.rstrip())}$"):
+                traceio.parse_text_trace(source)
 
 
 def test_decode_requires_headers(tmp_path, capsys):

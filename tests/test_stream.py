@@ -26,7 +26,7 @@ from pam3codec.traceio import (
     parse_text_trace,
 )
 from test_cli import _main_captured
-from test_traceio import decoded, encoded_text, encoded_texts
+from test_traceio import RecordedReads, decoded, encoded_text, encoded_texts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ONE_CHUNK = 1 << 30
@@ -316,23 +316,11 @@ def test_folding_a_chunk_holds_one_block_of_temporaries():
     assert peak < FOLD_PEAK_BOUND, f"traced peak {peak / 1e6:.2f} MB"
 
 
-class _RecordedReads(io.BytesIO):
-    """A binary file that records the size of each read."""
-
-    def __init__(self, data: bytes):
-        super().__init__(data)
-        self.sizes = []
-
-    def read(self, size=-1):
-        self.sizes.append(size)
-        return super().read(size)
-
-
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_raw_trace_is_read_in_whole_groups(size):
     assert len(ENC_PAYLOAD) % 3  # a partial last group
     whole = list(traceio.read_trace(io.BytesIO(ENC_PAYLOAD), "raw", "all", ONE_CHUNK))
-    file = _RecordedReads(ENC_PAYLOAD)
+    file = RecordedReads(ENC_PAYLOAD)
     streams = list(traceio.read_trace(file, "raw", "all", size))
     assert set(file.sizes) == {max(size - size % 3, 3)}
     assert np.array_equal(np.concatenate([s.masks for s in streams], axis=1),

@@ -116,6 +116,10 @@ def test_parse_text_trace_str_splits_lines_as_bytes(line_end):
             parse_text_trace(source)
         line_numbers.append(err.value.line_number)
     assert line_numbers == [6, 6]
+    # str.splitlines would end a line at each of these; a str splits as bytes do
+    for separator in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e"):
+        with pytest.raises(ParseError, match=r"^line 1: expected .*, got 6 field\(s\)$"):
+            parse_text_trace(f"W 0x1 00{separator}W 0x2 00{line_end}")
 
 
 @pytest.mark.parametrize("char", ["\u00a0", "\u3000", "\u2028"], ids=["NBSP", "U+3000", "U+2028"])
@@ -128,10 +132,10 @@ def test_parse_text_trace_rejects_non_ascii_str_as_bytes(char):
             parse_text_trace(source)
     with pytest.raises(ParseError, match=r"^line 1: non-ASCII byte$"):
         parse_text_trace(f"R 0x10 00{char}")
-    # a string is checked whole first, as bytes are, though an earlier line is bad
+    # lines are read in order, so an earlier bad line is the error in every form
     text = f"W 0x0 0\nR 0x10 00{char}\n"
-    for source in (text, text.encode("utf-8")):
-        with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte$"):
+    for source in (text, text.encode("utf-8"), text.splitlines(keepends=True)):
+        with pytest.raises(ParseError, match=r"^line 1: payload hex has odd length$"):
             parse_text_trace(source)
 
 
@@ -535,7 +539,6 @@ def _one_chunk(read):
     does not read it. rows reads the LF form of data after lines has read
     the # lines that open it, as _read_text gives them."""
     def reader(data):
-        traceio._check_ascii(data)
         encoded = traceio._EncodedReader()
         head = b""
         if read is traceio._EncodedReader.rows:
@@ -656,6 +659,25 @@ def test_rows_reads_every_header_the_writer_writes(monkeypatch, alg, pad):
     assert _same(_dispatched(data), fast)
 
 
+@pytest.mark.parametrize("count, error", [
+    (b"+1", "bad pad count '+1'"),
+    (b"1_0", "bad pad count '1_0'"),
+    (b"-0", "bad pad count '-0'"),
+    (b"010", "pad count must be 0..2, got 10"),
+    (b"9" * 5000, "pad count must be 0..2, got " + "9" * 5000),
+], ids=["plus", "underscore", "minus", "leading-zero-ten", "5000-digits"])
+def test_pad_count_is_ascii_digits(count, error):
+    """A pad count is ASCII digits, which int() alone would not require."""
+    with pytest.raises(ParseError, match=f"^line 2: {re.escape(error)}$"):
+        decoded(seven_frames(Algorithm.NONE, 1).replace(b"# pad 1", b"# pad " + count))
+
+
+@pytest.mark.parametrize("count, pad", [(b"00", 0), (b"01", 1), (b"0002", 2)])
+def test_pad_count_takes_leading_zeros(count, pad):
+    data = seven_frames(Algorithm.NONE, pad)
+    assert decoded(data.replace(b"# pad %d" % pad, b"# pad " + count)) == decoded(data)
+
+
 @pytest.mark.parametrize("header", [
     b"# alg sort\n# pad 0\n",
     b"# alg SORT \n# pad 0\n",
@@ -670,21 +692,39 @@ def test_near_miss_headers_go_to_the_line_reader(header):
     assert _same(_read(_dispatched, data), reference)
 
 
+class RecordedReads(io.BytesIO):
+    """A binary file that records the size of each read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
 @pytest.mark.parametrize("size", [19, 1 << 20], ids=["small-reads", "one-chunk"])
 @pytest.mark.parametrize("fmt", ["trace", "encoded"])
 def test_non_ascii_byte_after_a_bad_line_names_its_line(fmt, size):
-    """A non-ASCII byte is the error raised, on its line of the whole file,
-    though a bad line comes first, in its chunk or in an earlier one."""
+    """The first bad line is the error raised, on its line of the whole
+    file, though a non-ASCII byte comes later; no block after the one that
+    ends the bad line is read."""
     if fmt == "trace":
         lines = [b"R 0x10 00ff"] * 9 + [b"W 0x10 0\x80"]
         lines[3] = b"X 0x10 00ff"
         read = partial(traceio.read_trace, fmt="text", op_filter="all", size=size)
+        error = r"^line 4: op must be R or W, got 'X'$"
     else:
         lines = seven_frames(Algorithm.NONE).split(b"\n")[:9] + [b"A:\x80"]
         lines[3] = b"A:++++ B:++++++++ F:0"
         read = partial(traceio.read_encoded, size=size)
-    with pytest.raises(ParseError, match=r"^line 10: non-ASCII byte$"):
-        list(read(io.BytesIO(b"\n".join(lines) + b"\n")))
+        error = r"^line 4: expected 'A:<8 symbols> B:<8 symbols> F:<flag>'$"
+    file = RecordedReads(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match=error):
+        list(read(file))
+    bad_line_end = sum(len(line) + 1 for line in lines[:4]) - 1
+    assert len(file.sizes) == bad_line_end // size + 1
 
 
 # ------------------------------------------------------- random traces
