@@ -43,7 +43,6 @@ from .traceio import (
     TraceRecord,
     format_text_trace,
     frame_records,
-    generate_random_trace,
     parse_raw_trace,
     parse_text_trace,
 )

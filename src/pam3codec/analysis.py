@@ -203,8 +203,9 @@ def read_report(text: str, fmt: str = "csv") -> TraceStats:
     by field against the schema, then checks that the NONE row reads as the
     baseline, that each switching ratio is empty exactly when NONE's is,
     that without flags in power SORT's termination power is at most DBI's
-    and MF's, and that frame_count agrees with the totals; ValueError names
-    the row or field at fault.
+    and MF's, that frame_count agrees with the totals, and that each
+    distribution percentage is the totals' share as the writer rounds it;
+    ValueError names the row or field at fault.
     """
     fmt = _report_format(fmt)
     obj = _read_csv(text) if fmt == "csv" else json.loads(text, object_pairs_hook=_json_object)
@@ -355,5 +356,11 @@ def _stats_of(obj, fmt: str) -> TraceStats:
     if 16 * frame_count != sum(totals):
         raise ValueError(f"{fmt} report field frame_count is {frame_count}, but its totals "
                          f"sum to {sum(totals)}, not 16 * {frame_count}")
+    if not frame_count:
+        raise ValueError(f"{fmt} report field frame_count is 0, not at least 1")
+    for key, found, share in zip(_SIGNAL_KEYS, distribution, _percentages(totals, frame_count)):
+        if found != round(share, 4):
+            raise ValueError(f"{fmt} report distribution_percent field {key} is {_fmt(found)}, "
+                             f"but its totals give {_fmt(share)}")
     return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
                       op_filter, flags_in_power)

@@ -5,7 +5,8 @@ Text trace format, one record per line:
     <op> <address> <payload>
 
 where op is R or W, address is 0x-prefixed hex, and payload is even-length
-hex (any case). Blank lines and lines starting with # are skipped. Raw
+hex (any case). Space, tab, vertical tab and form feed part fields, as
+bytes.split parts them. Blank lines and lines starting with # are skipped. Raw
 format is a flat binary file whose entire content is one WRITE payload.
 An op filter keeps the records of all ops, of reads or of writes;
 parse_text_columns reads the payload it keeps of a trace in the canonical
@@ -26,7 +27,6 @@ and the # lines that open a chunk go to the line reader, not a bulk one.
 from __future__ import annotations
 
 import binascii
-import io
 import operator
 import re
 from dataclasses import dataclass
@@ -44,7 +44,7 @@ WRITE = "W"
 OP_FILTERS = ("all", "read", "write")
 TRACE_FORMATS = ("text", "raw")
 
-_ADDRESS_RE = re.compile(r"(?:0x)?[0-9a-fA-F]+\Z")
+_ADDRESS_RE = re.compile(rb"(?:0x)?[0-9a-fA-F]+\Z")
 
 # Canonical text trace lines, `R|W 0x<1..16 hex digits> <even-length hex>\n`,
 # as format_text_trace writes them: every byte at or below the space is a
@@ -66,7 +66,7 @@ _FIXED_COLUMNS = np.flatnonzero(_FRAME_ROW != _ZERO)
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 _NEG_SYMBOLS = (_ZERO - (_ZERO - _NEG) * _BITS).view(np.uint64).reshape(-1)
 _POS_OFFSETS = ((_ZERO - _POS) * _BITS).view(np.uint64).reshape(-1)
-_FRAME_LINE_RE = re.compile(r"A:([-0+]{8}) B:([-0+]{8}) F:0*(\d+)\Z")
+_FRAME_LINE_RE = re.compile(rb"A:([-0+]{8}) B:([-0+]{8}) F:0*(\d+)\Z")
 # Frames per group of rows that write_encoded formats at once; formatting
 # costs about 100 bytes per frame in temporaries.
 _FORMAT_FRAMES = 8192
@@ -120,16 +120,13 @@ def _lf(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _lines(source, first: int = 1) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) of each line of bytes, a string or an
-    iterable of lines, numbered from first. Bytes and a string may end
-    lines with LF, CRLF or CR. A line with a non-ASCII byte or character is
-    a ParseError before str.strip, which takes non-ASCII spaces, sees it."""
-    if isinstance(source, (bytes, bytearray)):
-        source = io.TextIOWrapper(io.BytesIO(source), encoding="latin-1", newline=None)
-    elif isinstance(source, str):
-        source = io.StringIO(source, newline=None)
-    for line_number, line in enumerate(source, start=first):
+def _lines(data: bytes, first: int) -> Iterator[tuple[int, bytes]]:
+    """(line number, stripped line) of each line of data, numbered from
+    first; lines end with LF, CRLF or CR. The one line rule of both text
+    formats: a line with a non-ASCII byte is a ParseError, and the others
+    are bytes, so strip and split take only space, tab, vertical tab and
+    form feed for whitespace."""
+    for line_number, line in enumerate(_lf(data).split(b"\n"), start=first):
         if not line.isascii():
             raise ParseError("non-ASCII byte", line_number)
         yield line_number, line.strip()
@@ -179,16 +176,22 @@ def _read_text(file: BinaryIO, size: int, bulk_read: Callable, line_read: Callab
                 yield result
 
 
-def parse_text_trace(source) -> list[TraceRecord]:
-    """Parse a text trace from bytes, a string or an iterable of lines.
+def parse_text_trace(data: bytes) -> list[TraceRecord]:
+    """Parse a text trace from bytes or a bytearray.
 
     Lines are read in order, and the first bad line is the ParseError
-    raised: a line with a non-ASCII byte or character is bad, a comment
-    too. Bytes and a string may end lines with LF, CRLF or CR.
+    raised: a line with a non-ASCII byte is bad, a comment too.
     """
-    records = []
-    for line_number, stripped in _lines(source):
-        if not stripped or stripped.startswith("#"):
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"parse_text_trace reads bytes, not {type(data).__name__}")
+    return [TraceRecord(*record) for record in _trace_lines(data, 1)]
+
+
+def _trace_lines(data: bytes, first: int) -> Iterator[tuple[str, int, bytes]]:
+    """(op, address, payload) of each record line of a text trace whose
+    lines are numbered from first; the first bad line is the ParseError."""
+    for line_number, stripped in _lines(data, first):
+        if not stripped or stripped.startswith(b"#"):
             continue
         fields = stripped.split()
         if len(fields) != 3:
@@ -197,28 +200,25 @@ def parse_text_trace(source) -> list[TraceRecord]:
                 line_number,
             )
         op, address_text, payload_text = fields
-        if op not in (READ, WRITE):
-            raise ParseError(f"op must be R or W, got {op!r}", line_number)
+        if op not in (b"R", b"W"):
+            raise ParseError(f"op must be R or W, got {op.decode()!r}", line_number)
         if not _ADDRESS_RE.match(address_text):
-            raise ParseError(f"address {address_text!r} is not hex", line_number)
+            raise ParseError(f"address {address_text.decode()!r} is not hex", line_number)
         address = int(address_text, 16)
         if address >= (1 << 64):
-            raise ParseError(f"address {address_text!r} exceeds 64 bits", line_number)
+            raise ParseError(f"address {address_text.decode()!r} exceeds 64 bits", line_number)
         if len(payload_text) % 2:
             raise ParseError("payload hex has odd length", line_number)
         try:
-            payload = bytes.fromhex(payload_text)
-        except ValueError:
-            raise ParseError(f"payload {payload_text!r} is not hex", line_number)
-        records.append(TraceRecord(op, address, payload))
-    return records
+            payload = binascii.unhexlify(payload_text)
+        except binascii.Error:
+            raise ParseError(f"payload {payload_text.decode()!r} is not hex", line_number)
+        yield op.decode(), address, payload
 
 
-def format_text_trace(records: Iterable[TraceRecord]) -> str:
-    """Symmetric writer for parse_text_trace."""
-    return "".join(
-        f"{r.op} 0x{r.address:x} {r.payload.hex()}\n" for r in records
-    )
+def format_text_trace(records: Iterable[TraceRecord]) -> bytes:
+    """The text trace of records, as the ASCII bytes parse_text_trace reads."""
+    return "".join(f"{r.op} 0x{r.address:x} {r.payload.hex()}\n" for r in records).encode()
 
 
 def kept_ops(op_filter: str) -> str:
@@ -392,7 +392,7 @@ class _EncodedReader:
         for line_number, stripped in _lines(chunk, lines_before + 1):
             if not stripped:
                 continue
-            if stripped.startswith("#"):
+            if stripped.startswith(b"#"):
                 self._header(stripped, line_number)
                 continue
             m = _FRAME_LINE_RE.match(stripped)
@@ -404,31 +404,31 @@ class _EncodedReader:
             flags.append(min(int(m[3][:3]), 255))
             frame_lines.append(line_number)
             self.frames += 1
-        symbols = np.frombuffer("".join(symbols).encode("ascii"), dtype=np.uint8)
+        symbols = np.frombuffer(b"".join(symbols), dtype=np.uint8)
         masks = _masks_of_symbols(symbols.reshape(-1, 16))
         return (masks, np.array(flags, np.uint8), frame_lines), chunk.count(b"\n")
 
-    def _header(self, stripped: str, line_number: int) -> None:
+    def _header(self, stripped: bytes, line_number: int) -> None:
         """Take a `# alg` or `# pad` header line; any other `#` line is a comment."""
         fields = stripped[1:].split()
-        if len(fields) != 2 or fields[0] not in ("alg", "pad"):
+        if len(fields) != 2 or fields[0] not in (b"alg", b"pad"):
             return
-        name, value = fields
+        name, value = fields[0].decode(), fields[1]
         if (self.alg if name == "alg" else self.pad) is not None:
             raise ParseError(f"repeated '# {name}' header", line_number)
         if self.frames:
             raise ParseError(f"'# {name}' header after the first frame line", line_number)
         if name == "alg":
             try:
-                self.alg = Algorithm(value)
+                self.alg = Algorithm(value.decode())
             except ValueError:
-                raise ParseError(f"unknown algorithm {value!r}", line_number)
+                raise ParseError(f"unknown algorithm {value.decode()!r}", line_number)
             return
-        if not value.isdigit():  # ASCII digits only, as the line is ASCII
-            raise ParseError(f"bad pad count {value!r}", line_number)
-        count = value.lstrip("0") or "0"  # leading zeros, as a flag may have
-        if count not in ("0", "1", "2"):
-            raise ParseError(f"pad count must be 0..2, got {count}", line_number)
+        if not value.isdigit():  # bytes.isdigit takes ASCII digits only
+            raise ParseError(f"bad pad count {value.decode()!r}", line_number)
+        count = value.lstrip(b"0") or b"0"  # leading zeros, as a flag may have
+        if count not in (b"0", b"1", b"2"):
+            raise ParseError(f"pad count must be 0..2, got {count.decode()}", line_number)
         self.pad, self.pad_line = int(count), line_number
 
     def end(self) -> tuple[Algorithm, int]:
@@ -509,12 +509,8 @@ def _text_payload(chunk: bytes, lines_before: int, op_filter: str) -> tuple[np.n
     """(payload, lines) of a chunk of whole lines of a text trace read by
     the line reader: the payload an op filter keeps; an error names its
     line of the whole file."""
-    try:
-        records = parse_text_trace(chunk)
-    except ParseError as exc:
-        raise ParseError(exc.reason, lines_before + exc.line_number) from None
     kept = kept_ops(op_filter)
-    payload = b"".join(r.payload for r in records if r.op in kept)
+    payload = b"".join(p for op, _, p in _trace_lines(chunk, lines_before + 1) if op in kept)
     return np.frombuffer(payload, dtype=np.uint8), chunk.count(b"\n")
 
 
@@ -543,8 +539,3 @@ def random_blocks(byte_count: int, seed: int) -> Iterator[bytes]:
     rng = np.random.default_rng(seed)
     for start in range(0, byte_count, _RANDOM_BLOCK):
         yield rng.integers(0, 256, min(_RANDOM_BLOCK, byte_count - start), np.uint8).tobytes()
-
-
-def generate_random_trace(byte_count: int, seed: int) -> list[TraceRecord]:
-    """One WRITE record of uniform random bytes, deterministic per seed."""
-    return [TraceRecord(WRITE, 0, b"".join(random_blocks(byte_count, seed)))]

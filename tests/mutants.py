@@ -97,6 +97,9 @@ MUTANTS = [
     Mutant("sort-order-flags", "analysis.py", "and not flags_in_power", "", ANALYSIS),
     Mutant("frame-count-totals", "analysis.py", "if 16 * frame_count != sum(totals):",
            "if False:", ANALYSIS),
+    Mutant("distribution-shares", "analysis.py", "if found != round(share, 4):", "if False:",
+           ANALYSIS),
+    Mutant("no-frames", "analysis.py", "if not frame_count:", "if False:", ANALYSIS),
     Mutant("unknown-algorithm-row", "analysis.py",
            "unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]",
            "unknown = []", ANALYSIS),
@@ -114,8 +117,12 @@ MUTANTS = [
     Mutant("address-digits", "traceio.py", "_ADDRESS_TOKEN = (3, 18)", "_ADDRESS_TOKEN = (3, 19)",
            TRACEIO),
     Mutant("lines-ascii", "traceio.py", "if not line.isascii():", "if False:", TRACEIO),
-    Mutant("str-lines", "traceio.py", "source = io.StringIO(source, newline=None)",
-           "source = source.splitlines(keepends=True)", TRACEIO),
+    # text lines are bytes: str.split would also part fields at \x1c-\x1f
+    Mutant("str-split", "traceio.py", "fields = stripped.split()",
+           "fields = [field.encode() for field in stripped.decode().split()]", CLI),
+    Mutant("str-split-header", "traceio.py", "fields = stripped[1:].split()",
+           "fields = [field.encode() for field in stripped[1:].decode().split()]", CLI),
+    Mutant("trace-lines-first", "traceio.py", "_lines(data, first)", "_lines(data, 1)", STREAM),
     Mutant("pad-digits", "traceio.py", "if not value.isdigit():", "if False:", TRACEIO),
     Mutant("op-byte", "traceio.py", "        and (is_read | (ops == ord(WRITE))).all()\n", "",
            TRACEIO),

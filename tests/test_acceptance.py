@@ -21,7 +21,8 @@ from pam3codec.encoders import (
 )
 from pam3codec.errors import ZeroBaseline
 from pam3codec.power import TERM_WEIGHT_NEG, TERM_WEIGHT_ZERO, termination_power
-from pam3codec.traceio import FrameStream, TraceRecord, frame_records, generate_random_trace
+from pam3codec.traceio import FrameStream, TraceRecord, frame_records
+from test_traceio import generate_random_trace
 
 SEED = 20240501
 

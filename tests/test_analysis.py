@@ -24,8 +24,8 @@ from pam3codec.traceio import (
     FrameStream,
     TraceRecord,
     frame_records,
-    generate_random_trace,
 )
+from test_traceio import generate_random_trace
 
 
 def _trace(payload: bytes):
@@ -571,6 +571,13 @@ CONTRADICTIONS = {
     "frame_count": ("meta,1649,", "meta,7,", {"frame_count": 7},
                     "^{} report field frame_count is 7, but its totals sum to 26384, "
                     "not 16 \\* 7$"),
+    "-1 share": ("distribution_percent,70.5958,", "distribution_percent,99.0000,",
+                 {"distribution_percent": {"-1": 99.0}},
+                 "^{} report distribution_percent field -1 is 99.0000, but its totals give "
+                 "70.5958$"),
+    "+1 share": (",15.1455\n", ",15.1456\n", {"distribution_percent": {"+1": 15.1456}},
+                 "^{} report distribution_percent field \\+1 is 15.1456, but its totals give "
+                 "15.1455$"),
 }
 
 
@@ -586,6 +593,22 @@ def test_readers_reject_a_report_that_contradicts_itself(fmt, case):
     else:
         text = json.dumps(_merged(json.loads(text), edit))
     with pytest.raises(ValueError, match=error.format(fmt.upper())):
+        read_report(text, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_readers_reject_a_report_of_no_frames(fmt):
+    """analyze_trace raises EmptyStream on no frames, so no report has
+    none, and the distribution of none would be 0 / 0."""
+    text = (GOLDEN / f"zero_all.{fmt}").read_text()
+    if fmt == "csv":
+        text = text.replace("totals,18626,3762,3996", "totals,0,0,0")
+        text = text.replace("meta,1649,", "meta,0,")
+    else:
+        no_frames = {"frame_count": 0, "totals": {"cnt_neg": 0, "cnt_zero": 0, "cnt_pos": 0}}
+        text = json.dumps(_merged(json.loads(text), no_frames))
+    with pytest.raises(ValueError, match=f"^{fmt.upper()} report field frame_count is 0, "
+                                         "not at least 1$"):
         read_report(text, fmt)
 
 

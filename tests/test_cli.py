@@ -19,13 +19,8 @@ from pam3codec import cli, traceio
 from pam3codec.cli import main
 from pam3codec.encoders import Algorithm
 from pam3codec.errors import ParseError
-from pam3codec.traceio import (
-    TraceRecord,
-    format_text_trace,
-    frame_records,
-    generate_random_trace,
-)
-from test_traceio import decoded, encoded_text
+from pam3codec.traceio import TraceRecord, format_text_trace, frame_records
+from test_traceio import decoded, encoded_text, generate_random_trace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ZERO_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "zero.trace")
@@ -269,13 +264,50 @@ def test_decode_rejects_off_layout_rows_and_bad_pad(row, error, size):
 @pytest.mark.parametrize("size", [19, 1 << 20], ids=["small-reads", "one-chunk"])
 def test_first_bad_line_wins_over_a_later_non_ascii_byte(cmd, data, error, size):
     """A non-ASCII byte is one more way a line can be bad, so the first bad
-    line is the error, at every read size and in every form of a trace."""
+    line is the error, at every read size and in parse_text_trace."""
     with mock.patch.object(cli, "_READ_SIZE", size):
         assert _main_captured([cmd], data) == (2, b"", f"pam3codec: error: {error}")
     if cmd == "analyze":
-        for source in (data, data.decode("latin-1"), data.decode("latin-1").splitlines()):
-            with pytest.raises(ParseError, match=f"^{re.escape(error.rstrip())}$"):
-                traceio.parse_text_trace(source)
+        with pytest.raises(ParseError, match=f"^{re.escape(error.rstrip())}$"):
+            traceio.parse_text_trace(data)
+
+
+FIELD_SEPARATORS = b" \t\x0b\x0c"  # space, tab, vertical tab, form feed
+
+
+@pytest.mark.parametrize("size", [1, 1 << 18], ids=["byte-reads", "one-chunk"])
+def test_only_space_tab_vertical_tab_and_form_feed_separate_fields(size):
+    """Each byte up to the space, and DEL, between the fields and at the end
+    of a trace line and of a `# alg` header line, through the CLI: only the
+    four separators part fields, and LF and CR end lines. \\x1c-\\x1f, which
+    str.split takes for whitespace, are bytes of a field."""
+    with open(os.path.join(os.path.dirname(ZERO_TRACE), "sort.enc"), "rb") as f:
+        header, frames = f.read().split(b"\n", 1)
+    assert header == b"# alg SORT"
+    with mock.patch.object(cli, "_READ_SIZE", size):
+        trace_output = _main_captured(["distribution"], b"W 0x10 00ff\n")
+        decoded_output = _main_captured(["decode"], header + b"\n" + frames)
+        assert trace_output[0] == decoded_output[0] == 0
+        for byte in [*range(0x21), 0x7F]:
+            sep = bytes([byte])
+            separates, ends_line = sep in FIELD_SEPARATORS, sep in b"\n\r"
+            # (command, input, whether it is read, the error if it is not)
+            cases = [
+                ("distribution", b"W" + sep + b"0x10" + sep + b"00ff\n", separates,
+                 "line 1: expected 'op address payload', got 1 field(s)"),
+                ("distribution", b"W 0x10 00ff" + sep + b"\n", separates or ends_line,
+                 "line 1: payload hex has odd length"),
+                # `SORT` on a line of its own, or a comment and no `# alg` header
+                ("decode", b"# alg" + sep + b"SORT\n" + frames, separates,
+                 BAD_LINE[len("pam3codec: error: "):-1].replace("line 3", "line 2") if ends_line
+                 else "line 1: missing '# alg' or '# pad' header"),
+                ("decode", b"# alg SORT" + sep + b"\n" + frames, separates or ends_line,
+                 f"line 1: unknown algorithm {'SORT' + chr(byte)!r}"),
+            ]
+            for cmd, data, read, error in cases:
+                expected = ({"distribution": trace_output, "decode": decoded_output}[cmd] if read
+                            else (2, b"", f"pam3codec: error: {error}\n"))
+                assert _main_captured([cmd], data) == expected, (cmd, data[:16])
 
 
 def test_decode_requires_headers(tmp_path, capsys):
@@ -508,7 +540,7 @@ def cli_inputs(draw):
         records = draw(st.lists(st.builds(
             TraceRecord, st.sampled_from(("R", "W")), st.integers(0, 1 << 40),
             st.binary(min_size=1, max_size=8)), max_size=4))
-        data = format_text_trace(records).encode("ascii")
+        data = format_text_trace(records)
     else:
         payload = draw(st.binary(min_size=1, max_size=9))
         alg = draw(st.sampled_from(list(Algorithm)))
@@ -665,7 +697,7 @@ def test_public_names_are_the_package_imports():
     """pam3codec.__all__ holds what __init__ imports from its submodules,
     sorted: no submodule, nothing private, no name that is not there."""
     names = pam3codec.__all__
-    assert len(names) == 34 and names == sorted(names)
+    assert len(names) == 33 and names == sorted(names)
     for name in names:
         assert not isinstance(getattr(pam3codec, name), type(pam3codec)), name
 

@@ -18,15 +18,9 @@ import hypothesis.strategies as st
 from pam3codec import bulk, cli, traceio
 from pam3codec.encoders import Algorithm
 from pam3codec.errors import ParseError
-from pam3codec.traceio import (
-    OP_FILTERS,
-    TraceRecord,
-    frame_records,
-    generate_random_trace,
-    parse_text_trace,
-)
+from pam3codec.traceio import OP_FILTERS, TraceRecord, frame_records, parse_text_trace
 from test_cli import _main_captured
-from test_traceio import RecordedReads, decoded, encoded_text, encoded_texts
+from test_traceio import RecordedReads, decoded, encoded_text, encoded_texts, generate_random_trace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ONE_CHUNK = 1 << 30
@@ -211,11 +205,12 @@ def test_errors_name_the_line_of_the_whole_file(data, size):
 def test_comment_header_sends_only_its_chunk_to_the_line_reader(monkeypatch, line_end):
     calls = []
 
-    def counted(data):
+    def counted(data, first):
         calls.append(data)
-        return parse_text_trace(data)
+        return trace_lines(data, first)
 
-    monkeypatch.setattr(traceio, "parse_text_trace", counted)
+    trace_lines = traceio._trace_lines
+    monkeypatch.setattr(traceio, "_trace_lines", counted)
     trace = ZERO_TRACE.replace(b"\n", line_end)
     assert trace.startswith(b"#")
     for size in (512, 540):

@@ -22,10 +22,10 @@ from pam3codec.traceio import (
     format_encoded_rows,
     format_text_trace,
     frame_records,
-    generate_random_trace,
     parse_raw_trace,
     parse_text_columns,
     parse_text_trace,
+    random_blocks,
 )
 
 records_strategy = st.builds(
@@ -36,22 +36,28 @@ records_strategy = st.builds(
 )
 
 
+def generate_random_trace(byte_count: int, seed: int) -> list[TraceRecord]:
+    """One WRITE record of uniform random bytes, deterministic per seed: the
+    payload of the golden encoded texts, among other tests' inputs."""
+    return [TraceRecord("W", 0, b"".join(random_blocks(byte_count, seed)))]
+
+
 # ------------------------------------------------------------ parsing
 
 def test_parse_text_trace_write():
-    (rec,) = parse_text_trace("W 0x1f00 00ff00\n")
+    (rec,) = parse_text_trace(b"W 0x1f00 00ff00\n")
     assert rec == TraceRecord("W", 0x1F00, bytes([0x00, 0xFF, 0x00]))
 
 
 def test_parse_text_trace_read():
-    (rec,) = parse_text_trace("R 0x0 aabbccdd\n")
+    (rec,) = parse_text_trace(b"R 0x0 aabbccdd\n")
     assert rec.op == "R"
     assert rec.address == 0
     assert len(rec.payload) == 4
 
 
 def test_parse_text_trace_skips_comments_and_blanks():
-    text = "# header\n\nW 0x10 beef\n   \n# tail\nR 0x20 AA\n"
+    text = b"# header\n\nW 0x10 beef\n   \n# tail\nR 0x20 AA\n"
     recs = parse_text_trace(text)
     assert [r.op for r in recs] == ["W", "R"]
     assert recs[1].payload == b"\xaa"
@@ -59,12 +65,12 @@ def test_parse_text_trace_skips_comments_and_blanks():
 
 def test_parse_text_trace_odd_payload():
     with pytest.raises(ParseError) as err:
-        parse_text_trace("W 0x10 abc\n")
+        parse_text_trace(b"W 0x10 abc\n")
     assert err.value.line_number == 1
 
 
 def test_parse_text_trace_error_line_numbers():
-    text = "W 0x10 beef\nX 0x10 beef\n"
+    text = b"W 0x10 beef\nX 0x10 beef\n"
     with pytest.raises(ParseError) as err:
         parse_text_trace(text)
     assert err.value.line_number == 2
@@ -84,12 +90,17 @@ def test_parse_text_trace_error_line_numbers():
 )
 def test_parse_text_trace_rejects(line):
     with pytest.raises(ParseError):
-        parse_text_trace(line + "\n")
+        parse_text_trace(line.encode() + b"\n")
 
 
-def test_parse_text_trace_accepts_file_object():
-    recs = parse_text_trace(io.StringIO("W 0x1 00\n"))
-    assert len(recs) == 1
+def test_parse_text_trace_reads_bytes_only():
+    """A str, a list of lines or a file object is not a trace; bytes and a
+    bytearray are."""
+    text = "W 0x1 00\n"
+    for source in (text, [text], io.StringIO(text), io.BytesIO(text.encode())):
+        with pytest.raises(TypeError, match="^parse_text_trace reads bytes, not "):
+            parse_text_trace(source)
+    assert parse_text_trace(bytearray(text.encode())) == [TraceRecord("W", 1, b"\x00")]
 
 
 def test_parse_text_trace_bytes():
@@ -106,49 +117,50 @@ def test_parse_text_trace_bytes():
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
 def test_parse_text_trace_str_splits_lines_as_bytes(line_end):
+    """The bytes of a str's text split into lines at LF, CRLF and CR only,
+    and into fields at space, tab, vertical tab and form feed only, where
+    str.splitlines and str.split would also take \\x1c-\\x1f."""
     text = line_end.join(["# comment", "W 0x1 00", "", "R 0x2 ff", "W 0x3 aabb"]) + line_end
-    assert parse_text_trace(text) == parse_text_trace(text.encode("ascii"))
-    assert len(parse_text_trace(text)) == 3
-    bad = text + "W 0x4 0" + line_end
-    line_numbers = []
-    for source in (bad, bad.encode("ascii")):
-        with pytest.raises(ParseError) as err:
-            parse_text_trace(source)
-        line_numbers.append(err.value.line_number)
-    assert line_numbers == [6, 6]
-    # str.splitlines would end a line at each of these; a str splits as bytes do
-    for separator in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e"):
+    assert len(parse_text_trace(text.encode())) == 3
+    with pytest.raises(ParseError, match="^line 6: payload hex has odd length$"):
+        parse_text_trace((text + "W 0x4 0" + line_end).encode())
+    for separator in ("\t", "\x0b", "\x0c"):
         with pytest.raises(ParseError, match=r"^line 1: expected .*, got 6 field\(s\)$"):
-            parse_text_trace(f"W 0x1 00{separator}W 0x2 00{line_end}")
+            parse_text_trace(f"W 0x1 00{separator}W 0x2 00{line_end}".encode())
+    for separator in ("\x1c", "\x1d", "\x1e", "\x1f"):
+        with pytest.raises(ParseError, match=r"^line 1: expected .*, got 5 field\(s\)$"):
+            parse_text_trace(f"W 0x1 00{separator}W 0x2 00{line_end}".encode())
+        with pytest.raises(ParseError, match=r"^line 1: expected .*, got 1 field\(s\)$"):
+            parse_text_trace(f"W{separator}0x10{separator}00ff{line_end}".encode())
 
 
 @pytest.mark.parametrize("char", ["\u00a0", "\u3000", "\u2028"], ids=["NBSP", "U+3000", "U+2028"])
 def test_parse_text_trace_rejects_non_ascii_str_as_bytes(char):
     """str.split and str.strip take these as whitespace, so each would part
-    fields or end a line; a str or a list of lines rejects them as bytes do."""
+    fields or end a line; in the UTF-8 bytes of a str each is a non-ASCII
+    byte that makes its line bad."""
     text = f"W 0x0 00\nR{char}0x10 00\nR 0x10 00{char}\n"
-    for source in (text, text.encode("utf-8"), text.splitlines(keepends=True)):
-        with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte$"):
-            parse_text_trace(source)
+    with pytest.raises(ParseError, match=r"^line 2: non-ASCII byte$"):
+        parse_text_trace(text.encode())
     with pytest.raises(ParseError, match=r"^line 1: non-ASCII byte$"):
-        parse_text_trace(f"R 0x10 00{char}")
-    # lines are read in order, so an earlier bad line is the error in every form
-    text = f"W 0x0 0\nR 0x10 00{char}\n"
-    for source in (text, text.encode("utf-8"), text.splitlines(keepends=True)):
-        with pytest.raises(ParseError, match=r"^line 1: payload hex has odd length$"):
-            parse_text_trace(source)
+        parse_text_trace(f"R 0x10 00{char}".encode())
+    # lines are read in order, so an earlier bad line is the error
+    with pytest.raises(ParseError, match=r"^line 1: payload hex has odd length$"):
+        parse_text_trace(f"W 0x0 0\nR 0x10 00{char}\n".encode())
 
 
 @given(st.lists(records_strategy, min_size=0, max_size=12))
 def test_text_trace_roundtrip(records):
-    assert parse_text_trace(format_text_trace(records)) == records
+    text = format_text_trace(records)
+    assert type(text) is bytes and text.isascii()
+    assert parse_text_trace(text) == records
 
 
 @st.composite
 def text_traces(draw):
     """Canonical trace text, then up to two edits of its lines."""
     records = draw(st.lists(records_strategy, min_size=0, max_size=6))
-    lines = format_text_trace(records).encode("ascii").split(b"\n")[:-1]
+    lines = format_text_trace(records).split(b"\n")[:-1]
     edits = draw(st.integers(0, 2))
     for _ in range(edits):
         kind = draw(st.sampled_from(
@@ -388,7 +400,7 @@ def test_frame_stream_keeps_caller_masks():
 
 def test_text_readers_keep_the_filtered_records():
     records = [TraceRecord("W", 0, b"\x11\x22"), TraceRecord("R", 4, b"\x33\x44")]
-    text = format_text_trace(records).encode("ascii")
+    text = format_text_trace(records)
     for op_filter in OP_FILTERS:
         expected = frame_records(_kept(records, op_filter))
         for data in (text, b"#\n" + text):  # the bulk reader, then the line reader
