@@ -27,19 +27,26 @@ from .traceio import OP_FILTERS, FrameStream, kept_ops
 
 @dataclass(frozen=True)
 class TraceStats:
-    """Aggregated counts, power totals, and ratios over one trace."""
+    """What analysis measured over one trace: level totals, power rows and
+    meta. frame_count and distribution_percent follow from the totals."""
 
-    frame_count: int
     totals: SymbolCounts
-    distribution_percent: tuple[float, float, float]
     per_algorithm: dict[Algorithm, PowerReport]
     op_filter: str = "all"
     flags_in_power: bool = False
 
+    @property
+    def frame_count(self) -> int:
+        return sum(self.totals.as_tuple()) // 16  # 16 levels per frame
+
+    @property
+    def distribution_percent(self) -> tuple[float, float, float]:
+        return _percentages(self.totals.as_tuple(), self.frame_count)
+
 
 def _percentages(counts, frame_count: int) -> tuple[float, float, float]:
     denom = 16 * frame_count
-    return tuple(100.0 * int(t) / denom for t in counts)
+    return tuple(100.0 * t / denom for t in counts)
 
 
 def _chunks(streams: FrameStream | Iterable[FrameStream]) -> Iterable[FrameStream]:
@@ -107,15 +114,8 @@ def analyze_trace(
             term, termination_ratio(term, base_term),
             switch, termination_ratio(switch, base_switch) if base_switch else None)
 
-    totals = stats.counts()
-    return TraceStats(
-        frame_count=stats.frame_count,
-        totals=SymbolCounts(int(totals[0]), int(totals[1]), int(totals[2])),
-        distribution_percent=_percentages(totals, stats.frame_count),
-        per_algorithm=per_algorithm,
-        op_filter=op_filter,
-        flags_in_power=include_flag_power,
-    )
+    totals = SymbolCounts(*stats.counts().tolist())
+    return TraceStats(totals, per_algorithm, op_filter, include_flag_power)
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -362,5 +362,4 @@ def _stats_of(obj, fmt: str) -> TraceStats:
         if found != round(share, 4):
             raise ValueError(f"{fmt} report distribution_percent field {key} is {_fmt(found)}, "
                              f"but its totals give {_fmt(share)}")
-    return TraceStats(frame_count, SymbolCounts(*totals), distribution, per_algorithm,
-                      op_filter, flags_in_power)
+    return TraceStats(SymbolCounts(*totals), per_algorithm, op_filter, flags_in_power)

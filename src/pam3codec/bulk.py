@@ -1,8 +1,8 @@
 """Array-shaped variants of the frame operations.
 
 Trace analysis touches millions of frames, so the hot paths work on line
-masks: a C-contiguous (2, n) uint16 array, row 0 marking the -1 and row 1
-the +1 positions. Each uint16 is line A's byte then line B's byte in
+masks: a (2, n) uint16 array with contiguous rows, row 0 marking the -1 and
+row 1 the +1 positions. Each uint16 is line A's byte then line B's byte in
 memory, position 0 in the most significant bit. Every function here
 mirrors a scalar operation from core/encoders/power and the test suite
 pins the two paths to each other. StreamStats folds a stream chunk by
@@ -113,12 +113,12 @@ def _line_bytes(masks: np.ndarray) -> np.ndarray:
 
 
 def check_masks(masks) -> None:
-    """ValueError unless masks is a (2, n) uint16 array of disjoint rows."""
+    """ValueError unless masks is a (2, n) uint16 array of contiguous, disjoint rows."""
     if not (
         isinstance(masks, np.ndarray) and masks.dtype == np.uint16
-        and masks.ndim == 2 and len(masks) == 2
+        and masks.ndim == 2 and len(masks) == 2 and masks[0].flags.c_contiguous
     ):
-        raise ValueError("masks must be a C-contiguous (2, n) uint16 array")
+        raise ValueError("masks must be a (2, n) uint16 array with contiguous rows")
     if (masks[0] & masks[1]).any():
         raise ValueError("a position cannot be both -1 and +1")
 

@@ -27,6 +27,7 @@ and the # lines that open a chunk go to the line reader, not a bulk one.
 from __future__ import annotations
 
 import binascii
+import io
 import operator
 import re
 from dataclasses import dataclass
@@ -95,8 +96,9 @@ class FrameStream:
     """Modulated frames of one trace plus the zero padding of the last group.
 
     masks is the (2, n) uint16 line masks of bulk, the one form of the
-    frames; bulk.levels_of_masks gives their (n, 2, 8) int8 levels. The
-    stream keeps the array it is given and makes it read-only.
+    frames, with rows each contiguous and disjoint, as bulk.check_masks
+    alone checks; bulk.levels_of_masks gives their (n, 2, 8) int8 levels.
+    The stream keeps the array it is given and makes it read-only.
     """
 
     masks: np.ndarray
@@ -104,8 +106,6 @@ class FrameStream:
 
     def __post_init__(self):
         bulk.check_masks(self.masks)
-        if not self.masks.flags.c_contiguous:
-            raise ValueError("masks must be a C-contiguous (2, n) uint16 array")
         object.__setattr__(self, "pad_bytes", operator.index(self.pad_bytes))
         if self.pad_bytes not in (0, 1, 2):
             raise ValueError(f"pad_bytes must be 0..2, got {self.pad_bytes}")
@@ -121,12 +121,12 @@ def _lf(data: bytes) -> bytes:
 
 
 def _lines(data: bytes, first: int) -> Iterator[tuple[int, bytes]]:
-    """(line number, stripped line) of each line of data, numbered from
-    first; lines end with LF, CRLF or CR. The one line rule of both text
-    formats: a line with a non-ASCII byte is a ParseError, and the others
-    are bytes, so strip and split take only space, tab, vertical tab and
-    form feed for whitespace."""
-    for line_number, line in enumerate(_lf(data).split(b"\n"), start=first):
+    """(line number, stripped line) of each line of data, one at a time,
+    numbered from first; lines end with LF, CRLF or CR. The one line rule
+    of both text formats: a line with a non-ASCII byte is a ParseError, and
+    the others are bytes, so strip and split take only space, tab, vertical
+    tab and form feed for whitespace."""
+    for line_number, line in enumerate(io.BytesIO(_lf(data)), start=first):
         if not line.isascii():
             raise ParseError("non-ASCII byte", line_number)
         yield line_number, line.strip()
@@ -240,7 +240,7 @@ def parse_text_columns(data: bytes, op_filter: str) -> tuple[np.ndarray, int] | 
     error) gives None: parse_text_trace reads every other form with the
     same rules and raises the line-numbered ParseError.
     """
-    kept = list(kept_ops(op_filter).encode("ascii"))
+    kept = kept_ops(op_filter)
     buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero(buf <= 32)
     if not len(seps) or len(seps) % 3 or seps[-1] != len(buf) - 1:
@@ -270,7 +270,7 @@ def parse_text_columns(data: bytes, op_filter: str) -> tuple[np.ndarray, int] | 
     # newline; only the payload runs of the kept records are picked
     runs = np.stack([address_end + 1 - starts, lengths, np.ones_like(lengths)], axis=1)
     picked = np.zeros(runs.shape, dtype=bool)
-    picked[:, 1] = np.isin(ops, kept)
+    picked[:, 1] = is_read if kept == READ else ~is_read if kept == WRITE else True
     payload = binascii.unhexlify(buf[np.repeat(picked.reshape(-1), runs.reshape(-1))])
     return np.frombuffer(payload, dtype=np.uint8), len(starts)
 

@@ -100,6 +100,9 @@ MUTANTS = [
     Mutant("distribution-shares", "analysis.py", "if found != round(share, 4):", "if False:",
            ANALYSIS),
     Mutant("no-frames", "analysis.py", "if not frame_count:", "if False:", ANALYSIS),
+    # a TraceStats keeps its totals, and frame_count follows from them
+    Mutant("frame-count-levels", "analysis.py", "sum(self.totals.as_tuple()) // 16",
+           "sum(self.totals.as_tuple()) // 8", ANALYSIS),
     Mutant("unknown-algorithm-row", "analysis.py",
            "unknown = [name for name in rows if name not in {alg.value for alg in Algorithm}]",
            "unknown = []", ANALYSIS),
@@ -110,6 +113,7 @@ MUTANTS = [
     Mutant("check-flags-min", "bulk.py", "flags.min() < 0 or ", "", BULK),
     Mutant("disjoint-masks", "bulk.py", "if (masks[0] & masks[1]).any():", "if False:",
            TRACEIO),
+    Mutant("contiguous-rows", "bulk.py", "masks[0].flags.c_contiguous", "True", BULK),
     Mutant("demodulate-mask-check", "bulk.py", "    check_masks(masks)\n    (neg_a, neg_b)",
            "    (neg_a, neg_b)", BULK),
     Mutant("rows-mask-check", "traceio.py", "    bulk.check_masks(masks)\n    flags =",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pam3codec import bulk
 from pam3codec.analysis import (
@@ -402,6 +404,27 @@ def test_csv_and_json_reports_read_back_equal(payload, algorithms, op_filter, fl
         assert none.term_ratio_percent == 100.0
         for report in read.per_algorithm.values():
             assert (report.switch_ratio_percent is None) == (none.switch_power_encoded == 0)
+
+
+@given(
+    arrays(np.uint16, st.tuples(st.just(2), st.integers(1, 40))),
+    st.sampled_from(["csv", "json"]),
+    st.booleans(),
+)
+def test_report_reads_back_the_counts_it_was_written_from(masks, fmt, flags_in_power):
+    masks[1] &= ~masks[0]  # disjoint rows
+    try:
+        stats = analyze_trace(FrameStream(masks, 0), include_flag_power=flags_in_power)
+    except ZeroBaseline:
+        assume(False)
+    read = read_report(write_report(stats, fmt), fmt)
+    assert stats.frame_count == masks.shape[1]
+    assert read.frame_count == stats.frame_count
+    assert read.totals == stats.totals
+    # the exact shares, not the report's 4-decimal text
+    assert read.distribution_percent == stats.distribution_percent
+    with pytest.raises(TypeError):  # frame_count follows from the totals
+        dataclasses.replace(stats, frame_count=1)
 
 
 # Every report field as (section, name, kind); meta fields are at the top

@@ -23,6 +23,7 @@ from pam3codec.encoders import (
 )
 from pam3codec.errors import EmptyStream, InvalidFlag, InvalidPair
 from pam3codec.power import TERM_WEIGHT_NEG, switching_power, termination_power
+from pam3codec.traceio import format_encoded_rows
 
 rng = np.random.default_rng(0xBEEF)
 WORDS = rng.integers(0, 256, (4000, 3), dtype=np.uint8)
@@ -111,13 +112,19 @@ def test_encode_decode_block_matches_scalar(algorithm):
 
 
 BOTH_SIGNS = np.array([[0xFFFF], [0xFFFF]], np.uint16)  # every position at -1 and at +1
+TRANSPOSED = np.zeros((3, 2), np.uint16).T  # (2, 3), but its rows are not contiguous
+ROWS = "^masks must be a \\(2, n\\) uint16 array with contiguous rows$"
 
 
 @pytest.mark.parametrize("call,match", [
     (lambda: bulk.demodulate_block(BOTH_SIGNS), "both -1 and \\+1"),
     (lambda: bulk.encode_block(BOTH_SIGNS, Algorithm.SORT), "both -1 and \\+1"),
     (lambda: bulk.decode_block(np.zeros((2, 1), np.int64), [0], "SORT"), "uint16 array"),
-], ids=["demodulate overlap", "encode overlap", "decode int64"])
+    (lambda: bulk.demodulate_block(TRANSPOSED), ROWS),
+    (lambda: format_encoded_rows(Algorithm.NONE, TRANSPOSED, [0, 0, 0]), ROWS),
+    (lambda: bulk.encode_block(TRANSPOSED, Algorithm.SORT), ROWS),
+], ids=["demodulate overlap", "encode overlap", "decode int64", "demodulate transposed",
+        "format transposed", "encode transposed"])
 def test_block_functions_check_masks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -115,6 +115,27 @@ def test_parse_text_trace_bytes():
         parse_text_trace(b"W 0x0 00\r\nW 0x1 00\rW 0x2 00\xff\n")
 
 
+def test_lines_are_read_one_at_a_time():
+    """_lines numbers and strips each line that holds more than whitespace
+    as the pieces of bytes.split would be, from a line iterator, so no list
+    of the lines is held: its first line costs no memory in the size of
+    the input."""
+    for data in (b"", b"\n", b"W 0x1 00", b"W 0x1 00\n", b"# c\r\rW 0x1 00 \n\x0c",
+                 b" W 0x1 00 \x0b\r\n\n\t\rR 0x2 ff\x1c"):
+        pieces = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        expected = [(n, p.strip()) for n, p in enumerate(pieces, start=7) if p.strip()]
+        assert [(n, line) for n, line in traceio._lines(data, 7) if line] == expected
+    many = b"W 0x0 00\n" * 100_000
+    tracemalloc.start()
+    try:
+        first = next(traceio._lines(many, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (1, b"W 0x0 00")
+    assert peak < len(many) // 10
+
+
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
 def test_parse_text_trace_str_splits_lines_as_bytes(line_end):
     """The bytes of a str's text split into lines at LF, CRLF and CR only,
@@ -373,10 +394,10 @@ def test_frame_stream_validation():
         masks.astype(np.int32),
         np.zeros((3, 3), dtype=np.uint16),
         np.zeros((2, 3, 1), dtype=np.uint16),
-        np.zeros((3, 2), dtype=np.uint16).T,  # not C-contiguous
+        np.zeros((3, 2), dtype=np.uint16).T,  # rows not contiguous
         masks.tolist(),
     ):
-        with pytest.raises(ValueError, match="C-contiguous"):
+        with pytest.raises(ValueError, match="uint16 array with contiguous rows"):
             FrameStream(bad, 0)
     both = masks.copy()
     both[:, 1] = 1  # one position of frame 1 in both masks
@@ -457,9 +478,11 @@ def test_format_encoded_checks_masks_as_frame_stream():
         for check in (FrameStream, lambda m, _: format_encoded_rows(Algorithm.NONE, m, [0, 0])):
             with pytest.raises(ValueError, match=message):
                 check(masks, 0)
-    # a column slice, as write_encoded formats, passes
-    masks = bulk.modulate_block(np.zeros((4, 3), np.uint8))
-    assert format_encoded_rows(Algorithm.NONE, masks[:, 1:3], [0, 0]).count(b"\n") == 2
+    # a column slice, as write_encoded formats, passes all alike
+    masks = bulk.modulate_block(np.zeros((4, 3), np.uint8))[:, 1:]
+    assert len(FrameStream(masks, 0)) == 3
+    assert bulk.encode_block(masks, Algorithm.NONE)[1].tolist() == [0, 0, 0]
+    assert format_encoded_rows(Algorithm.NONE, masks, [0, 0, 0]).count(b"\n") == 3
 
 
 def test_format_encoded_rejects_out_of_range_flag():
