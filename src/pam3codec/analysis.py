@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,12 +29,16 @@ from .traceio import OP_FILTERS, FrameStream, kept_ops
 @dataclass(frozen=True)
 class TraceStats:
     """What analysis measured over one trace: level totals, power rows and
-    meta. frame_count and distribution_percent follow from the totals."""
+    meta. frame_count and distribution_percent follow from the totals.
+    per_algorithm is kept as a read-only copy of the mapping given."""
 
     totals: SymbolCounts
-    per_algorithm: dict[Algorithm, PowerReport]
+    per_algorithm: Mapping[Algorithm, PowerReport]
     op_filter: str = "all"
     flags_in_power: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_algorithm", MappingProxyType(dict(self.per_algorithm)))
 
     @property
     def frame_count(self) -> int:
@@ -203,7 +208,8 @@ def read_report(text: str, fmt: str = "csv") -> TraceStats:
     by field against the schema, then checks that the NONE row reads as the
     baseline, that each switching ratio is empty exactly when NONE's is,
     that without flags in power SORT's termination power is at most DBI's
-    and MF's, that frame_count agrees with the totals, and that each
+    and MF's, that each ratio is 100 x its power / NONE's as the writer
+    rounds it, that frame_count agrees with the totals, and that each
     distribution percentage is the totals' share as the writer rounds it;
     ValueError names the row or field at fault.
     """
@@ -353,6 +359,13 @@ def _stats_of(obj, fmt: str) -> TraceStats:
             raise ValueError(f"{fmt} report SORT row field term_power is "
                              f"{_fmt(sort.term_power_encoded)}, above {alg.value}'s "
                              f"{_fmt(row.term_power_encoded)}")
+        # each ratio is 100 x the row's power / NONE's, rounded to 4 decimals:
+        # off by at most 0.00005, and by float error
+        for i, name in ((0, "term_ratio_percent"), (2, "switch_ratio_percent")):
+            found, ratio = row[i + 1], (row[i] / none[i] * 100.0 if none[i] else math.nan)
+            if found is not None and not abs(found - ratio) <= 0.00005 + 1e-9 * abs(ratio):
+                raise ValueError(f"{fmt} report {alg.value} row field {name} is {_fmt(found)}, "
+                                 f"but its powers give {_fmt(ratio)}")
     if 16 * frame_count != sum(totals):
         raise ValueError(f"{fmt} report field frame_count is {frame_count}, but its totals "
                          f"sum to {sum(totals)}, not 16 * {frame_count}")

@@ -255,11 +255,15 @@ class StreamStats:
     """
 
     def __init__(self):
-        self.frame_count = 0
         self.frames_per_key = np.zeros(_KEYS, dtype=np.int64)
         self.edges_per_key = np.zeros((3, _KEYS), dtype=np.int64)  # levels -1, 0, +1
         self.boundaries = np.zeros((_STATES, _STATES), dtype=np.int64)
         self._last = None  # the end states of the last frame folded, by line
+
+    @property
+    def frame_count(self) -> int:
+        """The frames folded so far, each counted once under its key."""
+        return int(self.frames_per_key.sum())
 
     def update(self, masks: np.ndarray) -> None:
         """Fold the (2, n) line masks of the frames after those folded so far,
@@ -269,7 +273,6 @@ class StreamStats:
             self._fold(block, _count_keys(block))
 
     def _fold(self, masks: np.ndarray, key: np.ndarray) -> None:
-        self.frame_count += len(key)
         self.frames_per_key += np.bincount(key, minlength=_KEYS)
         for edges, per_frame in zip(self.edges_per_key, _level_edges(masks)):
             # the float64 sums are exact: a block's _FOLD_FRAMES frames hold

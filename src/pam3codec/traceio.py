@@ -321,57 +321,36 @@ def read_encoded(file: BinaryIO, size: int) -> Iterator[bytes]:
     at a time: one piece per chunk of whole lines with frames. The pad is
     stripped from the last piece, so one piece is held back.
 
-    Errors come in the order of a read of the whole text: the first
-    structural ParseError in line order, a non-ASCII byte included, a
-    missing header, a pad count without frames, and then the two content
-    errors held back here until the text ends: the first flag out of the
-    algorithm's range, and last the first frame that decodes to the unused
-    pair. Each is a ParseError on the input line of its frame.
+    Lines are read in order, and the first bad line is the ParseError: a
+    malformed line, a non-ASCII byte, a repeated header, a frame line before
+    both headers, a flag out of range, or a frame decoding to the unused
+    pair. Then the end settles a missing header or a pad without frames.
     """
     reader = _EncodedReader()
     piece = b""  # the last piece decoded, held back
-    bad_flag = unused_pair = None  # the first frame with each content error
-    for masks, flags, frame_lines in _read_text(file, size, reader.rows, reader.lines):
-        if not len(flags) or bad_flag or reader.alg is None or reader.pad is None:
-            continue  # nothing to decode, or an error of the text comes first
-        limit = MAX_FLAG[reader.alg]
-        if flags.max() > limit:
-            bad_flag = ParseError(f"{reader.alg.value} flag must be 0..{limit}",
-                                  frame_lines[np.argmax(flags > limit)])
-        if bad_flag or unused_pair:
-            continue
-        first_frame = reader.frames - len(flags)
-        try:
-            words = bulk.demodulate_block(bulk.decode_block(masks, flags, reader.alg), first_frame)
-        except InvalidPair as exc:
-            unused_pair = ParseError(str(exc), frame_lines[exc.frame_index - first_frame])
-            continue
+    for words in filter(None, _read_text(file, size, reader.rows, reader.lines)):
         if piece:
             yield piece
-        piece = words.tobytes()
+        piece = words
     _, pad = reader.end()
-    if bad_flag or unused_pair:
-        raise bad_flag or unused_pair
     yield piece[: len(piece) - pad]
 
 
 class _EncodedReader:
     """Encoded frame text read in chunks of whole lines, in line order.
 
-    rows and lines each take (chunk, lines before it) and return
-    ((masks, flags, frame_lines), lines in the chunk): the (2, n) uint16
-    masks and (n,) uint8 flags of its frames, with any one-digit flag, and
-    the input line of every frame. rows reads a chunk of frame rows in the
-    writer's exact layout as one byte array and returns None for any other,
-    a header too; lines reads any chunk, the reference for rows, alone
-    takes the headers and raises a structural ParseError at once. end
-    raises, in this order, what only the end of the text settles: a missing
-    header and a pad count without frames. read_encoded checks flag ranges.
+    rows and lines each take (chunk, lines before it) and return (payload
+    bytes, lines in the chunk), decoding its frames through _words. rows
+    reads a chunk of frame rows in the writer's exact layout as one byte
+    array and returns None for any other, a header too; lines reads any
+    chunk, the reference for rows, alone takes the headers and raises a
+    structural ParseError, once the frames before its line are decoded.
+    end raises what only the end of the text settles.
     """
 
     def __init__(self):
         self.alg = self.pad = self.pad_line = None  # no header read yet
-        self.frames = 0  # frame lines read so far
+        self.frames = 0  # frames decoded so far
 
     def rows(self, chunk: bytes, lines_before: int):
         """Reads a chunk of canonical 26-byte frame rows."""
@@ -384,29 +363,53 @@ class _EncodedReader:
         flags = rows[:, _FLAG_COLUMN] - np.uint8(ord("0"))  # a non-digit wraps above 9
         if masks is None or (len(rows) and flags.max() > 9):
             return None
-        self.frames += len(rows)
-        return (masks, flags, range(lines_before + 1, lines_before + len(rows) + 1)), len(rows)
+        self._check_headers()
+        first = lines_before + 1
+        return self._words(masks, flags, range(first, first + len(rows))), len(rows)
 
     def lines(self, chunk: bytes, lines_before: int):
         symbols, flags, frame_lines = [], [], []
-        for line_number, stripped in _lines(chunk, lines_before + 1):
-            if not stripped:
-                continue
-            if stripped.startswith(b"#"):
-                self._header(stripped, line_number)
-                continue
-            m = _FRAME_LINE_RE.match(stripped)
-            if not m:
-                raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
-                                 line_number)
-            symbols.append(m[1] + m[2])
-            # saturate: a flag above 255 is out of range for every algorithm
-            flags.append(min(int(m[3][:3]), 255))
-            frame_lines.append(line_number)
-            self.frames += 1
-        symbols = np.frombuffer(b"".join(symbols), dtype=np.uint8)
-        masks = _masks_of_symbols(symbols.reshape(-1, 16))
-        return (masks, np.array(flags, np.uint8), frame_lines), chunk.count(b"\n")
+        try:
+            for line_number, stripped in _lines(chunk, lines_before + 1):
+                if not stripped:
+                    continue
+                if stripped.startswith(b"#"):
+                    self._header(stripped, line_number)
+                    continue
+                m = _FRAME_LINE_RE.match(stripped)
+                if not m:
+                    raise ParseError("expected 'A:<8 symbols> B:<8 symbols> F:<flag>'",
+                                     line_number)
+                self._check_headers()
+                symbols.append(m[1] + m[2])
+                # saturate: a flag above 255 is out of range for every algorithm
+                flags.append(min(int(m[3][:3]), 255))
+                frame_lines.append(line_number)
+        finally:  # the frames before a bad line come first
+            masks = _masks_of_symbols(np.frombuffer(b"".join(symbols), np.uint8).reshape(-1, 16))
+            words = self._words(masks, np.array(flags, np.uint8), frame_lines)
+        return words, chunk.count(b"\n")
+
+    def _words(self, masks: np.ndarray, flags: np.ndarray, frame_lines) -> bytes:
+        """The payload of frames on input lines frame_lines, after the frames
+        decoded so far; the first flag out of range is an error after them."""
+        if not len(flags):
+            return b""
+        limit = MAX_FLAG[self.alg]
+        good = int(np.argmax(flags > limit)) if flags.max() > limit else len(flags)
+        try:
+            words = bulk.demodulate_block(
+                bulk.decode_block(masks[:, :good], flags[:good], self.alg), self.frames)
+        except InvalidPair as exc:
+            raise ParseError(str(exc), frame_lines[exc.frame_index - self.frames])
+        if good < len(flags):
+            raise ParseError(f"{self.alg.value} flag must be 0..{limit}", frame_lines[good])
+        self.frames += good
+        return words.tobytes()
+
+    def _check_headers(self) -> None:
+        if self.alg is None or self.pad is None:
+            raise ParseError("missing '# alg' or '# pad' header", 1)
 
     def _header(self, stripped: bytes, line_number: int) -> None:
         """Take a `# alg` or `# pad` header line; any other `#` line is a comment."""
@@ -416,8 +419,6 @@ class _EncodedReader:
         name, value = fields[0].decode(), fields[1]
         if (self.alg if name == "alg" else self.pad) is not None:
             raise ParseError(f"repeated '# {name}' header", line_number)
-        if self.frames:
-            raise ParseError(f"'# {name}' header after the first frame line", line_number)
         if name == "alg":
             try:
                 self.alg = Algorithm(value.decode())
@@ -433,8 +434,7 @@ class _EncodedReader:
 
     def end(self) -> tuple[Algorithm, int]:
         """(algorithm, pad bytes) of the text once every chunk is read."""
-        if self.alg is None or self.pad is None:
-            raise ParseError("missing '# alg' or '# pad' header", 1)
+        self._check_headers()
         if self.pad and not self.frames:
             raise ParseError(f"pad count {self.pad} without frames", self.pad_line)
         return self.alg, self.pad

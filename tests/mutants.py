@@ -95,12 +95,18 @@ MUTANTS = [
     Mutant("sort-term-order", "analysis.py",
            "and sort.term_power_encoded > row.term_power_encoded):", "and False):", ANALYSIS),
     Mutant("sort-order-flags", "analysis.py", "and not flags_in_power", "", ANALYSIS),
+    Mutant("power-ratios", "analysis.py",
+           "if found is not None and not abs(found - ratio) <= 0.00005 + 1e-9 * abs(ratio):",
+           "if False:", ANALYSIS),
+    Mutant("ratio-rounding", "analysis.py", "<= 0.00005 + 1e-9", "<= 0.0001 + 1e-9", ANALYSIS),
     Mutant("frame-count-totals", "analysis.py", "if 16 * frame_count != sum(totals):",
            "if False:", ANALYSIS),
     Mutant("distribution-shares", "analysis.py", "if found != round(share, 4):", "if False:",
            ANALYSIS),
     Mutant("no-frames", "analysis.py", "if not frame_count:", "if False:", ANALYSIS),
     # a TraceStats keeps its totals, and frame_count follows from them
+    Mutant("read-only-rows", "analysis.py", "MappingProxyType(dict(self.per_algorithm))",
+           "dict(self.per_algorithm)", ANALYSIS),
     Mutant("frame-count-levels", "analysis.py", "sum(self.totals.as_tuple()) // 16",
            "sum(self.totals.as_tuple()) // 8", ANALYSIS),
     Mutant("unknown-algorithm-row", "analysis.py",
@@ -139,8 +145,13 @@ MUTANTS = [
            "if False and (rows[:, _FIXED_COLUMNS] ==", TRACEIO),
     Mutant("fixed-columns-cli", "traceio.py", "if not (rows[:, _FIXED_COLUMNS] ==",
            "if False and (rows[:, _FIXED_COLUMNS] ==", CLI),
-    Mutant("flag-after-unused-pair", "traceio.py", "if not len(flags) or bad_flag or reader",
-           "if not len(flags) or bad_flag or unused_pair or reader", TRACEIO),
+    # encoded text: the first bad line is the error, a frame's flag or unused pair too
+    Mutant("frames-before-bad-line", "traceio.py",
+           "        finally:  # the frames before a bad line come first",
+           "        except ParseError:\n            raise\n        else:", TRACEIO),
+    Mutant("frame-before-header", "traceio.py",
+           "                self._check_headers()\n                symbols.append",
+           "                symbols.append", TRACEIO),
     Mutant("pad-strip", "traceio.py", "yield piece[: len(piece) - pad]", "yield piece", TRACEIO),
     Mutant("held-back-piece", "traceio.py", "        if piece:\n            yield piece\n", "",
            STREAM),

@@ -427,6 +427,21 @@ def test_report_reads_back_the_counts_it_was_written_from(masks, fmt, flags_in_p
         dataclasses.replace(stats, frame_count=1)
 
 
+def test_trace_stats_rows_are_read_only():
+    """A TraceStats cannot lose or change a row after it is made, so its
+    report keeps the NONE row that read_report needs."""
+    stats = analyze_trace(RANDOM)
+    rows = dict(stats.per_algorithm)
+    with pytest.raises(TypeError):
+        del stats.per_algorithm[Algorithm.NONE]
+    with pytest.raises(TypeError):
+        stats.per_algorithm[Algorithm.NONE] = rows[Algorithm.SORT]
+    copy = TraceStats(stats.totals, rows)
+    rows.clear()  # the caller's dict is copied
+    assert copy == stats
+    assert read_report(write_report(copy)).per_algorithm.keys() == stats.per_algorithm.keys()
+
+
 # Every report field as (section, name, kind); meta fields are at the top
 # level of a JSON report and in the meta row of a CSV report.
 REPORT_FIELDS = [
@@ -591,6 +606,19 @@ CONTRADICTIONS = {
     "SORT above MF": ("MF,53.8100,", "MF,40.0000,",
                       {"per_algorithm": {"MF": {"term_power": 40.0}}},
                       "^{} report SORT row field term_power is 48.0250, above MF's 40.0000$"),
+    "MF term ratio": ("MF,53.8100,26.2398,", "MF,53.8100,12.0000,",
+                      {"per_algorithm": {"MF": {"term_ratio_percent": 12.0}}},
+                      "^{} report MF row field term_ratio_percent is 12.0000, but its powers "
+                      "give 26.2398$"),
+    # 100 x 53.81 / 205.07 is 26.239821: 26.2399 is off by more than rounding
+    "MF term ratio, last decimal": ("MF,53.8100,26.2398,", "MF,53.8100,26.2399,",
+                                    {"per_algorithm": {"MF": {"term_ratio_percent": 26.2399}}},
+                                    "^{} report MF row field term_ratio_percent is 26.2399, but "
+                                    "its powers give 26.2398$"),
+    "SORT switch ratio": ("16283.0000,84.0847\n", "16283.0000,99.0000\n",
+                          {"per_algorithm": {"SORT": {"switch_ratio_percent": 99.0}}},
+                          "^{} report SORT row field switch_ratio_percent is 99.0000, but its "
+                          "powers give 84.0847$"),
     "frame_count": ("meta,1649,", "meta,7,", {"frame_count": 7},
                     "^{} report field frame_count is 7, but its totals sum to 26384, "
                     "not 16 \\* 7$"),

@@ -322,6 +322,13 @@ def test_stream_stats_fold_any_split(levels, cuts):
     _check_fold_any_split(levels, cuts, _folded(bulk.masks_of_levels(levels)))
 
 
+def test_stream_stats_frame_count_is_the_sum_of_frames_per_key():
+    stats = _folded(bulk.masks_of_levels(LEVELS[:20]))
+    assert stats.frame_count == stats.frames_per_key.sum() == 20
+    with pytest.raises(AttributeError):  # one home for the count
+        stats.frame_count = 0
+
+
 class _RecordedFolds(bulk.StreamStats):
     """StreamStats that records the frames of each fold."""
 

@@ -359,8 +359,9 @@ def test_decode_unused_pair_names_line(tmp_path, capsys, text, line):
     ("# alg SORT\n# pad 0\n# alg NONE\nA:++++++++ B:++++++++ F:1\n", 3),
     ("# alg SORT\n# pad 0\n# pad 0\nA:++++++++ B:++++++++ F:1\n", 3),
     # a trailing header once overrode the algorithm of every frame
-    ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:1\n# alg NONE\n", 4),
-    ("# alg SORT\nA:++++++++ B:++++++++ F:1\n# pad 0\n", 3),
+    ("# alg SORT\n# pad 0\nA:++++++++ B:++++++++ F:0\n# alg NONE\n", 4),
+    # a frame line before both headers is the missing header, at once
+    ("# alg SORT\nA:++++++++ B:++++++++ F:1\n# pad 0\n", 1),
     # a pad count needs a frame to strip it from
     ("# alg SORT\n# pad 1\n", 2),
     ("# alg DBI\n# pad 2\n# comment\n", 2),

@@ -569,10 +569,10 @@ _OPENING_HASH_LINES = re.compile(rb"(?:#[^\n]*\n)*(?:#[^\n]*\Z)?")
 
 
 def _one_chunk(read):
-    """(alg, pad, masks, flags, frame_lines, lines) of one way of
-    _EncodedReader to read a chunk, on data as one chunk, or None if it
-    does not read it. rows reads the LF form of data after lines has read
-    the # lines that open it, as _read_text gives them."""
+    """(alg, pad, payload, lines) of one way of _EncodedReader to read a
+    chunk, on data as one chunk, or None if it does not read it. rows
+    reads the LF form of data after lines has read the # lines that open
+    it, as _read_text gives them."""
     def reader(data):
         encoded = traceio._EncodedReader()
         head = b""
@@ -583,27 +583,23 @@ def _one_chunk(read):
         result = read(encoded, data[len(head):], head.count(b"\n"))
         if result is None:
             return None
-        frames, lines = result
-        return (*encoded.end(), *frames, head.count(b"\n") + lines)
+        payload, lines = result
+        return (*encoded.end(), payload, head.count(b"\n") + lines)
     return reader
 
 
 def _dispatched(data):
-    """_one_chunk's tuple of data read whole through _read_text, which
+    """(alg, pad, payload) of data read whole through _read_text, which
     picks rows or lines for each piece of a chunk, as read_encoded reads it."""
     encoded = traceio._EncodedReader()
-    chunks = traceio._read_text(io.BytesIO(data), len(data) + 1, encoded.rows, encoded.lines)
-    masks, flags, frame_lines = zip(*chunks)  # two chunks if data ends with a CR
-    return (*encoded.end(), np.concatenate(masks, axis=1), np.concatenate(flags),
-            [line for lines in frame_lines for line in lines])
+    pieces = traceio._read_text(io.BytesIO(data), len(data) + 1, encoded.rows, encoded.lines)
+    payload = b"".join(pieces)  # two chunks if data ends with a CR
+    return (*encoded.end(), payload)
 
 
-def _same(a, b):
-    if isinstance(a, int) or isinstance(b, int):
-        return a == b
-    alg, pad, masks, flags = a[:4]
-    return (alg, pad) == b[:2] and masks.dtype == b[2].dtype and flags.dtype == b[3].dtype \
-        and np.array_equal(masks, b[2]) and np.array_equal(flags, b[3])
+def _same(read, reference):
+    """Whether a read gives the error line or the (alg, pad, payload) of reference."""
+    return read == (reference[:3] if isinstance(reference, tuple) else reference)
 
 
 @given(encoded_texts())
@@ -616,18 +612,12 @@ def test_parse_encoded_matches_line_parser(case):
     data, canonical = case
     reference = _read(_one_chunk(traceio._EncodedReader.lines), data)
     fast = _read(_one_chunk(traceio._EncodedReader.rows), data)
-    if canonical:
-        assert isinstance(fast, tuple)
+    if canonical:  # rows reads it, or names the line of a frame it cannot decode
+        assert fast is not None
     if fast is not None:
-        lf_reference = _read(_one_chunk(traceio._EncodedReader.lines), traceio._lf(data))
-        assert _same(fast, lf_reference)
-        if isinstance(fast, tuple):
-            assert list(fast[4]) == lf_reference[4]  # the input line of every frame
-            assert fast[5] == lf_reference[5]  # the lines of the chunk
-    dispatched = _read(_dispatched, data)
-    assert _same(dispatched, reference)
-    if isinstance(reference, tuple):
-        assert dispatched[4] == reference[4]
+        # the same payload, error line and lines of the chunk
+        assert fast == _read(_one_chunk(traceio._EncodedReader.lines), traceio._lf(data))
+    assert _same(_read(_dispatched, data), reference)
 
 
 def _header_lines_only(monkeypatch):
@@ -672,10 +662,11 @@ def test_decode_names_line_of_out_of_range_flag_from_one_read(
     data = bytearray(seven_frames(alg))
     header = len(format_encoded_header(alg, 0))
     data[header + 26 * bad_frame + 24] = flag[0]
-    if unused_pair:  # frame 0 decodes to the unused pair, but the flag error ranks first
-        data[header + 2] = data[header + 13] = data[header + 24] = ord("0")
-    _header_lines_only(monkeypatch)
     message = rf"^line {bad_frame + 3}: {alg.value} flag must be 0\.\.{MAX_FLAG[alg]}$"
+    if unused_pair:  # frame 0 decodes to the unused pair, so its earlier line is the error
+        data[header + 2] = data[header + 13] = data[header + 24] = ord("0")
+        message = r"^line 3: frame 0, column 0 holds the unused \(0, 0\) pair$"
+    _header_lines_only(monkeypatch)
     with pytest.raises(ParseError, match=message):
         # the header chunk holds frames 0 and 1, each later chunk two more
         b"".join(traceio.read_encoded(io.BytesIO(bytes(data)), header + 2 * 26))
@@ -689,7 +680,7 @@ def test_rows_reads_every_header_the_writer_writes(monkeypatch, alg, pad):
     data = seven_frames(alg, pad)
     fast = _one_chunk(traceio._EncodedReader.rows)(data)
     assert isinstance(fast, tuple) and fast[:2] == (alg, pad)
-    assert _same(fast, _one_chunk(traceio._EncodedReader.lines)(data))
+    assert fast == _one_chunk(traceio._EncodedReader.lines)(data)
     _header_lines_only(monkeypatch)
     assert _same(_dispatched(data), fast)
 
@@ -760,6 +751,62 @@ def test_non_ascii_byte_after_a_bad_line_names_its_line(fmt, size):
         list(read(file))
     bad_line_end = sum(len(line) + 1 for line in lines[:4]) - 1
     assert len(file.sizes) == bad_line_end // size + 1
+
+
+# One bad line of each kind in SORT encoded text, with its error; the
+# unused pair's names its frame, the frames before its line.
+SORT_ROW = b"A:++++++++ B:++++++++ F:0"  # payload ff ff ff
+BAD_LINES = {
+    "malformed": (b"A:++++ B:++++++++ F:0", "expected 'A:<8 symbols> B:<8 symbols> F:<flag>'"),
+    "non-ASCII": (SORT_ROW + b"\x80", "non-ASCII byte"),
+    "repeated-header": (b"# pad 0", "repeated '# pad' header"),
+    "flag": (SORT_ROW.replace(b"F:0", b"F:6"), "SORT flag must be 0..5"),
+    "unused-pair": (b"A:0+++++++ B:0+++++++ F:0", "frame {}, column 0 holds the unused (0, 0) pair"),
+}
+
+
+@pytest.mark.parametrize("size", [1, 19, 26, 1 << 18])
+@pytest.mark.parametrize("first, later", [(3, 4), (5, 8)], ids=["lines-3-4", "lines-5-8"])
+@pytest.mark.parametrize("later_kind", BAD_LINES)
+@pytest.mark.parametrize("kind", BAD_LINES)
+def test_decode_names_the_first_of_two_bad_lines(kind, later_kind, first, later, size):
+    """Encoded text has one error order: the first bad line is the error,
+    whatever kinds of error it and a later line hold, at every read size."""
+    lines = b"# alg SORT\n# pad 0\n".split(b"\n")[:2] + [SORT_ROW] * 7
+    lines[first - 1], lines[later - 1] = BAD_LINES[kind][0], BAD_LINES[later_kind][0]
+    error = BAD_LINES[kind][1].format(first - 3)
+    with pytest.raises(ParseError, match=f"^line {first}: {re.escape(error)}$"):
+        list(traceio.read_encoded(io.BytesIO(b"\n".join(lines) + b"\n"), size))
+
+
+@pytest.mark.parametrize("size", [1, 19, 26, 1 << 18])
+@pytest.mark.parametrize("data", [
+    SORT_ROW + b"\n# alg SORT\n# pad 0\n" + SORT_ROW + b"\n",
+    b"# alg SORT\n" + SORT_ROW + b"\n# pad 0\n",
+    b"# pad 0\n# comment\n\n" + SORT_ROW + b"\n# alg SORT\n",
+], ids=["before-both", "between", "before-alg"])
+def test_frame_line_before_a_header_is_a_missing_header(data, size):
+    """A frame line before both headers is the error on its own, though the
+    headers follow in the same block."""
+    with pytest.raises(ParseError, match=r"^line 1: missing '# alg' or '# pad' header$"):
+        list(traceio.read_encoded(io.BytesIO(data), size))
+
+
+@pytest.mark.parametrize("size", [19, 1 << 18], ids=["small-reads", "256-KiB-reads"])
+def test_decode_of_a_bad_flag_reads_no_further_block(size):
+    """A flag out of range on line 3 of 1 MB of encoded text is the error
+    once the block that holds line 3 is read: no later block is read."""
+    masks = bulk.modulate_block(np.zeros((40_000, 3), np.uint8))
+    data = bytearray(format_encoded_header(Algorithm.SORT, 0)
+                     + format_encoded_rows(Algorithm.SORT, masks, np.zeros(40_000, np.uint8)))
+    assert len(data) > 1_000_000
+    header = len(format_encoded_header(Algorithm.SORT, 0))
+    data[header + 24] = ord("7")
+    file = RecordedReads(bytes(data))
+    with pytest.raises(ParseError, match=r"^line 3: SORT flag must be 0\.\.5$"):
+        list(traceio.read_encoded(file, size))
+    line_3_end = header + len(SORT_ROW)  # its LF
+    assert len(file.sizes) == line_3_end // size + 1
 
 
 # ------------------------------------------------------- random traces
